@@ -47,10 +47,8 @@ from .influence import (
     RemovalStep,
     ScoreReport,
     TopoInfScore,
-    build_workspace,
     greedy_refine,
     score_all_edges,
-    topoinf_incremental,
     topoinf_oracle,
 )
 from .pseudo import (

@@ -20,9 +20,16 @@ import numpy as np
 from .filters import as_filter, soft_labels
 from .graphs import Graph, LabelData, node_set, normalized_adjacency
 
-__all__ = ["CompatReport", "node_influence", "node_regularizer", "compatibility"]
+__all__ = ["CompatReport", "node_influence", "node_regularizer", "compatibility",
+           "check_lambda"]
 
 INF = float("inf")
+
+
+def check_lambda(lam: float):
+    """Reject a regularizer weight that is negative, NaN or infinite."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
 
 
 @dataclass
@@ -80,8 +87,7 @@ def compatibility(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
     row with the filtered distribution instead of the hard-label entry
     (extension mode; requires labels.soft).
     """
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    check_lambda(lam)
     target = np.arange(g.n, dtype=np.int64) if target is None else node_set(target, g.n)
     pf = as_filter(spec)
     if soft_influence and labels.soft is None:

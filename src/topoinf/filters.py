@@ -62,6 +62,8 @@ class FilterSpec:
             if self.gamma is None:
                 raise ValueError(f"preset {preset!r} requires explicit gamma coefficients")
             gamma = tuple(float(x) for x in self.gamma)
+            if not all(math.isfinite(x) for x in gamma):
+                raise ValueError(f"gamma coefficients must be finite, got {gamma}")
             if len(gamma) != self.k + 1:
                 raise ValueError(f"gamma must have K+1 = {self.k + 1} entries, got {len(gamma)}")
             object.__setattr__(self, "gamma", gamma)
@@ -79,6 +81,8 @@ class PolynomialFilter:
         gamma = tuple(float(x) for x in self.gamma)
         if not gamma:
             raise ValueError("empty coefficient vector")
+        if not all(math.isfinite(x) for x in gamma):
+            raise ValueError(f"gamma coefficients must be finite, got {gamma}")
         if all(x == 0.0 for x in gamma):
             raise ValueError("filter needs at least one nonzero coefficient")
         object.__setattr__(self, "gamma", gamma)

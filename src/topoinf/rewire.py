@@ -11,6 +11,7 @@ not exactly proportional to the weights; this is the standard caveat).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -120,8 +121,8 @@ def dropedge_weights(report, tau: float) -> DropEdgeDistribution:
     The max finite score is subtracted before exponentiation for numerical
     stability; softmax is invariant to that shift.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     values = np.asarray([s.value for s in report.scores], dtype=np.float64)
     finite = values > -np.inf
     if not finite.any():

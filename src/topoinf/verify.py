@@ -3,10 +3,10 @@
 These are the runnable counterparts of the library's correctness claims, in
 a form both the command line (`topoinf verify`) and the test suite execute:
 
-* oracle: on seeded random labeled graphs, the localized delta-propagation
-  score of every edge must match the full-recompute score to 1e-10, and all
-  influence changes must stay inside the K-hop neighborhood of the removed
-  edge's endpoints.
+* oracle: on seeded random labeled graphs, the score of every edge from the
+  batched rank-4 delta engine (`DeltaWorkspace.score_edges`) must match the
+  full-recompute score to 1e-10, and all influence changes must stay inside
+  the K-hop neighborhood of the removed edge's endpoints.
 * theorem2: on seeded block-model samples, the row-normalized low-pass
   filter must contract farthest-different-community distances and must not
   inflate noise energy.
@@ -88,8 +88,7 @@ def check_edge_scores(g: Graph, labels: LabelData, spec, lam: float = 0.0,
     ws = DeltaWorkspace.build(g, pf, labels, target_arr, lam)
     base_i, base_lbar = _target_influences(g, pf, labels, target_arr, False)
     out = EdgeCheck(edges=g.edge_count)
-    for e in range(g.edge_count):
-        inc = ws.score(e)
+    for e, inc in enumerate(ws.score_edges(np.arange(g.edge_count))):
         i, j = (int(x) for x in g.edges[e])
         g2 = g.remove_edge(e)
         new_i, new_lbar = _target_influences(g2, pf, labels, target_arr, False)

@@ -86,6 +86,32 @@ def dense_topoinf(n, edges, labels, c, gamma, lam, edge, target=None):
     return value
 
 
+def dense_topoinf_rows(n, edges, rows, gamma, lam, edge, target=None):
+    """Score with label rows `rows` (one-hot or soft) as both the filtered
+    signal and the per-node weights; the soft-influence mode's definition."""
+    target = list(range(n)) if target is None else list(target)
+    rest = [e for e in edges if tuple(e) != tuple(edge)]
+    assert len(rest) == len(edges) - 1
+    lb0 = dense_rownorm_filter(gamma, n, edges) @ rows
+    lb1 = dense_rownorm_filter(gamma, n, rest) @ rows
+    deg = dense_degrees(n, edges)
+    value = 0.0
+    for v in target:
+        value += float(rows[v] @ lb1[v]) - float(rows[v] @ lb0[v])
+    if lam > 0:
+        for v in edge:
+            if v in target:
+                if deg[v] == 1:
+                    return -INF
+                value -= lam * (1.0 / (deg[v] - 1) - 1.0 / deg[v])
+    return value
+
+
+def dense_row_sums(gamma, n, edges):
+    """Row sums of the unnormalized filter sum_k gamma_k A_hat^k."""
+    return dense_filter(gamma, dense_norm_adj(n, edges)).sum(axis=1)
+
+
 def expected_edge_count(n, c, p, q):
     sizes = [n // c + (1 if i < n % c else 0) for i in range(c)]
     intra = sum(s * (s - 1) // 2 for s in sizes)

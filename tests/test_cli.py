@@ -304,6 +304,21 @@ class TestLambdaRequiredForRewiring:
         assert code == 0
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["score", "--lambda", "nan"], "lambda"),
+    (["dropedge", "--lambda", "0", "--tau", "nan", "--output-prefix", "{tmp}/d"], "tau"),
+    (["analyze", "--model", "custom", "--k", "1", "--gamma", "nan,1"], "gamma"),
+])
+def test_non_finite_parameter_rejected(fixture_files, capsys, argv, name):
+    graph, labels, tmp = fixture_files
+    argv = [a.format(tmp=tmp) for a in argv]
+    code = run([argv[0], "--graph", graph, "--labels", labels, *argv[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert not list(tmp.glob("d*"))
+
+
 class TestValidationBeforeWrite:
     def test_no_partial_artifacts(self, tmp_path):
         graph = tmp_path / "bad.edges"

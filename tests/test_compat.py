@@ -134,6 +134,12 @@ class TestCompatibility:
         with pytest.raises(ValueError):
             compatibility(triangle, walk_filter, triangle_labels, lam=-0.1)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, triangle, triangle_labels, walk_filter,
+                                        lam):
+        with pytest.raises(ValueError, match="lambda"):
+            compatibility(triangle, walk_filter, triangle_labels, lam=lam)
+
     def test_soft_influence_with_one_hot_soft_matches_hard(self, triangle,
                                                            triangle_labels,
                                                            walk_filter):

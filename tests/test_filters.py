@@ -68,6 +68,13 @@ class TestExpandPreset:
         with pytest.raises(ValueError):
             PolynomialFilter((0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="gamma"):
+            PolynomialFilter((bad, 1.0))
+        with pytest.raises(ValueError, match="gamma"):
+            FilterSpec("custom", 1, gamma=(bad, 1.0))
+
 
 class TestApplyFilter:
     def test_identity_is_bitwise(self, triangle, identity_filter):

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from topoinf import (
+    DeltaWorkspace,
     FilterSpec,
     Graph,
     LabelData,
     PolynomialFilter,
-    build_workspace,
     compatibility,
     greedy_refine,
     khop_set,
     score_all_edges,
-    topoinf_incremental,
     topoinf_oracle,
 )
+from topoinf import influence
 from topoinf.verify import check_edge_scores, random_labeled_graph
 
 from dense_oracle import dense_topoinf
@@ -68,9 +68,9 @@ class TestOracle:
 
 class TestIncremental:
     def test_matches_oracle_on_triangle(self, triangle, triangle_labels, walk_filter):
-        ws = build_workspace(triangle, walk_filter, triangle_labels, lam=0.0)
+        ws = DeltaWorkspace.build(triangle, walk_filter, triangle_labels, lam=0.0)
         for e in range(3):
-            inc = topoinf_incremental(ws, e)
+            inc = ws.score(e)
             orc = topoinf_oracle(triangle, walk_filter, triangle_labels, lam=0.0, e=e)
             assert inc.value == pytest.approx(orc.value, abs=1e-12)
             assert inc.affected_nodes == orc.affected_nodes == 3
@@ -79,8 +79,8 @@ class TestIncremental:
         # two triangles; target confined to the second component
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
         labels = LabelData(2, [0, 0, 1, 0, 0, 1])
-        ws = build_workspace(g, walk_filter, labels, target=[3, 4, 5], lam=0.0)
-        s = topoinf_incremental(ws, g.edge_id(0, 1))
+        ws = DeltaWorkspace.build(g, walk_filter, labels, target=[3, 4, 5], lam=0.0)
+        s = ws.score(g.edge_id(0, 1))
         assert s.value == 0.0
         assert s.affected_nodes == 0
 
@@ -107,33 +107,33 @@ class TestIncremental:
     def test_restricted_target(self, walk_filter):
         g, labels = random_labeled_graph(40, 5, 3, seed=6)
         target = np.arange(0, 40, 3)
-        ws = build_workspace(g, walk_filter, labels, target=target, lam=0.0)
+        ws = DeltaWorkspace.build(g, walk_filter, labels, target=target, lam=0.0)
         for e in range(0, g.edge_count, 5):
-            inc = topoinf_incremental(ws, e)
+            inc = ws.score(e)
             orc = topoinf_oracle(g, walk_filter, labels, target=target, lam=0.0, e=e)
             assert inc.value == pytest.approx(orc.value, abs=1e-10)
 
     def test_locality_of_affected_nodes(self, walk_filter):
         g, labels = random_labeled_graph(60, 4, 3, seed=7)
-        ws = build_workspace(g, walk_filter, labels, lam=0.0)
+        ws = DeltaWorkspace.build(g, walk_filter, labels, lam=0.0)
         for e in range(0, g.edge_count, 4):
-            s = topoinf_incremental(ws, e)
+            s = ws.score(e)
             hood = set(khop_set(g, g.edges[e], 1).tolist())
             assert s.affected_nodes <= len(hood)
 
     def test_non_normalizable_rows_rejected(self):
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError, match="non-normalizable"):
-            build_workspace(g, PolynomialFilter((-1.0, 1.0)), LabelData(2, [0, 1]))
+            DeltaWorkspace.build(g, PolynomialFilter((-1.0, 1.0)), LabelData(2, [0, 1]))
 
     def test_soft_influence_mode_matches_oracle(self):
         g, labels = random_labeled_graph(30, 4, 3, seed=13)
         soft = np.random.default_rng(0).dirichlet(np.ones(3), size=30)
         lab2 = LabelData(3, labels.labels, soft=soft)
         spec = FilterSpec("sgc", 2)
-        ws = build_workspace(g, spec, lab2, soft_influence=True)
+        ws = DeltaWorkspace.build(g, spec, lab2, soft_influence=True)
         for e in range(0, g.edge_count, 3):
-            inc = topoinf_incremental(ws, e)
+            inc = ws.score(e)
             orc = topoinf_oracle(g, spec, lab2, e=e, soft_influence=True)
             assert inc.value == pytest.approx(orc.value, abs=1e-10)
 
@@ -148,6 +148,49 @@ class TestIncremental:
             exact = topoinf_oracle(g, FilterSpec("sgc", 2), labels, lam=0.0,
                                    e=int(e)).value
             assert rep.scores[e].value == pytest.approx(exact, abs=1e-10)
+
+
+class TestBatchIndependence:
+    """A score is bitwise the same whatever batch computes it."""
+
+    @staticmethod
+    def _bits(scores):
+        values = np.array([s.value for s in scores])
+        return values.tobytes(), [s.affected_nodes for s in scores]
+
+    @pytest.mark.parametrize("case", ["appnp10", "sgc2_target_lambda"])
+    def test_batch_size_and_composition(self, case, monkeypatch):
+        g, labels = random_labeled_graph(150, 5, 4, seed=21)
+        if case == "appnp10":
+            ws = DeltaWorkspace.build(g, FilterSpec("appnp", 10, alpha=0.1), labels)
+        else:
+            target = np.arange(0, g.n, 3)
+            ws = DeltaWorkspace.build(g, FilterSpec("sgc", 2), labels, target=target,
+                                      lam=0.3)
+            assert any(s.sign == "excluded" for s in ws.score_edges(range(g.edge_count)))
+        m = g.edge_count
+        sizes = []
+        batch = DeltaWorkspace._score_batch
+
+        def recording(ws_, edges, levels):
+            sizes.append(edges.size)
+            return batch(ws_, edges, levels)
+
+        monkeypatch.setattr(DeltaWorkspace, "_score_batch", recording)
+        default = self._bits(ws.score_edges(np.arange(m)))
+        default_size = sizes[0]
+        assert default_size > 4
+        singles = self._bits([ws.score(e) for e in range(m)])
+        perm = np.random.default_rng(3).permutation(m)
+        shuffled = ws.score_edges(perm)
+        unshuffled = self._bits([shuffled[k] for k in np.argsort(perm)])
+        sizes.clear()
+        monkeypatch.setattr(influence, "BATCH_BYTES", influence.BATCH_BYTES // 3)
+        smaller = self._bits(ws.score_edges(np.arange(m)))
+        assert 1 < sizes[0] < default_size
+        assert singles == default
+        assert unshuffled == default
+        assert smaller == default
 
 
 class TestScoreAllEdges:
@@ -196,6 +239,19 @@ class TestScoreAllEdges:
     def test_unknown_mode(self, triangle, triangle_labels, walk_filter):
         with pytest.raises(ValueError):
             score_all_edges(triangle, walk_filter, triangle_labels, mode="fast")
+
+    @pytest.mark.parametrize("mode", ["incremental", "exact"])
+    def test_nan_lambda_rejected(self, triangle, triangle_labels, walk_filter, mode):
+        with pytest.raises(ValueError, match="lambda"):
+            score_all_edges(triangle, walk_filter, triangle_labels,
+                            lam=float("nan"), mode=mode)
+        with pytest.raises(ValueError, match="lambda"):
+            DeltaWorkspace.build(triangle, walk_filter, triangle_labels,
+                                 lam=float("nan"))
+
+    def test_nan_score_has_no_sign(self):
+        with pytest.raises(ValueError, match="NaN"):
+            influence.TopoInfScore.classify(float("nan"))
 
 
 class TestGreedyRefine:

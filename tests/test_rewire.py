@@ -155,6 +155,11 @@ class TestDropEdgeWeights:
         with pytest.raises(ValueError):
             dropedge_weights(triangle_scores, tau=0.0)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_tau_finite(self, triangle_scores, tau):
+        with pytest.raises(ValueError, match="tau"):
+            dropedge_weights(triangle_scores, tau=tau)
+
     def test_probabilities_sum_to_one(self, triangle_scores):
         dist = dropedge_weights(triangle_scores, tau=0.5)
         assert abs(dist.probabilities.sum() - 1.0) <= 1e-9
