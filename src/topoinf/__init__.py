@@ -38,7 +38,6 @@ from .graphs import (
     load_labels,
     node_set,
     normalized_adjacency,
-    remove_edge,
     write_edge_list,
     write_labels,
 )

@@ -15,7 +15,6 @@ import datetime
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -39,6 +38,8 @@ from .pseudo import TrainConfig, load_soft_tsv, predict_pseudo, train_linear_sgc
 from .rewire import (
     RemovalPlan,
     adaedge_partition,
+    check_drop_fraction,
+    check_tau,
     dropedge_weights,
     epoch_seed,
     remove_by_topoinf,
@@ -56,23 +57,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _apply_thread_cap(threads: int | None):
-    cap = threads
-    if cap is None:
-        env = os.environ.get("TOPOINF_THREADS")
-        cap = int(env) if env else None
-    if cap is None:
-        return
-    if cap < 1:
-        raise ValueError("--threads must be >= 1")
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(cap)
-    except ImportError:
-        pass  # sparse kernels are single-threaded anyway
-
-
 def _filter_spec(args) -> FilterSpec:
     gamma = None
     if args.gamma:
@@ -86,11 +70,6 @@ def _add_filter_flags(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--gamma", default=None,
                    help="comma-separated K+1 coefficients (gprgnn/custom)")
-
-
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap worker threads (env TOPOINF_THREADS)")
 
 
 def _load_graph_labels(args):
@@ -154,7 +133,6 @@ def _emit(outputs: dict, manifest: dict, manifest_base: str | None,
 
 
 def cmd_analyze(args) -> int:
-    _apply_thread_cap(args.threads)
     g, labels, gp, lp = _load_graph_labels(args)
     target = _load_target(args, g.n)
     spec = _filter_spec(args)
@@ -182,7 +160,6 @@ def _target_hash(target, n) -> str:
 
 
 def cmd_score(args) -> int:
-    _apply_thread_cap(args.threads)
     g, labels, gp, lp = _load_graph_labels(args)
     target = _load_target(args, g.n)
     spec = _filter_spec(args)
@@ -222,7 +199,6 @@ def cmd_score(args) -> int:
 
 
 def cmd_rewire(args) -> int:
-    _apply_thread_cap(args.threads)
     g, labels, gp, lp = _load_graph_labels(args)
     target = _load_target(args, g.n)
     spec = _filter_spec(args)
@@ -283,9 +259,10 @@ def cmd_rewire(args) -> int:
 
 
 def cmd_dropedge(args) -> int:
-    _apply_thread_cap(args.threads)
     if args.lam is None:
         raise ValueError("--lambda is required for score-based rewiring")
+    check_tau(args.tau)
+    check_drop_fraction(args.drop_rate)
     g, labels, gp, lp = _load_graph_labels(args)
     target = _load_target(args, g.n)
     spec = _filter_spec(args)
@@ -315,7 +292,6 @@ def cmd_dropedge(args) -> int:
 
 
 def cmd_gen_csbm(args) -> int:
-    _apply_thread_cap(args.threads)
     if args.preset == "cora-like":
         mix = tuple(float(x) for x in args.mix.split(","))
         if len(mix) != 2:
@@ -351,7 +327,6 @@ def cmd_gen_csbm(args) -> int:
 
 
 def cmd_pseudo(args) -> int:
-    _apply_thread_cap(args.threads)
     g, labels, gp, lp = _load_graph_labels(args)
     if labels is None:
         raise ValueError("--labels is required")
@@ -379,7 +354,6 @@ def cmd_pseudo(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _apply_thread_cap(args.threads)
     runners = {
         "oracle": lambda: [run_oracle_suite(quick=args.quick)],
         "theorem2": lambda: [run_theorem2_suite(quick=args.quick)],
@@ -415,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--soft", action="store_true",
                        help="use soft inner-product influence (extension, non-default)")
         _add_filter_flags(p)
-        _add_common_flags(p)
 
     p = sub.add_parser("analyze", help="compatibility report (JSON)")
     common_io(p)
@@ -469,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-prefix", required=True)
-    _add_common_flags(p)
     p.set_defaults(handler=cmd_gen_csbm)
 
     p = sub.add_parser("pseudo", help="train pseudo labels from features")
@@ -482,14 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-prefix", required=True)
     _add_filter_flags(p)
-    _add_common_flags(p)
     p.set_defaults(handler=cmd_pseudo)
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("--suite", choices=("oracle", "theorem2", "gradients", "all"),
                    default="all")
     p.add_argument("--quick", action="store_true")
-    _add_common_flags(p)
     p.set_defaults(handler=cmd_verify)
 
     return parser

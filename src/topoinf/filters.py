@@ -178,6 +178,3 @@ def soft_labels(pf, adj: NormalizedAdjacency, labels: LabelData,
         values[bad] = np.nan
     return SoftLabelMatrix(values=values, row_sums=sums, nonnormalizable=bad)
 
-
-def coefficient_sum(pf) -> float:
-    return math.fsum(as_filter(pf).gamma)

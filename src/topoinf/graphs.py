@@ -22,7 +22,6 @@ __all__ = [
     "load_labels",
     "normalized_adjacency",
     "khop_set",
-    "remove_edge",
     "write_edge_list",
     "write_labels",
 ]
@@ -158,10 +157,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
-
-
-def remove_edge(g: Graph, e: int) -> Graph:
-    return g.remove_edge(e)
 
 
 def _neighbors_of_many(g: Graph, nodes: np.ndarray) -> np.ndarray:

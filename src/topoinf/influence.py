@@ -30,10 +30,21 @@ Edges are scored in batches whose working set stays under BATCH_BYTES; one
 sparse product per level serves the distinct endpoints of a batch. Batch
 scoring treats every edge as a removal from the *original* graph;
 `greedy_refine` is the sequential variant that re-scores as it removes.
+
+The same locality makes greedy rescoring local. Removing (i, j) changes
+A_hat only in rows and columns i and j, so the levels A_hat^t e_a and the
+rows P_k[a] change only for a within K hops of {i, j}, and the base terms
+only on those rows; distances to {i, j} are the same before and after the
+removal. An edge's score reads its endpoints' degrees, levels and P rows and
+the base terms of the target rows in its K-hop ball, so after a removal only
+edges with an endpoint within K hops of {i, j} or of a target node within K
+hops of {i, j} can change score. `greedy_refine` rescores just those and
+keeps the rest, which are bitwise what a full rescore would give.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -44,6 +55,7 @@ from .filters import ROW_SUM_TOL, as_filter, soft_labels
 from .graphs import (
     Graph,
     LabelData,
+    khop_set,
     node_set,
     normalized_adjacency,
 )
@@ -426,6 +438,17 @@ class RemovalStep:
     c_after: float
 
 
+def _stale_edges(g: Graph, seeds, target_mask: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the edges of `g`, the graph after removing edges between
+    `seeds`, whose score those removals can have changed: the edges with an
+    endpoint within k hops of the seeds or of a target node within k hops of
+    them (see the module docstring)."""
+    near = khop_set(g, seeds, k)
+    reach = np.zeros(g.n, dtype=bool)
+    reach[khop_set(g, np.concatenate([seeds, near[target_mask[near]]]), k)] = True
+    return np.flatnonzero(reach[g.edges[:, 0]] | reach[g.edges[:, 1]])
+
+
 def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0.0,
                   max_removals: int = 1, rescore_every: int = 1):
     """Repeatedly remove the highest positive-score edge.
@@ -433,41 +456,61 @@ def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
     Scores are refreshed every `rescore_every` removals (1 = fully greedy,
     every step sees fresh scores). Stops early once no positive edge remains.
     A budget of zero is a no-op. Returns (new_graph, trace).
+
+    Every edge is scored once; a refresh rescores, on a workspace of the
+    current graph, only the edges `_stale_edges` names for the removals since
+    the last refresh and keeps every other score, which is bitwise the score
+    a full rescore would give. Candidates come from a heap ordered by
+    (-value, u, v), the (-value, edge id) order of a full ranking.
     """
     if max_removals < 0:
         raise ValueError("max_removals must be >= 0")
     if rescore_every < 1:
         raise ValueError("rescore_every must be >= 1")
+    pf = as_filter(spec)
+    target_arr = None if target is None else node_set(target, g.n)
+    target_mask = np.ones(g.n, dtype=bool) if target_arr is None \
+        else _mask_of(target_arr, g.n)
     current = g
     trace: list[RemovalStep] = []
-    pending: list[TopoInfScore] = []
+    values: dict[tuple[int, int], float] = {}  # (u, v) -> score at the last refresh
+    heap: list[tuple[float, int, int]] = []    # (-value, u, v) of positive scores
+    seeds = None  # endpoints removed since the last refresh; None: score every edge
     since_rescore = rescore_every
-    target_arr = None if target is None else node_set(target, g.n)
     while len(trace) < max_removals:
         if since_rescore >= rescore_every:
-            report = score_all_edges(current, spec, labels, target_arr, lam)
-            pending = [s for s in report.ranked() if s.sign == "positive"]
+            if seeds is None:
+                fresh = score_all_edges(current, pf, labels, target_arr, lam).scores
+            else:
+                ws = DeltaWorkspace.build(current, pf, labels, target_arr, lam)
+                fresh = ws.score_edges(_stale_edges(current, seeds, target_mask, pf.order))
+            for s in fresh:
+                values[s.u, s.v] = s.value
+                if s.sign == "positive":
+                    heapq.heappush(heap, (-s.value, s.u, s.v))
+            seeds = []
             since_rescore = 0
-        step = None
-        while pending:
-            cand = pending.pop(0)
+        pick = None
+        while heap:
+            neg, u, v = heapq.heappop(heap)
+            if values.get((u, v)) != -neg:
+                continue  # removed, or rescored since this entry was pushed
             # stale candidate may have become unsafe: skip anything that would
             # now isolate a target node (its true score is -inf)
-            if lam > 0:
-                t_mask = _mask_of(target_arr, current.n) if target_arr is not None \
-                    else np.ones(current.n, dtype=bool)
-                if (t_mask[cand.u] and current.degree(cand.u) == 1) or \
-                        (t_mask[cand.v] and current.degree(cand.v) == 1):
-                    continue
-            step = cand
+            if lam > 0 and ((target_mask[u] and current.degree(u) == 1) or
+                            (target_mask[v] and current.degree(v) == 1)):
+                continue
+            pick = u, v
             break
-        if step is None:
+        if pick is None:
             if since_rescore == 0:
                 break  # fresh scores and nothing positive left
             since_rescore = rescore_every
             continue
-        current = current.remove_edge(current.edge_id(step.u, step.v))
-        c_after = compatibility(current, spec, labels, target_arr, lam).C
-        trace.append(RemovalStep(u=step.u, v=step.v, score=step.value, c_after=c_after))
+        current = current.remove_edge(current.edge_id(*pick))
+        score = values.pop(pick)
+        seeds += pick
+        c_after = compatibility(current, pf, labels, target_arr, lam).C
+        trace.append(RemovalStep(u=pick[0], v=pick[1], score=score, c_after=c_after))
         since_rescore += 1
     return current, trace

@@ -26,6 +26,8 @@ __all__ = [
     "remove_by_topoinf",
     "remove_random",
     "adaedge_partition",
+    "check_tau",
+    "check_drop_fraction",
     "dropedge_weights",
     "sample_dropedge",
     "epoch_seed",
@@ -115,14 +117,25 @@ class DropEdgeDistribution:
         return self.edges.shape[0]
 
 
+def check_tau(tau: float):
+    """Reject a softmax temperature that is not finite and positive."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+
+
+def check_drop_fraction(drop_fraction: float):
+    """Reject a drop rate outside [0, 1], NaN included."""
+    if not 0.0 <= drop_fraction <= 1.0:
+        raise ValueError(f"drop rate must lie in [0, 1], got {drop_fraction}")
+
+
 def dropedge_weights(report, tau: float) -> DropEdgeDistribution:
     """Softmax of scores at temperature tau. Excluded edges get weight zero.
 
     The max finite score is subtracted before exponentiation for numerical
     stability; softmax is invariant to that shift.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau}")
+    check_tau(tau)
     values = np.asarray([s.value for s in report.scores], dtype=np.float64)
     finite = values > -np.inf
     if not finite.any():
@@ -139,8 +152,7 @@ def sample_dropedge(dist: DropEdgeDistribution, drop_fraction: float, seed: int)
     """floor(drop_fraction * |E|) edge ids, drawn sequentially without
     replacement with renormalization after each draw. Capped at the support
     (excluded edges are never dropped)."""
-    if not 0.0 <= drop_fraction <= 1.0:
-        raise ValueError("drop_fraction must lie in [0, 1]")
+    check_drop_fraction(drop_fraction)
     m = len(dist)
     count = int(drop_fraction * m)
     support = int(np.count_nonzero(dist.probabilities > 0.0))

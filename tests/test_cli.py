@@ -319,6 +319,29 @@ def test_non_finite_parameter_rejected(fixture_files, capsys, argv, name):
     assert not list(tmp.glob("d*"))
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--tau", "nan"], "tau"),
+    (["--tau", "0"], "tau"),
+    (["--tau", "inf"], "tau"),
+    (["--tau", "1", "--drop-rate", "nan"], "drop rate"),
+    (["--tau", "1", "--drop-rate", "1.5"], "drop rate"),
+    (["--tau", "1", "--drop-rate", "-0.1"], "drop rate"),
+])
+def test_dropedge_parameters_checked_before_scoring(fixture_files, capsys, monkeypatch,
+                                                    flags, name):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("edges scored before the parameters were checked")
+
+    monkeypatch.setattr("topoinf.cli.score_all_edges", no_scoring)
+    graph, labels, tmp = fixture_files
+    code = run(["dropedge", "--graph", graph, "--labels", labels, "--lambda", "0",
+                *flags, "--output-prefix", tmp / "d"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert not list(tmp.glob("d*"))
+
+
 class TestValidationBeforeWrite:
     def test_no_partial_artifacts(self, tmp_path):
         graph = tmp_path / "bad.edges"

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from topoinf import (
+    CsbmParams,
     DeltaWorkspace,
     FilterSpec,
     Graph,
     LabelData,
     PolynomialFilter,
     compatibility,
+    cora_like_params,
+    generate_csbm,
     greedy_refine,
     khop_set,
     score_all_edges,
@@ -17,6 +20,7 @@ from topoinf import influence
 from topoinf.verify import check_edge_scores, random_labeled_graph
 
 from dense_oracle import dense_topoinf
+from greedy_reference import reference_greedy
 
 INF = float("inf")
 
@@ -296,6 +300,44 @@ class TestGreedyRefine:
         _, trace = greedy_refine(g, walk_filter, labels, lam=0.0, max_removals=4,
                                  rescore_every=2)
         assert len(trace) <= 4
+
+    @staticmethod
+    def _cora_like_target():
+        """The cora-like preset with 20 seeded targets of degree >= 1 per class."""
+        sample = generate_csbm(cora_like_params(seed=0))
+        g, labels = sample.graph, sample.labels
+        rng = np.random.default_rng([0, 1])
+        target = [rng.choice(np.flatnonzero((labels.labels == c) & (g.degrees > 0)),
+                             20, replace=False) for c in range(labels.c)]
+        return g, labels, np.sort(np.concatenate(target))
+
+    @pytest.mark.parametrize("case", [
+        "cora_like_target", "all_targets", "appnp4", "rescore_every_2",
+        "rescore_every_3", "criterion5_0", "criterion5_1", "criterion5_2",
+        "criterion5_3"])
+    def test_matches_full_rescoring(self, case):
+        spec, target, lam, budget, every = FilterSpec("sgc", 2), None, 0.0, 10, 1
+        if case == "cora_like_target":
+            g, labels, target = self._cora_like_target()
+            lam, budget = 0.1, 20
+        elif case.startswith("criterion5"):
+            params = CsbmParams(n=300, c=3, p=0.8, q=0.05, d=8, sigma=1.0,
+                                seed=int(case[-1]))
+            sample = generate_csbm(params)
+            g, labels, budget = sample.graph, sample.labels, 2
+        else:
+            g, labels = random_labeled_graph(600, 3, 3, seed=1)
+            if case == "appnp4":
+                spec = FilterSpec("appnp", 4, alpha=0.1)
+            elif case.startswith("rescore_every"):
+                target, lam, every = np.arange(0, g.n, 4), 0.1, int(case[-1])
+        got, trace = greedy_refine(g, spec, labels, target, lam, max_removals=budget,
+                                   rescore_every=every)
+        want, want_trace = reference_greedy(g, spec, labels, target, lam,
+                                            max_removals=budget, rescore_every=every)
+        assert len(trace) == budget
+        assert [(s.u, s.v, s.score, s.c_after) for s in trace] == want_trace
+        assert np.array_equal(got.edges, want.edges)
 
     def test_negative_budget_rejected(self, triangle, triangle_labels, walk_filter):
         with pytest.raises(ValueError):

@@ -5,8 +5,11 @@ gprgnn with negative coefficients, and K from 0 to 4), target subsets,
 lambda > 0 with excluded edges, and soft labels. Every edge's score must
 match the dense before/after recompute in `dense_oracle`, and the number of
 affected target nodes must not exceed the target nodes in the K-hop ball of
-the removed edge. The seeded sweeps in the other test modules stay as they
-are; these draws are derandomized so a run is reproducible.
+the removed edge. Greedy rewiring, which rescores only the edges that
+`influence._stale_edges` names after each removal, must give the same trace
+as the from-scratch loop in `greedy_reference`, and every edge it leaves out
+must keep its score bit for bit. The seeded sweeps in the other test modules
+stay as they are; these draws are derandomized so a run is reproducible.
 """
 
 import math
@@ -15,10 +18,20 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from topoinf import DeltaWorkspace, FilterSpec, Graph, LabelData, PolynomialFilter, khop_set
+from topoinf import (
+    DeltaWorkspace,
+    FilterSpec,
+    Graph,
+    LabelData,
+    PolynomialFilter,
+    greedy_refine,
+    khop_set,
+)
 from topoinf.filters import as_filter
+from topoinf.influence import _stale_edges
 
 from dense_oracle import dense_row_sums, dense_topoinf_rows
+from greedy_reference import reference_greedy
 
 PRESETS = ("sgc", "s2gc", "appnp", "gcn", "gcnii", "gprgnn")
 TOL = 1e-10
@@ -78,3 +91,58 @@ def test_engine_matches_dense_oracle(case):
             assert abs(s.value - want) <= TOL
         ball = np.intersect1d(khop_set(g, edge, len(gamma) - 1), target)
         assert s.affected_nodes <= ball.size
+
+
+@st.composite
+def greedy_cases(draw):
+    """Sparse graphs (long paths between far nodes), filters with
+    non-negative coefficients, so no row is ever non-normalizable."""
+    n = draw(st.integers(4, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), min_size=2,
+                                 max_size=min(len(pairs), 2 * n), unique=True)))
+    c = draw(st.integers(2, 3))
+    labels = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, 3))
+    preset = draw(st.sampled_from(("sgc", "s2gc", "appnp")))
+    spec = FilterSpec(preset, k, alpha=draw(st.floats(0.05, 0.95)))
+    target = None
+    if draw(st.booleans()):
+        target = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    lam = draw(st.sampled_from([0.0, 0.1]))
+    return Graph.from_edges(n, edges), LabelData(c, labels), spec, target, lam
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(greedy_cases(), st.integers(1, 6), st.integers(1, 3))
+def test_greedy_matches_full_rescoring(case, budget, rescore_every):
+    g, labels, spec, target, lam = case
+    got, trace = greedy_refine(g, spec, labels, target, lam, max_removals=budget,
+                               rescore_every=rescore_every)
+    want, want_trace = reference_greedy(g, spec, labels, target, lam,
+                                        max_removals=budget,
+                                        rescore_every=rescore_every)
+    assert [(s.u, s.v, s.score, s.c_after) for s in trace] == want_trace
+    assert np.array_equal(got.edges, want.edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(greedy_cases(), st.data())
+def test_removals_leave_unlisted_scores_unchanged(case, data):
+    g, labels, spec, target, lam = case
+    picked = data.draw(st.lists(st.integers(0, g.edge_count - 1), min_size=1,
+                                max_size=min(3, g.edge_count), unique=True))
+    removed = g.edges[picked]
+    after = Graph.from_edges(g.n, np.delete(g.edges, picked, axis=0))
+    mask = np.ones(g.n, dtype=bool) if target is None else np.isin(np.arange(g.n), target)
+    stale = _stale_edges(after, removed.ravel(), mask, as_filter(spec).order)
+    kept = np.setdiff1d(np.arange(after.edge_count), stale)
+
+    def scores(graph):
+        ws = DeltaWorkspace.build(graph, spec, labels, target, lam)
+        return {(s.u, s.v): (s.value, s.affected_nodes)
+                for s in ws.score_edges(np.arange(graph.edge_count))}
+
+    before, now = scores(g), scores(after)
+    for u, v in after.edges[kept].tolist():
+        assert now[u, v] == before[u, v]
