@@ -34,7 +34,13 @@ from .graphs import (
     write_labels,
 )
 from .influence import greedy_refine, score_all_edges
-from .pseudo import TrainConfig, load_soft_tsv, predict_pseudo, train_linear_sgc
+from .pseudo import (
+    TrainConfig,
+    TrainingDiverged,
+    load_soft_tsv,
+    predict_pseudo,
+    train_linear_sgc,
+)
 from .rewire import (
     RemovalPlan,
     adaedge_partition,
@@ -331,12 +337,19 @@ def cmd_pseudo(args) -> int:
     if labels is None:
         raise ValueError("--labels is required")
     features = np.loadtxt(args.features, ndmin=2)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"--features {args.features}: row {bad[0]} (node {bad[0]}) "
+                         "holds NaN or inf")
     if features.shape[0] != g.n:
         raise ValueError(f"feature file has {features.shape[0]} rows, graph has {g.n} nodes")
     spec = _filter_spec(args)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                       l2_penalty=args.l2, seed=args.seed)
-    model = train_linear_sgc(g, spec, features, labels, cfg)
+    try:
+        model = train_linear_sgc(g, spec, features, labels, cfg)
+    except TrainingDiverged as exc:
+        raise ValueError(f"--lr {args.lr}: {exc}") from None
     pseudo = predict_pseudo(model, g, spec, features, labels)
     outputs = {
         args.output_prefix + ".labels": pseudo.to_label_text(),

@@ -28,6 +28,12 @@ __all__ = [
 
 SOFT_ROW_TOL = 1e-9
 
+# Largest node count an edge-list file may declare or imply. A graph holds
+# several int64 arrays per node and scoring allocates n x c blocks, so 10^7
+# nodes (80 MB per array) is the most a file may ask for; larger counts are
+# rejected before anything is allocated per node.
+MAX_NODES = 10_000_000
+
 
 class GraphFormatError(ValueError):
     """Malformed graph or label text; the message names the offending line."""
@@ -308,7 +314,8 @@ def _parse_header(line: str, key: str):
 
 def load_edge_list(text: str) -> Graph:
     """Parse "u v" pairs, one per line. '#' comments allowed; an optional
-    "# nodes=N" header fixes the node count (otherwise max id + 1)."""
+    "# nodes=N" header fixes the node count (otherwise max id + 1). Either
+    count must not exceed MAX_NODES."""
     edges = []
     declared_n = None
     saw_content = False
@@ -316,6 +323,9 @@ def load_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             got = _parse_header(line, "nodes")
             if got is not None:
+                if got > MAX_NODES:
+                    raise GraphFormatError(
+                        f"line {ln}: nodes={got} exceeds the limit of {MAX_NODES} nodes")
                 declared_n = got
                 saw_content = True
             continue
@@ -338,6 +348,9 @@ def load_edge_list(text: str) -> Graph:
     n = declared_n if declared_n is not None else max_id + 1
     if declared_n is not None and max_id >= declared_n:
         raise GraphFormatError(f"node id {max_id} exceeds declared nodes={declared_n}")
+    if n > MAX_NODES:
+        raise GraphFormatError(
+            f"node id {max_id} implies nodes={n}, over the limit of {MAX_NODES} nodes")
     return Graph.from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
 

@@ -12,6 +12,7 @@ happen to match the truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .graphs import Graph, LabelData, normalized_adjacency
 
 __all__ = [
     "TrainConfig",
+    "TrainingDiverged",
     "LinearModel",
     "PseudoLabels",
     "train_linear_sgc",
@@ -38,12 +40,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be a positive integer")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be non-negative")
+        if not (math.isfinite(self.l2_penalty) and self.l2_penalty >= 0):
+            raise ValueError(
+                f"l2_penalty must be finite and non-negative, got {self.l2_penalty}")
+
+
+class TrainingDiverged(RuntimeError):
+    """Gradient descent produced a non-finite or increasing loss."""
 
 
 @dataclass
@@ -104,7 +112,7 @@ def train_linear_sgc(g: Graph, spec, features, labels: LabelData,
     for epoch in range(cfg.epochs):
         loss, grad_w, grad_b = loss_and_gradients(weights, bias, z, y, cfg.l2_penalty)
         if not np.isfinite(loss):
-            raise RuntimeError(
+            raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch} "
                 f"(lr={cfg.learning_rate}, l2={cfg.l2_penalty}); lower the learning rate")
         trace[epoch] = loss
@@ -112,10 +120,10 @@ def train_linear_sgc(g: Graph, spec, features, labels: LabelData,
         bias = bias - cfg.learning_rate * grad_b
     final, _, _ = loss_and_gradients(weights, bias, z, y, cfg.l2_penalty)
     if not np.isfinite(final):
-        raise RuntimeError("non-finite final loss; lower the learning rate")
+        raise TrainingDiverged("non-finite final loss; lower the learning rate")
     trace[cfg.epochs] = final
     if final > trace[0]:
-        raise RuntimeError(
+        raise TrainingDiverged(
             f"training diverged: final loss {final:.6g} > initial {trace[0]:.6g}; "
             "lower the learning rate")
     return LinearModel(weights=weights, bias=bias, loss_trace=trace)

@@ -4,9 +4,13 @@ Removal strategies pick a subset of edges: score-ordered (within the positive
 or negative partition, by absolute score), uniformly random, or the
 label-agreement baseline that partitions edges by whether their endpoints
 share a label. The dropping sampler turns scores into a softmax distribution
-P_e proportional to exp(score_e / tau) and draws without replacement by
-sequential renormalized draws (inclusion probabilities of that scheme are
-not exactly proportional to the weights; this is the standard caveat).
+P_e proportional to exp(score_e / tau) and draws without replacement with
+Efraimidis-Spirakis keys: each edge gets the key U_e^(1 / P_e) for a uniform
+U_e, and the edges with the largest keys are dropped. That set has the same
+law as sequential draws renormalized after each pick (Efraimidis & Spirakis,
+"Weighted random sampling with a reservoir", IPL 2006), so inclusion
+probabilities are not exactly proportional to the weights; this is the
+standard caveat of that scheme.
 """
 
 from __future__ import annotations
@@ -149,23 +153,26 @@ def dropedge_weights(report, tau: float) -> DropEdgeDistribution:
 
 
 def sample_dropedge(dist: DropEdgeDistribution, drop_fraction: float, seed: int) -> np.ndarray:
-    """floor(drop_fraction * |E|) edge ids, drawn sequentially without
-    replacement with renormalization after each draw. Capped at the support
-    (excluded edges are never dropped)."""
+    """floor(drop_fraction * |E|) distinct edge ids, sorted, capped at the
+    support (excluded and underflowed edges are never dropped).
+
+    One uniform U_e per edge with P_e > 0; the edges with the largest keys
+    log(U_e) / P_e (the order of U_e^(1 / P_e)) are taken, which has the law
+    of sequential draws renormalized after each pick. Keys are compared as
+    log(P_e) - log(-log U_e), which is -log(-key) and so orders the edges the
+    same way, so that a subnormal P_e cannot overflow its key to -inf and tie
+    with another.
+    """
     check_drop_fraction(drop_fraction)
-    m = len(dist)
-    count = int(drop_fraction * m)
-    support = int(np.count_nonzero(dist.probabilities > 0.0))
-    count = min(count, support)
+    live = np.flatnonzero(dist.probabilities > 0.0)
+    count = min(int(drop_fraction * len(dist)), live.size)
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    probs = dist.probabilities.copy()
-    chosen = np.empty(count, dtype=np.int64)
-    for t in range(count):
-        probs_norm = probs / probs.sum()
-        pick = int(rng.choice(m, p=probs_norm))
-        chosen[t] = pick
-        probs[pick] = 0.0
-    return np.sort(chosen)
+    with np.errstate(divide="ignore"):   # U_e = 1 gives log(0): the top key, +inf
+        keys = np.log(dist.probabilities[live]) - np.log(-np.log1p(-rng.random(live.size)))
+    top = np.argpartition(keys, live.size - count)[live.size - count:]
+    return np.sort(live[top]).astype(np.int64)
 
 
 def epoch_seed(seed: int, epoch: int):

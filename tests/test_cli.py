@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from topoinf.cli import main
+from topoinf.graphs import MAX_NODES
 
 TRIANGLE = "# nodes=3\n0 1\n0 2\n1 2\n"
 TRIANGLE_LABELS = "# classes=2\n0 0\n1 0\n2 1\n"
@@ -340,6 +341,36 @@ def test_dropedge_parameters_checked_before_scoring(fixture_files, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
     assert not list(tmp.glob("d*"))
+
+
+FEATURES = "1 0\n0 1\n1 1\n"
+PSEUDO = ["pseudo", "--features", "{tmp}/g.features", "--output-prefix", "{tmp}/out"]
+SCORE = ["score", "--output", "{tmp}/out.tsv"]
+
+
+@pytest.mark.parametrize("graph_text, features_text, argv, name", [
+    pytest.param(TRIANGLE, "1 0\nnan 1\n1 1\n", PSEUDO, "--features", id="nan-feature"),
+    pytest.param(TRIANGLE, "1 0\n0 1\n1 inf\n", PSEUDO, "--features", id="inf-feature"),
+    pytest.param(TRIANGLE, FEATURES, PSEUDO + ["--lr", "1e6"], "--lr", id="diverging-lr"),
+    pytest.param(f"# nodes={MAX_NODES + 1}\n0 1\n", FEATURES, SCORE, "nodes=",
+                 id="oversized-header"),
+    pytest.param(f"0 {MAX_NODES}\n", FEATURES, SCORE, "nodes=", id="oversized-node-id"),
+])
+def test_input_failures_exit_two(tmp_path, capsys, graph_text, features_text, argv, name):
+    """Each bad input exits 2 with a message naming it and writes nothing.
+
+    The oversized counts sit just above MAX_NODES, so the test never asks for
+    more memory than a graph at the limit would need."""
+    (tmp_path / "g.edges").write_text(graph_text)
+    (tmp_path / "g.labels").write_text(TRIANGLE_LABELS)
+    (tmp_path / "g.features").write_text(features_text)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = run([argv[0], "--graph", tmp_path / "g.edges", "--labels", tmp_path / "g.labels",
+                *argv[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert not list(tmp_path.glob("out*"))
 
 
 class TestValidationBeforeWrite:

@@ -1,7 +1,11 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from topoinf import (
+    DropEdgeDistribution,
     FilterSpec,
     Graph,
     LabelData,
@@ -17,6 +21,28 @@ from topoinf.rewire import epoch_seed
 from topoinf.verify import random_labeled_graph
 
 from dense_oracle import softmax
+
+
+def _distribution(probabilities) -> DropEdgeDistribution:
+    p = np.asarray(probabilities, dtype=np.float64)
+    ids = np.arange(p.size, dtype=np.int64)
+    return DropEdgeDistribution(edges=np.column_stack([ids, ids + 1]),
+                                values=np.zeros(p.size), probabilities=p, tau=1.0)
+
+
+def _sequential_law(p, count):
+    """Exact law of the set picked by `count` sequential renormalized draws:
+    each ordered sequence s has probability prod_t p[s_t] / (1 - sum of the
+    earlier picks), summed over the orders of each set."""
+    law = {}
+    for seq in itertools.permutations(np.flatnonzero(p > 0).tolist(), count):
+        prob, used = 1.0, 0.0
+        for e in seq:
+            prob *= p[e] / (1.0 - used)
+            used += p[e]
+        key = tuple(sorted(seq))
+        law[key] = law.get(key, 0.0) + prob
+    return law
 
 
 @pytest.fixture
@@ -198,6 +224,62 @@ class TestSampleDropEdge:
             hits[sample_dropedge(dist, 0.5, seed=t)] += 1  # floor(0.5*2) = 1 draw
         freq = hits / trials
         assert abs(freq[0] - 0.9) <= 0.02
+
+    @pytest.mark.parametrize("probabilities, drop_fraction", [
+        ([0.5, 0.3, 0.0, 0.2], 0.5),
+        ([0.4, 0.3, 0.0, 0.2, 0.1], 0.4),
+        ([0.4, 0.3, 0.0, 0.2, 0.1], 0.6),
+        ([0.05, 0.6, 0.15, 0.0, 0.2], 0.6),
+    ])
+    def test_joint_law_matches_sequential_draws(self, probabilities, drop_fraction):
+        dist = _distribution(probabilities)
+        count = int(drop_fraction * len(dist))
+        law = _sequential_law(dist.probabilities, count)
+        trials = 20_000
+        seen = {}
+        for t in range(trials):
+            key = tuple(sample_dropedge(dist, drop_fraction, seed=t).tolist())
+            seen[key] = seen.get(key, 0) + 1
+        assert set(seen) <= set(law)  # the zero-probability edge is never drawn
+        for key, prob in law.items():
+            assert abs(seen.get(key, 0) / trials - prob) <= 0.015, key
+
+    def test_underflowed_probability_never_dropped(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        rep = score_all_edges(g, FilterSpec("sgc", 1), LabelData(2, [0, 0, 1, 1]))
+        rep = dataclasses.replace(rep, scores=[
+            dataclasses.replace(s, value=v)
+            for s, v in zip(rep.scores, (0.0, -1e4, 0.5))])
+        dist = dropedge_weights(rep, tau=1.0)
+        assert dist.probabilities[1] == 0.0
+        for t in range(200):
+            assert sample_dropedge(dist, 2 / 3, seed=t).tolist() == [0, 2]
+
+    def test_count_equal_to_support_returns_support(self):
+        dist = _distribution([0.25, 0.0, 0.5, 0.0, 0.25])
+        for fraction in (0.6, 0.8, 1.0):  # 3, 4, 5 requested; support is 3
+            assert sample_dropedge(dist, fraction, seed=9).tolist() == [0, 2, 4]
+
+    def test_ids_sorted_distinct_int64(self):
+        rng = np.random.default_rng(0)
+        w = rng.random(60) * (rng.random(60) > 0.2)
+        dist = _distribution(w / w.sum())
+        for t, fraction in enumerate((0.05, 0.3, 0.5, 0.7)):
+            out = sample_dropedge(dist, fraction, seed=t)
+            assert out.dtype == np.int64
+            assert out.size == int(fraction * 60)
+            assert np.all(np.diff(out) > 0)
+            assert np.all(dist.probabilities[out] > 0)
+
+    def test_subnormal_weights_keep_their_ratio(self):
+        # once edge 0 is gone the two subnormal weights are picked 1 : 2
+        dist = _distribution([1.0, 1e-310, 2e-310])
+        trials = 4_000
+        hits = np.zeros(3)
+        for t in range(trials):
+            hits[sample_dropedge(dist, 2 / 3, seed=t)] += 1
+        assert hits[0] == trials
+        assert abs(hits[2] / trials - 2 / 3) <= 0.03
 
     def test_epoch_seeds_differ(self, triangle_scores):
         dist = dropedge_weights(triangle_scores, tau=1.0)
