@@ -89,8 +89,12 @@ def _load_graph_labels(args):
         label_path = Path(args.labels)
         labels = load_labels(label_path.read_text(), g.n)
         if getattr(args, "soft_labels", None):
-            soft = load_soft_tsv(Path(args.soft_labels).read_text(), g.n, labels.c)
-            labels = LabelData(labels.c, labels.labels, mask=labels.mask, soft=soft)
+            text = Path(args.soft_labels).read_text()
+            try:
+                soft = load_soft_tsv(text, g.n, labels.c)
+                labels = LabelData(labels.c, labels.labels, mask=labels.mask, soft=soft)
+            except ValueError as exc:
+                raise ValueError(f"--soft-labels {args.soft_labels}: {exc}") from None
     return g, labels, graph_path, label_path
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import as_filter, soft_labels
+from .filters import SoftLabelMatrix, as_filter, soft_labels
 from .graphs import Graph, LabelData, node_set, normalized_adjacency
 
 __all__ = ["CompatReport", "node_influence", "node_regularizer", "compatibility",
@@ -34,13 +34,15 @@ def check_lambda(lam: float):
 
 @dataclass
 class CompatReport:
-    """Per-node influence/regularizer terms and their aggregate C."""
+    """Per-node influence/regularizer terms, their aggregate C, and the
+    filtered rows of every node they were read from."""
 
     lam: float
     target: np.ndarray
     per_node_I: np.ndarray         # aligned with target
     per_node_R: np.ndarray         # aligned with target, may contain +inf
     C: float                       # -inf when lam > 0 and some target R is inf
+    lbar: SoftLabelMatrix          # row-normalized filtered labels, all nodes
     isolated: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def influence_sum(self) -> float:
@@ -74,10 +76,6 @@ def node_regularizer(g: Graph, v: int) -> float:
     return INF if d == 0 else 1.0 / d
 
 
-def _soft_influence(lbar, labels: LabelData, target: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", labels.soft[target], lbar.values[target])
-
-
 def compatibility(g: Graph, spec, labels: LabelData, target=None, lam: float = 0.0,
                   soft_influence: bool = False) -> CompatReport:
     """Aggregate compatibility over a target node set.
@@ -105,7 +103,7 @@ def compatibility(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
             "(row sum <= tolerance; negative coefficients?)")
 
     if soft_influence:
-        per_i = _soft_influence(lbar, labels, target)
+        per_i = np.einsum("ij,ij->i", labels.soft[target], lbar.values[target])
     else:
         per_i = lbar.values[target, labels.labels[target]].astype(np.float64)
     deg = g.degrees[target].astype(np.float64)
@@ -119,4 +117,4 @@ def compatibility(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
     else:
         c = math.fsum(per_i - lam * per_r)
     return CompatReport(lam=lam, target=target, per_node_I=per_i, per_node_R=per_r,
-                        C=c, isolated=isolated)
+                        C=c, lbar=lbar, isolated=isolated)

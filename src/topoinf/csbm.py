@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import apply_filter, as_filter
+from .filters import as_filter, row_normalized_filter
 from .graphs import Graph, LabelData, normalized_adjacency
 
 __all__ = [
     "CsbmParams",
     "CsbmSample",
     "generate_csbm",
+    "sbm_edges",
     "cora_like_params",
     "check_distance_contraction",
     "check_variance_reduction",
@@ -91,6 +92,23 @@ def _community_centers(params: CsbmParams, rng) -> np.ndarray:
     return params.mu_scale * rng.normal(size=(params.c, params.d))
 
 
+def sbm_edges(rng, communities: np.ndarray, p: float, q: float) -> np.ndarray:
+    """Seeded block-model edges (i, j), i < j: each pair independently with
+    probability p inside a community and q across. One `rng.random` call per
+    row i, in row order, so the draw is bit-reproducible; a single community
+    with p = q is the Erdos-Renyi graph."""
+    n = communities.shape[0]
+    edges = []
+    for i in range(n - 1):
+        draws = rng.random(n - 1 - i)
+        js = np.arange(i + 1, n)
+        prob = np.where(communities[js] == communities[i], p, q)
+        hit = js[draws < prob]
+        if hit.size:
+            edges.append(np.column_stack([np.full(hit.size, i, dtype=np.int64), hit]))
+    return np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
+
+
 def generate_csbm(params: CsbmParams) -> CsbmSample:
     """Fully seeded draw. RNG consumption order is fixed (communities, edges
     row by row, centers, noise), so samples are bit-reproducible."""
@@ -100,16 +118,7 @@ def generate_csbm(params: CsbmParams) -> CsbmSample:
     communities = np.arange(n, dtype=np.int64) % c   # balanced within +/- 1
     rng.shuffle(communities)
 
-    edges = []
-    for i in range(n - 1):
-        draws = rng.random(n - 1 - i)
-        js = np.arange(i + 1, n)
-        prob = np.where(communities[js] == communities[i], params.p, params.q)
-        hit = js[draws < prob]
-        if hit.size:
-            edges.append(np.column_stack([np.full(hit.size, i, dtype=np.int64), hit]))
-    edge_arr = np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
-    graph = Graph.from_edges(n, edge_arr)
+    graph = Graph.from_edges(n, sbm_edges(rng, communities, params.p, params.q))
 
     mu = _community_centers(params, rng)
     F = mu[communities]
@@ -161,12 +170,6 @@ def _require_low_pass(pf):
     return pf
 
 
-def _row_normalized_apply(pf, adj, m: np.ndarray) -> np.ndarray:
-    stacked = np.hstack([m, np.ones((m.shape[0], 1))])
-    out = apply_filter(pf, adj, stacked)
-    return out[:, :-1] / out[:, -1:]
-
-
 def check_distance_contraction(sample: CsbmSample, pf) -> ContractionReport:
     """For every node, the distance to its farthest different-community node
     must not grow when the row-normalized filter is applied to the clean
@@ -180,7 +183,7 @@ def check_distance_contraction(sample: CsbmSample, pf) -> ContractionReport:
         return ContractionReport(before=empty, after=empty,
                                  violations=np.empty(0, dtype=np.int64), vacuous=True)
 
-    filtered = _row_normalized_apply(pf, adj, sample.F)
+    filtered = row_normalized_filter(pf, adj, sample.F).values
 
     def farthest(mat):
         sq = np.sum(mat ** 2, axis=1)
@@ -233,7 +236,7 @@ def check_variance_reduction(params: CsbmParams, pf, trials: int,
     adj = normalized_adjacency(sample.graph)
     n = params.n
 
-    operator = _row_normalized_apply(pf, adj, np.eye(n))
+    operator = row_normalized_filter(pf, adj, np.eye(n)).values
     frob_sq = float(np.sum(operator ** 2))
 
     rng = np.random.default_rng(params.seed + 1 if seed is None else seed)

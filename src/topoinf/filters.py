@@ -31,6 +31,7 @@ __all__ = [
     "expand_preset",
     "as_filter",
     "apply_filter",
+    "row_normalized_filter",
     "soft_labels",
     "ROW_SUM_TOL",
 ]
@@ -159,15 +160,14 @@ class SoftLabelMatrix:
         return self.values.shape[0]
 
 
-def soft_labels(pf, adj: NormalizedAdjacency, labels: LabelData,
-                use_soft: bool = False) -> SoftLabelMatrix:
-    """Filtered, row-normalized label distributions.
+def row_normalized_filter(pf, adj: NormalizedAdjacency, m: np.ndarray) -> SoftLabelMatrix:
+    """RowNorm(f(A_hat)) m, with f(A_hat) m and its row sums from one pass.
 
-    Propagates [L | 1] in one pass: the filtered ones-column is exactly the
-    row sum of f(A_hat), which turns f(A_hat) L into RowNorm(f(A_hat)) L.
+    Propagates [m | 1]: the filtered ones-column is exactly the row sum of
+    f(A_hat), and each filtered row of m is divided by it elementwise. Rows
+    whose sum is <= ROW_SUM_TOL are NaN and listed as non-normalizable.
     """
-    rows = labels.dense_rows(use_soft=use_soft)
-    stacked = np.hstack([rows, np.ones((rows.shape[0], 1))])
+    stacked = np.hstack([m, np.ones((m.shape[0], 1))])
     filt = apply_filter(pf, adj, stacked)
     sums = filt[:, -1].copy()
     values = filt[:, :-1]
@@ -178,3 +178,9 @@ def soft_labels(pf, adj: NormalizedAdjacency, labels: LabelData,
         values[bad] = np.nan
     return SoftLabelMatrix(values=values, row_sums=sums, nonnormalizable=bad)
 
+
+def soft_labels(pf, adj: NormalizedAdjacency, labels: LabelData,
+                use_soft: bool = False) -> SoftLabelMatrix:
+    """Filtered, row-normalized label distributions: `row_normalized_filter`
+    of the one-hot (or soft) label matrix."""
+    return row_normalized_filter(pf, adj, labels.dense_rows(use_soft=use_soft))

@@ -257,6 +257,8 @@ class LabelData:
             soft = np.asarray(soft, dtype=np.float64).copy()
             if soft.shape != (self.labels.shape[0], self.c):
                 raise ValueError("soft label matrix must be n x c")
+            if not (np.isfinite(soft).all() and (soft >= 0).all()):
+                raise ValueError("soft label entries must be finite and non-negative")
             sums = soft.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > SOFT_ROW_TOL):
                 raise ValueError("soft label rows must sum to 1")

@@ -2,8 +2,8 @@
 
 Two independent routes compute the same number:
 
-* `topoinf_oracle` removes the edge and recomputes the filtered labels and
-  compatibility from scratch on the modified graph.
+* `topoinf_oracle` (and `removal_step`, which it calls) removes the edge and
+  recomputes `compatibility()` from scratch on the modified graph.
 * `DeltaWorkspace` propagates only what the removal changes. Removing edge
   (i, j) drops both self-loop degrees by one, so D = A_hat' - A_hat is
   nonzero only on rows and columns i and j, and it has rank at most four:
@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import INF, check_lambda, compatibility
-from .filters import ROW_SUM_TOL, as_filter, soft_labels
+from .compat import INF, CompatReport, check_lambda, compatibility
+from .filters import ROW_SUM_TOL, as_filter
 from .graphs import (
     Graph,
     LabelData,
@@ -65,6 +65,7 @@ __all__ = [
     "TopoInfScore",
     "DeltaWorkspace",
     "topoinf_oracle",
+    "removal_step",
     "score_all_edges",
     "ScoreReport",
     "RemovalStep",
@@ -118,42 +119,30 @@ def _reg_delta(lam: float, degrees: np.ndarray, target_mask: np.ndarray,
     return dr, excluded
 
 
-def _target_influences(g: Graph, pf, labels: LabelData, target: np.ndarray,
-                       use_soft: bool):
-    adj = normalized_adjacency(g)
-    lbar = soft_labels(pf, adj, labels, use_soft=use_soft)
-    bad = np.intersect1d(lbar.nonnormalizable, target)
-    if bad.size:
-        raise ValueError(f"non-normalizable filter rows for nodes {bad[:5].tolist()}")
-    if use_soft:
-        per_i = np.einsum("ij,ij->i", labels.soft[target], lbar.values[target])
-    else:
-        per_i = lbar.values[target, labels.labels[target]].astype(np.float64)
-    return per_i, lbar
-
-
 def topoinf_oracle(g: Graph, spec, labels: LabelData, target=None, lam: float = 0.0,
                    e: int = 0, soft_influence: bool = False) -> TopoInfScore:
     """Full-recompute score of removing edge `e`."""
     if not 0 <= e < g.edge_count:
         raise IndexError(f"edge index {e} out of range [0, {g.edge_count})")
     pf = as_filter(spec)
-    target = np.arange(g.n, dtype=np.int64) if target is None else node_set(target, g.n)
-    base_i, _ = _target_influences(g, pf, labels, target, soft_influence)
-    return _oracle_step(g, pf, labels, target, lam, e, base_i, soft_influence)
+    base = compatibility(g, pf, labels, target, lam, soft_influence)
+    return removal_step(g, pf, labels, base, e, soft_influence)[0]
 
 
-def _oracle_step(g, pf, labels, target, lam, e, base_i, use_soft) -> TopoInfScore:
+def removal_step(g: Graph, pf, labels: LabelData, base: CompatReport, e: int,
+                 soft_influence: bool):
+    """Score of removing edge `e` from `g`, whose report is `base`, by a full
+    `compatibility()` recompute; returns the score and the new report."""
     i, j = (int(x) for x in g.edges[e])
-    g2 = g.remove_edge(e)
-    new_i, _ = _target_influences(g2, pf, labels, target, use_soft)
-    diffs = new_i - base_i
+    new = compatibility(g.remove_edge(e), pf, labels, base.target, base.lam,
+                        soft_influence)
+    diffs = new.per_node_I - base.per_node_I
     affected = int(np.count_nonzero(diffs != 0.0))
-    value = float(np.sum(diffs))
-    dr, excluded = _reg_delta(lam, g.degrees, _mask_of(target, g.n), i, j)
-    value = -INF if excluded else value - lam * dr
-    return TopoInfScore(edge=e, u=i, v=j, value=value, affected_nodes=affected,
-                        sign=TopoInfScore.classify(value))
+    dr, excluded = _reg_delta(base.lam, g.degrees, _mask_of(base.target, g.n), i, j)
+    value = -INF if excluded else float(np.sum(diffs)) - base.lam * dr
+    score = TopoInfScore(edge=e, u=i, v=j, value=value, affected_nodes=affected,
+                         sign=TopoInfScore.classify(value))
+    return score, new
 
 
 def _mask_of(target: np.ndarray, n: int) -> np.ndarray:
@@ -412,8 +401,8 @@ def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float =
         ws = DeltaWorkspace.build(g, pf, labels, target_arr, lam, soft_influence)
         scores = ws.score_edges(np.arange(g.edge_count))
     else:
-        base_i, _ = _target_influences(g, pf, labels, target_arr, soft_influence)
-        scores = [_oracle_step(g, pf, labels, target_arr, lam, e, base_i, soft_influence)
+        base = compatibility(g, pf, labels, target_arr, lam, soft_influence)
+        scores = [removal_step(g, pf, labels, base, e, soft_influence)[0]
                   for e in range(g.edge_count)]
     ranking = sorted(range(g.edge_count), key=lambda e: (-scores[e].value, e))
     by_sign = {"positive": [], "negative": [], "zero": [], "excluded": []}

@@ -109,18 +109,21 @@ def train_linear_sgc(g: Graph, spec, features, labels: LabelData,
     bias = np.zeros(c)
 
     trace = np.empty(cfg.epochs + 1)
-    for epoch in range(cfg.epochs):
-        loss, grad_w, grad_b = loss_and_gradients(weights, bias, z, y, cfg.l2_penalty)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch} "
-                f"(lr={cfg.learning_rate}, l2={cfg.l2_penalty}); lower the learning rate")
-        trace[epoch] = loss
-        weights = weights - cfg.learning_rate * grad_w
-        bias = bias - cfg.learning_rate * grad_b
-    final, _, _ = loss_and_gradients(weights, bias, z, y, cfg.l2_penalty)
-    if not np.isfinite(final):
-        raise TrainingDiverged("non-finite final loss; lower the learning rate")
+    # a diverging run overflows before its loss turns non-finite, which is
+    # detected and raised below; keep numpy's warnings for it off stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            loss, grad_w, grad_b = loss_and_gradients(weights, bias, z, y, cfg.l2_penalty)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch} "
+                    f"(lr={cfg.learning_rate}, l2={cfg.l2_penalty}); lower the learning rate")
+            trace[epoch] = loss
+            weights = weights - cfg.learning_rate * grad_w
+            bias = bias - cfg.learning_rate * grad_b
+        final, _, _ = loss_and_gradients(weights, bias, z, y, cfg.l2_penalty)
+        if not np.isfinite(final):
+            raise TrainingDiverged("non-finite final loss; lower the learning rate")
     trace[cfg.epochs] = final
     if final > trace[0]:
         raise TrainingDiverged(
@@ -187,7 +190,11 @@ def load_soft_tsv(text: str, n: int, c: int) -> np.ndarray:
         v = int(parts[0])
         if not 0 <= v < n:
             raise ValueError(f"line {ln}: node {v} outside [0, {n})")
+        if not np.isnan(out[v]).all():
+            raise ValueError(f"line {ln}: node {v} appears twice")
         out[v] = [float(x) for x in parts[1:]]
+        if not np.isfinite(out[v]).all():
+            raise ValueError(f"line {ln}: non-finite probability for node {v}")
     if np.isnan(out).any():
         missing = int(np.flatnonzero(np.isnan(out).any(axis=1))[0])
         raise ValueError(f"soft label rows missing (first: node {missing})")

@@ -344,26 +344,35 @@ def test_dropedge_parameters_checked_before_scoring(fixture_files, capsys, monke
 
 
 FEATURES = "1 0\n0 1\n1 1\n"
-PSEUDO = ["pseudo", "--features", "{tmp}/g.features", "--output-prefix", "{tmp}/out"]
+PSEUDO = ["pseudo", "--features", "{tmp}/g.input", "--output-prefix", "{tmp}/out"]
 SCORE = ["score", "--output", "{tmp}/out.tsv"]
+SOFT = ["analyze", "--soft-labels", "{tmp}/g.input", "--soft", "--output", "{tmp}/out.json"]
 
 
-@pytest.mark.parametrize("graph_text, features_text, argv, name", [
+@pytest.mark.parametrize("graph_text, input_text, argv, name", [
     pytest.param(TRIANGLE, "1 0\nnan 1\n1 1\n", PSEUDO, "--features", id="nan-feature"),
     pytest.param(TRIANGLE, "1 0\n0 1\n1 inf\n", PSEUDO, "--features", id="inf-feature"),
-    pytest.param(TRIANGLE, FEATURES, PSEUDO + ["--lr", "1e6"], "--lr", id="diverging-lr"),
+    pytest.param(TRIANGLE, FEATURES, PSEUDO + ["--lr", "1e6"], "--lr", id="diverging-lr",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     pytest.param(f"# nodes={MAX_NODES + 1}\n0 1\n", FEATURES, SCORE, "nodes=",
                  id="oversized-header"),
     pytest.param(f"0 {MAX_NODES}\n", FEATURES, SCORE, "nodes=", id="oversized-node-id"),
+    pytest.param(TRIANGLE, "0 1 0\n1 1.5 -0.5\n2 0 1\n", SOFT, "--soft-labels",
+                 id="negative-soft-label"),
+    pytest.param(TRIANGLE, "0 1 0\n1 1 0\n1 0 1\n2 0 1\n", SOFT, "--soft-labels",
+                 id="duplicate-soft-label-node"),
+    pytest.param(TRIANGLE, "0 1 0\n1 nan 1\n2 0 1\n", SOFT, "--soft-labels",
+                 id="nan-soft-label"),
 ])
-def test_input_failures_exit_two(tmp_path, capsys, graph_text, features_text, argv, name):
+def test_input_failures_exit_two(tmp_path, capsys, graph_text, input_text, argv, name):
     """Each bad input exits 2 with a message naming it and writes nothing.
 
-    The oversized counts sit just above MAX_NODES, so the test never asks for
+    `input_text` is the features or soft-label file the command reads. The
+    oversized counts sit just above MAX_NODES, so the test never asks for
     more memory than a graph at the limit would need."""
     (tmp_path / "g.edges").write_text(graph_text)
     (tmp_path / "g.labels").write_text(TRIANGLE_LABELS)
-    (tmp_path / "g.features").write_text(features_text)
+    (tmp_path / "g.input").write_text(input_text)
     argv = [a.format(tmp=tmp_path) for a in argv]
     code = run([argv[0], "--graph", tmp_path / "g.edges", "--labels", tmp_path / "g.labels",
                 *argv[1:]])

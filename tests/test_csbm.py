@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from topoinf import (
     score_all_edges,
 )
 from topoinf.csbm import CsbmSample
+from topoinf.verify import random_labeled_graph
 
 from dense_oracle import expected_edge_count
 
@@ -158,3 +161,19 @@ def test_homophilous_directional_smoke():
     for s in rep.scores:
         (inter if labels[s.u] != labels[s.v] else intra).append(s.value)
     assert np.mean(inter) > np.mean(intra)
+
+
+@pytest.mark.parametrize("n, degree, classes, seed, edge_count, digest", [
+    (20, 4, 4, 1000, 39, "715ef365921db4f7c883a67f758453c214f992e0d6db5ff04ad4be59e811c41b"),
+    (200, 10, 4, 1019, 930, "71b0d01e12092b6851df41647d0ab1427207260f6a702e8a5a0a312e78a1a86f"),
+    (40, 2, 3, 4, 32, "74a1e24b59745c6527a14d07b566f198de83d4bd1a8eff1e3b3d815b8df0cba7"),
+    (2000, 10, 4, 12, 10016, "aa506cd42f3c2d6748d96af6481ddd579ff22555f7dd2d6c93fcbfbef4b5e361"),
+])
+def test_random_labeled_graph_pinned(n, degree, classes, seed, edge_count, digest):
+    """The Erdos-Renyi graphs of the oracle suite and the seeded sweeps are the
+    single-community case of `sbm_edges`; their edges and the labels drawn
+    after them must stay bit for bit what the suites were written against."""
+    g, labels = random_labeled_graph(n, degree, classes, seed)
+    assert g.edge_count == edge_count
+    got = hashlib.sha256(g.edges.tobytes() + labels.labels.tobytes()).hexdigest()
+    assert got == digest

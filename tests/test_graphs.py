@@ -235,6 +235,12 @@ class TestLabelData:
         with pytest.raises(ValueError):
             LabelData(2, [0, 1], soft=np.array([[0.5, 0.6], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [np.nan, 1.0], [np.inf, -np.inf]])
+    def test_soft_entries_finite_and_non_negative(self, row):
+        # each row would pass the sum-to-one check: it sums to 1 or to NaN
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            LabelData(2, [0, 1], soft=np.array([row, [0.5, 0.5]]))
+
     def test_out_of_range_label(self):
         with pytest.raises(ValueError):
             LabelData(2, [0, 5])

@@ -5,10 +5,12 @@ gprgnn with negative coefficients, and K from 0 to 4), target subsets,
 lambda > 0 with excluded edges, and soft labels. Every edge's score must
 match the dense before/after recompute in `dense_oracle`, and the number of
 affected target nodes must not exceed the target nodes in the K-hop ball of
-the removed edge. Greedy rewiring, which rescores only the edges that
-`influence._stale_edges` names after each removal, must give the same trace
-as the from-scratch loop in `greedy_reference`, and every edge it leaves out
-must keep its score bit for bit. The seeded sweeps in the other test modules
+the removed edge. Scores over a target set must add up over any split of it
+into two disjoint parts. Greedy rewiring, which rescores only the edges
+that `influence._stale_edges` names after each removal, must give the same
+trace as the from-scratch loop in `greedy_reference`, each fully greedy step
+must raise C by the removed edge's score, and every edge it leaves out must
+keep its score bit for bit. The seeded sweeps in the other test modules
 stay as they are; these draws are derandomized so a run is reproducible.
 """
 
@@ -24,6 +26,7 @@ from topoinf import (
     Graph,
     LabelData,
     PolynomialFilter,
+    compatibility,
     greedy_refine,
     khop_set,
 )
@@ -93,6 +96,40 @@ def test_engine_matches_dense_oracle(case):
         assert s.affected_nodes <= ball.size
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(scoring_cases(), st.data())
+def test_scores_add_over_disjoint_targets(case, split):
+    """Scoring a target set gives, per edge, the sum of the scores and of the
+    affected-node counts over any split of it into two disjoint parts; an
+    edge excluded for either part is excluded for the union (-inf absorbs)."""
+    n, edges, c, labels, spec, target, lam, soft = case
+    assume(len(target) >= 2)
+    gamma = as_filter(spec).gamma
+    for graph_edges in [edges] + [[f for f in edges if f != e] for e in edges]:
+        assume(dense_row_sums(gamma, n, graph_edges)[target].min() > 1e-3)
+    in_first = split.draw(st.lists(st.booleans(), min_size=len(target),
+                                   max_size=len(target)))
+    assume(0 < sum(in_first) < len(target))
+    first = [v for v, f in zip(target, in_first) if f]
+    second = [v for v, f in zip(target, in_first) if not f]
+
+    g = Graph.from_edges(n, edges)
+    label_data = LabelData(c, labels, soft=soft)
+
+    def scores(part):
+        ws = DeltaWorkspace.build(g, spec, label_data, part, lam,
+                                  soft_influence=soft is not None)
+        return ws.score_edges(np.arange(g.edge_count))
+
+    for whole, a, b in zip(scores(target), scores(first), scores(second)):
+        assert whole.affected_nodes == a.affected_nodes + b.affected_nodes
+        if math.isinf(a.value) or math.isinf(b.value):
+            assert whole.value == -math.inf
+        else:
+            assert abs(whole.value - (a.value + b.value)) <= TOL
+
+
 @st.composite
 def greedy_cases(draw):
     """Sparse graphs (long paths between far nodes), filters with
@@ -124,6 +161,12 @@ def test_greedy_matches_full_rescoring(case, budget, rescore_every):
                                         rescore_every=rescore_every)
     assert [(s.u, s.v, s.score, s.c_after) for s in trace] == want_trace
     assert np.array_equal(got.edges, want.edges)
+    # with fresh scores at every step, C rises by exactly the removed edge's score
+    c_before = compatibility(g, spec, labels, target, lam).C
+    if rescore_every == 1 and math.isfinite(c_before):
+        for s in trace:
+            assert abs((s.c_after - c_before) - s.score) <= TOL
+            c_before = s.c_after
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
