@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .compat import compatibility
 from .csbm import CsbmParams, cora_like_params, generate_csbm, write_features
-from .filters import PRESETS, FilterSpec
+from .filters import MAX_ORDER, PRESETS, FilterSpec
 from .graphs import (
     GraphFormatError,
     LabelData,
@@ -64,6 +64,8 @@ def _sha256(path: Path) -> str:
 
 
 def _filter_spec(args) -> FilterSpec:
+    if not 1 <= args.k <= MAX_ORDER:
+        raise ValueError(f"--k {args.k}: the filter order must lie in [1, {MAX_ORDER}]")
     gamma = None
     if args.gamma:
         gamma = tuple(float(x) for x in args.gamma.split(","))
@@ -110,6 +112,8 @@ def _load_target(args, n):
             ids.append(int(line.split()[0]))
         except ValueError:
             raise GraphFormatError(f"target file line {ln}: not a node id") from None
+    if not ids:
+        raise ValueError(f"--target {args.target}: no node ids")
     return node_set(ids, n)
 
 
@@ -273,6 +277,8 @@ def cmd_dropedge(args) -> int:
         raise ValueError("--lambda is required for score-based rewiring")
     check_tau(args.tau)
     check_drop_fraction(args.drop_rate)
+    if args.emit_epochs < 0:
+        raise ValueError(f"--emit-epochs {args.emit_epochs}: must be >= 0")
     g, labels, gp, lp = _load_graph_labels(args)
     target = _load_target(args, g.n)
     spec = _filter_spec(args)

@@ -45,9 +45,6 @@ class CompatReport:
     lbar: SoftLabelMatrix          # row-normalized filtered labels, all nodes
     isolated: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
-    def influence_sum(self) -> float:
-        return math.fsum(self.per_node_I)
-
     def to_json_dict(self) -> dict:
         def enc(x):
             if math.isinf(x):

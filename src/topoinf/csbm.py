@@ -59,8 +59,10 @@ class CsbmParams:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.d < 1:
             raise ValueError("feature dimension must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
+        if not math.isfinite(self.mu_scale):
+            raise ValueError(f"mu_scale must be finite, got {self.mu_scale}")
         if self.mu_scheme not in MU_SCHEMES:
             raise ValueError(f"mu_scheme must be one of {MU_SCHEMES}")
         if self.mu_scheme == "orthogonal_scaled" and self.d < self.c:

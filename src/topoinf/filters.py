@@ -34,11 +34,16 @@ __all__ = [
     "row_normalized_filter",
     "soft_labels",
     "ROW_SUM_TOL",
+    "MAX_ORDER",
 ]
 
 PRESETS = ("sgc", "s2gc", "appnp", "gcn", "gcnii", "gprgnn", "custom")
 _NEEDS_GAMMA = ("gprgnn", "custom")
 ROW_SUM_TOL = 1e-12
+# Largest filter order K. Scoring keeps K + 1 propagated copies of the label
+# matrix and K + 1 levels per endpoint, so memory grows linearly with K; the
+# diffusion models above use K = 10 or less.
+MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,8 @@ class FilterSpec:
         object.__setattr__(self, "preset", preset)
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
-        if self.k < 1:
-            raise ValueError("filter order K must be >= 1")
+        if not 1 <= self.k <= MAX_ORDER:
+            raise ValueError(f"filter order K must lie in [1, {MAX_ORDER}], got {self.k}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if preset in _NEEDS_GAMMA:
@@ -82,6 +87,8 @@ class PolynomialFilter:
         gamma = tuple(float(x) for x in self.gamma)
         if not gamma:
             raise ValueError("empty coefficient vector")
+        if len(gamma) > MAX_ORDER + 1:
+            raise ValueError(f"filter order K = {len(gamma) - 1} exceeds {MAX_ORDER}")
         if not all(math.isfinite(x) for x in gamma):
             raise ValueError(f"gamma coefficients must be finite, got {gamma}")
         if all(x == 0.0 for x in gamma):

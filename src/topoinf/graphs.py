@@ -130,13 +130,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        try:
-            self.edge_id(u, v)
-            return True
-        except KeyError:
-            return False
-
     def edge_id(self, u: int, v: int) -> int:
         """Canonical edge index of (u, v); KeyError if absent."""
         a, b = (u, v) if u < v else (v, u)

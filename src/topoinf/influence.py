@@ -26,9 +26,17 @@ Two independent routes compute the same number:
   levels are exactly zero outside the K-hop ball of the endpoint, so no
   influence term outside the K-hop neighborhood of {i, j} changes.
 
-Edges are scored in batches whose working set stays under BATCH_BYTES; one
-sparse product per level serves the distinct endpoints of a batch. Batch
-scoring treats every edge as a removal from the *original* graph;
+Edges are scored in batches; one product per level serves the distinct
+endpoints of a batch. While the balls are small the levels are sparse
+columns (sparse x sparse products), so a batch stores only its balls; once
+a batch's level-K columns are more than DENSE_FILL full, the next batch
+propagates dense columns. Each batch is sized from the values the previous
+one stored per edge, levels and assembly temporaries, to about
+BATCH_BYTES, and holds at most twice the edges of the one before. Every
+level is non-negative and `csr_matmat` sums a row's terms in the order
+`csr_matvecs` does, so both formats give bitwise the same levels, and a
+score is bitwise the same whatever batch computes it.
+Batch scoring treats every edge as a removal from the *original* graph;
 `greedy_refine` is the sequential variant that re-scores as it removes.
 
 The same locality makes greedy rescoring local. Removing (i, j) changes
@@ -49,6 +57,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .compat import INF, CompatReport, check_lambda, compatibility
 from .filters import ROW_SUM_TOL, as_filter
@@ -151,10 +160,17 @@ def _mask_of(target: np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
-# Working-set budget of one scoring batch, in bytes. An edge adds at most two
-# endpoint columns, each kept at every level t <= K on the target rows and
-# held at full height by the sparse products, plus its assembly rows.
+# Budget of one scoring batch on the values it stores, in bytes: its endpoint
+# levels (the stored entries of sparse columns, or dense columns at full
+# height) and the per-pair and per-wide-edge temporaries of its assembly.
+# `score_edges` sizes each batch from what the previous one stored per edge,
+# the first as a sparse batch whose balls hold every node.
 BATCH_BYTES = 4 << 20
+# A batch whose level-K endpoint columns were filled above this fraction is
+# followed by one propagated as dense columns. Either format gives bitwise the
+# same levels, so this only trades costs: on the cora-like graph and on random
+# graphs, sparse products were the faster below about 5% fill.
+DENSE_FILL = 0.05
 
 
 class DeltaWorkspace:
@@ -163,12 +179,13 @@ class DeltaWorkspace:
     Holds P_k = A_hat^k [L | 1] for k <= K, the filtered baseline U with its
     row sums, and the baseline per-node influences. `score_edges` scores edges
     in batches sized by BATCH_BYTES and `score(e)` is a batch of one; a score
-    is bitwise the same whichever batch it is computed in.
+    is bitwise the same whichever batch, and whichever level format, computes
+    it.
     """
 
     __slots__ = ("g", "adj", "pf", "labels", "lam", "target", "target_mask",
-                 "soft_influence", "weights", "P", "U", "base_sums", "base_num",
-                 "base_I")
+                 "target_pos", "soft_influence", "weights", "P", "U", "base_sums",
+                 "base_num", "base_I")
 
     def __init__(self, g, adj, pf, labels, lam, target, soft_influence,
                  weights, P, U):
@@ -179,6 +196,7 @@ class DeltaWorkspace:
         self.lam = lam
         self.target = target
         self.target_mask = _mask_of(target, g.n)
+        self.target_pos = np.cumsum(self.target_mask) - 1  # row -> target index
         self.soft_influence = soft_influence
         self.weights = weights
         self.P = P
@@ -225,35 +243,48 @@ class DeltaWorkspace:
         out_of_range = (edges < 0) | (edges >= m)
         if out_of_range.any():
             raise IndexError(f"edge index {edges[out_of_range][0]} out of range [0, {m})")
-        K, nt = self.pf.order, self.target.size
-        edge_bytes = 16 * ((K + 8) * nt + 2 * self.g.n)
-        step = max(1, min(BATCH_BYTES // edge_bytes, edges.size))
-        # one level buffer for all batches: a fresh one per batch costs page faults
-        levels = np.empty((2 * step, K + 1, nt))
-        scores = []
-        for lo in range(0, edges.size, step):
-            scores.extend(self._score_batch(edges[lo:lo + step], levels))
+        # the first batch is sized as a sparse one whose balls hold every node
+        # (six values per entry of two full columns); each later one from the
+        # bytes the previous batch stored per edge, growing at most twofold so
+        # that a batch of small balls cannot size a much larger one
+        full = self._stored_bytes(1, 12 * (self.pf.order + 1) * self.g.n, 0, 1)
+        step = max(1, BATCH_BYTES // full)
+        dense, scores, lo = False, [], 0
+        while lo < edges.size:
+            batch = edges[lo:lo + step]
+            batch_scores, stored, fill = self._score_batch(batch, dense)
+            scores.extend(batch_scores)
+            step = max(1, min(2 * batch.size, BATCH_BYTES * batch.size // stored))
+            dense = bool(fill > DENSE_FILL)
+            lo += batch.size
         return scores
 
-    def _score_batch(self, edges, levels) -> list:
+    def _stored_bytes(self, nb, level_values, pairs, wide) -> int:
+        """Bytes a batch of `nb` edges stores: its levels, and besides them
+        per edge its recurrence arrays and score; per narrow pair its
+        gathered levels and weights, their products, the running sums and its
+        change; per wide edge its num, sums and change rows, plus one D's
+        products."""
+        K, C, nt = self.pf.order, self.weights.shape[1], self.target.size
+        values = level_values + 12 * (K + 2) * (C + 1) * nb + 16 * pairs
+        if wide:
+            values += (4 * wide + 3 * (C + 1)) * nt
+        return 8 * int(values)
+
+    def _score_batch(self, edges, dense: bool):
+        """Scores of `edges`, the bytes the batch stored and the filled
+        fraction of its level-K endpoint columns."""
         g, K, gamma = self.g, self.pf.order, np.asarray(self.pf.gamma)
         nb, nt, C = edges.size, self.target.size, self.weights.shape[1]
         ends = g.edges[edges]
         i, j = ends[:, 0], ends[:, 1]
 
-        # levels A_hat^t e_v, t <= K, of the batch's distinct endpoints v on
-        # the target rows, and H[t] = [e_i e_j]^T A_hat^t [e_i e_j]
+        # levels A_hat^t e_v, t <= K, of the batch's distinct endpoints v, with
+        # H[t] = [e_i e_j]^T A_hat^t [e_i e_j] and the ball pairs of each edge
         nodes, col = np.unique(ends, return_inverse=True)
         col = col.reshape(nb, 2)
-        cur = np.zeros((g.n, nodes.size))
-        cur[nodes, np.arange(nodes.size)] = 1.0
-        X = levels[:nodes.size]
-        H = np.empty((K + 1, nb, 2, 2))
-        for t in range(K + 1):
-            if t:
-                cur = self.adj.matrix @ cur
-            H[t] = cur[ends[:, :, None], col[:, None, :]]
-            X[:, t] = (cur if nt == g.n else np.take(cur, self.target, axis=0)).T
+        levels = (_DenseLevels if dense else _SparseLevels)(self, ends, nodes, col)
+        H = levels.H
 
         # D_e = Z S Z^T with Z = [e_i, e_j, r_i, r_j] = Y_0 A0 + Y_1 A1, where
         # Y_t = A_hat^t [e_i e_j] and r_v = (rho_v - 1) A_hat e_v off rows i, j
@@ -291,13 +322,12 @@ class DeltaWorkspace:
             G[1:K + 1 - r] += gamma[r + 1:, None, None, None] * c[r]
         F = A0 @ G[1:] + A1 @ G[:-1]
 
-        # Delta U on (edge, target row) pairs inside each edge's K-hop ball;
-        # outside it the levels, and so the changes, are exactly zero. An edge
-        # whose ball holds at most half the targets is assembled elementwise on
-        # its pairs, any other by one product per endpoint over all target
-        # rows: either way its score depends on the edge alone
-        ball = (X[col[:, 0], K] != 0.0) | (X[col[:, 1], K] != 0.0)
-        size = np.count_nonzero(ball, axis=1)
+        # Delta U on the (edge, target row) pairs inside each edge's K-hop
+        # ball; outside it the levels, and so the changes, are exactly zero. An
+        # edge whose ball holds at most half the targets is assembled
+        # elementwise on its pairs, any other by one product per endpoint over
+        # all target rows: either way its score depends on the edge alone
+        size = levels.size
         soft = self.weights[self.target] if self.soft_influence else None
         cls = self.labels.labels[self.target]
 
@@ -323,27 +353,31 @@ class DeltaWorkspace:
                     f"non-normalizable for nodes {bad[:5].tolist()}")
             return (self.base_num[rows] + num) / sums - self.base_I[rows]
 
-        groups = []
+        groups, pairs = [], 0
         narrow = np.flatnonzero((size > 0) & (2 * size <= nt))
         if narrow.size:
-            eb, er = np.nonzero(ball[narrow])
-            eb = narrow[eb]
+            en, rn = levels.pairs(narrow)
+            own = None if soft is not None else cls[rn]
             num = sums = 0.0
             for t in range(K + 1):
                 for p in (0, 1):
-                    f, x = F[t, eb, p], X[col[eb, p], t, er]
-                    num = num + x * weigh(f.T, er)
-                    sums = sums + x * f[:, C]
-            groups.append((narrow, changes(eb, er, num, sums)))
+                    f, x = F[t, :, p], levels.at(t, col[en, p], rn)
+                    w = weigh(f[en].T, rn) if own is None else f[en, own]
+                    num = num + x * w
+                    sums = sums + x * f[en, C]
+            groups.append((narrow, changes(en, rn, num, sums)))
+            pairs = en.size
         wide = np.flatnonzero(2 * size > nt)
         if wide.size:
+            X, xc = levels.columns(col[wide])
+            ball = (X[xc[:, 0], K] != 0.0) | (X[xc[:, 1], K] != 0.0)
             Fm = F[:, wide].transpose(1, 2, 3, 0).copy()
             num, sums = np.empty((wide.size, nt)), np.empty((wide.size, nt))
-            for k, b in enumerate(wide):
-                D = Fm[k, 0] @ X[col[b, 0]] + Fm[k, 1] @ X[col[b, 1]]
+            for k in range(wide.size):
+                D = Fm[k, 0] @ X[xc[k, 0]] + Fm[k, 1] @ X[xc[k, 1]]
                 num[k], sums[k] = weigh(D, slice(None)), D[C]
             diffs = changes(wide[:, None], slice(None), num, sums)
-            groups.append((wide, diffs[ball[wide]]))
+            groups.append((wide, diffs[ball]))
 
         # each edge sums its ball's target rows in ascending order
         totals, affected = np.zeros(nb), np.zeros(nb, dtype=np.int64)
@@ -360,7 +394,108 @@ class DeltaWorkspace:
             scores.append(TopoInfScore(edge=int(edges[b]), u=u, v=v, value=value,
                                        affected_nodes=int(affected[b]),
                                        sign=TopoInfScore.classify(value)))
-        return scores
+        stored = self._stored_bytes(nb, levels.stored, pairs, wide.size)
+        return scores, stored, levels.fill
+
+
+class _DenseLevels:
+    """A batch's endpoint levels as dense columns, one full-height product per
+    level; X[col, t] is level t of endpoint column col on the target rows."""
+
+    def __init__(self, ws, ends, nodes, col):
+        n, K, nt = ws.g.n, ws.pf.order, ws.target.size
+        cur = np.zeros((n, nodes.size))
+        cur[nodes, np.arange(nodes.size)] = 1.0
+        self.X = np.empty((nodes.size, K + 1, nt))
+        self.H = np.empty((K + 1, ends.shape[0], 2, 2))
+        for t in range(K + 1):
+            if t:
+                cur = ws.adj.matrix @ cur
+            self.H[t] = cur[ends[:, :, None], col[:, None, :]]
+            self.X[:, t] = (cur if nt == n else np.take(cur, ws.target, axis=0)).T
+        self.fill = np.count_nonzero(cur) / cur.size
+        self.ball = (self.X[col[:, 0], K] != 0.0) | (self.X[col[:, 1], K] != 0.0)
+        self.size = np.count_nonzero(self.ball, axis=1)
+        self.stored = 2 * cur.size + self.X.size  # values: two products and X
+
+    def pairs(self, edges):
+        """(edge, target row) pairs in the balls of `edges`, ascending."""
+        eb, er = np.nonzero(self.ball[edges])
+        return edges[eb], er
+
+    def at(self, t, cols, er):
+        """Level t of columns `cols` on target rows `er`."""
+        return self.X[cols, t, er]
+
+    def columns(self, cols):
+        """Dense levels holding `cols`, and each column's index into them."""
+        return self.X, cols
+
+
+class _SparseLevels:
+    """The same levels as sparse columns, one sparse product per level: each
+    column stores only its K-hop ball. Every level is non-negative and
+    `csr_matmat` sums a row's terms in the order `csr_matvecs` does, so the
+    stored values are bitwise the dense ones."""
+
+    def __init__(self, ws, ends, nodes, col):
+        n, K, nt = ws.g.n, ws.pf.order, ws.target.size
+        nb, nc = ends.shape[0], nodes.size
+        self.ws, self.nc = ws, nc
+        cur = sp.csr_matrix((np.ones(nc), (nodes, np.arange(nc))), shape=(n, nc))
+        self.keys, self.vals = [], []   # per level: col * n + row, ascending
+        for t in range(K + 1):
+            if t:
+                cur = ws.adj.matrix @ cur
+            csc = cur.tocsc()           # rows ascending within each column
+            owner = np.repeat(np.arange(nc), np.diff(csc.indptr))
+            rows = csc.indices[:csc.nnz]
+            self.keys.append(owner * n + rows)
+            self.vals.append(csc.data[:csc.nnz])
+        self.H = np.stack([self._get(t, col[:, None, :], ends[:, :, None])
+                           for t in range(K + 1)])
+        self.fill = rows.size / (n * nc)
+
+        # ball pairs: the union of both endpoints' level-K target rows,
+        # edge by edge in ascending row order
+        keep = ws.target_mask[rows]
+        owner, trow = owner[keep], ws.target_pos[rows[keep]]
+        count = np.bincount(owner, minlength=nc)
+        seg = col.ravel()
+        lens = count[seg]
+        shift = np.repeat(np.cumsum(count)[seg] - count[seg] - np.cumsum(lens) + lens, lens)
+        edge = np.repeat(np.arange(seg.size) // 2, lens)
+        pairs = np.unique(edge * nt + trow[np.arange(lens.sum()) + shift])
+        self.eb, self.er = np.divmod(pairs, nt)
+        self.size = np.bincount(self.eb, minlength=nb)
+        # per entry: its key and value, and the sparse copies of its level;
+        # per pair: its edge, row and the sort that found it
+        self.stored = 6 * sum(k.size for k in self.keys) + 4 * pairs.size
+
+    def pairs(self, edges):
+        keep = np.isin(self.eb, edges)
+        return self.eb[keep], self.er[keep]
+
+    def _get(self, t, cols, rows):
+        keys = self.keys[t]
+        q = cols * self.ws.g.n + rows
+        pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+        return np.where(keys[pos] == q, self.vals[t][pos], 0.0)
+
+    def at(self, t, cols, er):
+        return self._get(t, cols, self.ws.target[er])
+
+    def columns(self, cols):
+        ws, K, nt = self.ws, self.ws.pf.order, self.ws.target.size
+        need, idx = np.unique(cols, return_inverse=True)
+        slot = np.full(self.nc, -1)
+        slot[need] = np.arange(need.size)
+        X = np.zeros((need.size, K + 1, nt))
+        for t in range(K + 1):
+            c, r = np.divmod(self.keys[t], ws.g.n)
+            keep = (slot[c] >= 0) & ws.target_mask[r]
+            X[slot[c[keep]], t, ws.target_pos[r[keep]]] = self.vals[t][keep]
+        return X, idx.reshape(cols.shape)
 
 
 @dataclass

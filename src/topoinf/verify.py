@@ -89,8 +89,10 @@ def check_edge_scores(g: Graph, labels: LabelData, spec, lam: float = 0.0,
         out.mismatches += int(d > tol)
 
         if check_locality:
+            # a non-normalizable (NaN) row that stays NaN has not changed
+            a, b = new.lbar.values, base.lbar.values
             changed = np.flatnonzero(
-                np.any(new.lbar.values != base.lbar.values, axis=1))
+                np.any((a != b) & ~(np.isnan(a) & np.isnan(b)), axis=1))
             allowed = np.zeros(g.n, dtype=bool)
             allowed[khop_set(g, (oracle.u, oracle.v), pf.order)] = True
             out.locality_violations += int(np.count_nonzero(~allowed[changed]))

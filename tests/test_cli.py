@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from topoinf.cli import main
+from topoinf.filters import MAX_ORDER
 from topoinf.graphs import MAX_NODES
 
 TRIANGLE = "# nodes=3\n0 1\n0 2\n1 2\n"
@@ -347,6 +348,9 @@ FEATURES = "1 0\n0 1\n1 1\n"
 PSEUDO = ["pseudo", "--features", "{tmp}/g.input", "--output-prefix", "{tmp}/out"]
 SCORE = ["score", "--output", "{tmp}/out.tsv"]
 SOFT = ["analyze", "--soft-labels", "{tmp}/g.input", "--soft", "--output", "{tmp}/out.json"]
+GEN = ["gen-csbm", "--n", "10", "--classes", "2", "--p", "0.5", "--q", "0.1", "--dim", "2",
+       "--output-prefix", "{tmp}/out"]
+DROPEDGE = ["dropedge", "--lambda", "0", "--tau", "1", "--output-prefix", "{tmp}/out"]
 
 
 @pytest.mark.parametrize("graph_text, input_text, argv, name", [
@@ -363,19 +367,30 @@ SOFT = ["analyze", "--soft-labels", "{tmp}/g.input", "--soft", "--output", "{tmp
                  id="duplicate-soft-label-node"),
     pytest.param(TRIANGLE, "0 1 0\n1 nan 1\n2 0 1\n", SOFT, "--soft-labels",
                  id="nan-soft-label"),
+    pytest.param(TRIANGLE, FEATURES, SCORE + ["--k", str(MAX_ORDER + 1)], "--k",
+                 id="oversized-order"),
+    pytest.param(TRIANGLE, FEATURES, GEN + ["--sigma", "nan"], "sigma", id="nan-sigma"),
+    pytest.param(TRIANGLE, FEATURES, GEN + ["--mu-scale", "inf"], "mu_scale",
+                 id="inf-mu-scale"),
+    pytest.param(TRIANGLE, "", ["analyze", "--target", "{tmp}/g.input", "--output",
+                                "{tmp}/out.json"], "--target", id="empty-target"),
+    pytest.param(TRIANGLE, FEATURES, DROPEDGE + ["--emit-epochs", "-1"], "--emit-epochs",
+                 id="negative-epochs"),
 ])
 def test_input_failures_exit_two(tmp_path, capsys, graph_text, input_text, argv, name):
     """Each bad input exits 2 with a message naming it and writes nothing.
 
-    `input_text` is the features or soft-label file the command reads. The
-    oversized counts sit just above MAX_NODES, so the test never asks for
-    more memory than a graph at the limit would need."""
+    `input_text` is the features, soft-label or target file the command
+    reads. The oversized counts sit just above MAX_NODES and MAX_ORDER, so
+    the test never asks for more memory than an input at the limit would
+    need. gen-csbm reads no graph."""
     (tmp_path / "g.edges").write_text(graph_text)
     (tmp_path / "g.labels").write_text(TRIANGLE_LABELS)
     (tmp_path / "g.input").write_text(input_text)
     argv = [a.format(tmp=tmp_path) for a in argv]
-    code = run([argv[0], "--graph", tmp_path / "g.edges", "--labels", tmp_path / "g.labels",
-                *argv[1:]])
+    io = [] if argv[0] == "gen-csbm" else \
+        ["--graph", tmp_path / "g.edges", "--labels", tmp_path / "g.labels"]
+    code = run([argv[0], *io, *argv[1:]])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err

@@ -14,6 +14,8 @@ from topoinf import (
     soft_labels,
 )
 
+from topoinf.filters import MAX_ORDER
+
 from dense_oracle import dense_rownorm_filter, dense_soft_labels
 
 
@@ -63,6 +65,13 @@ class TestExpandPreset:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             FilterSpec("sgc", 0)
+
+    def test_order_bounded(self):
+        assert expand_preset(FilterSpec("sgc", MAX_ORDER)).order == MAX_ORDER
+        with pytest.raises(ValueError, match="filter order"):
+            FilterSpec("sgc", MAX_ORDER + 1)
+        with pytest.raises(ValueError, match="filter order"):
+            PolynomialFilter((0.0,) * (MAX_ORDER + 1) + (1.0,))
 
     def test_all_zero_coefficients_rejected(self):
         with pytest.raises(ValueError):

@@ -102,6 +102,15 @@ class TestIncremental:
         res = check_edge_scores(g, labels, FilterSpec("sgc", 2), lam=0.3)
         assert res.mismatches == 0
 
+    def test_locality_check_keeps_nan_rows_unchanged(self):
+        # node 29, left out of the target, has a non-normalizable (NaN)
+        # filtered row before and after every removal
+        g, labels = random_labeled_graph(30, 3, 3, 203)
+        spec = FilterSpec("gprgnn", 2, gamma=(0.65, -0.049, -0.46))
+        res = check_edge_scores(g, labels, spec, target=np.arange(29))
+        assert res.mismatches == 0
+        assert res.locality_violations == 0
+
     def test_gprgnn_negative_coefficients(self):
         g, labels = random_labeled_graph(30, 4, 3, seed=5)
         spec = FilterSpec("gprgnn", 2, gamma=(0.8, -0.1, 0.5))
@@ -155,35 +164,68 @@ class TestIncremental:
 
 
 class TestBatchIndependence:
-    """A score is bitwise the same whatever batch computes it."""
+    """A score is bitwise the same whatever batch, and whatever level format,
+    computes it."""
+
+    CASES = ["appnp10", "sgc2_target_lambda", "sgc2_hundreds", "block_and_tail"]
 
     @staticmethod
     def _bits(scores):
         values = np.array([s.value for s in scores])
         return values.tobytes(), [s.affected_nodes for s in scores]
 
-    @pytest.mark.parametrize("case", ["appnp10", "sgc2_target_lambda"])
-    def test_batch_size_and_composition(self, case, monkeypatch):
-        g, labels = random_labeled_graph(150, 5, 4, seed=21)
+    @staticmethod
+    def _workspace(case):
         if case == "appnp10":
-            ws = DeltaWorkspace.build(g, FilterSpec("appnp", 10, alpha=0.1), labels)
-        else:
+            g, labels = random_labeled_graph(150, 5, 4, seed=21)
+            return DeltaWorkspace.build(g, FilterSpec("appnp", 10, alpha=0.1), labels)
+        if case == "sgc2_target_lambda":
+            g, labels = random_labeled_graph(150, 5, 4, seed=21)
             target = np.arange(0, g.n, 3)
             ws = DeltaWorkspace.build(g, FilterSpec("sgc", 2), labels, target=target,
                                       lam=0.3)
             assert any(s.sign == "excluded" for s in ws.score_edges(range(g.edge_count)))
-        m = g.edge_count
-        sizes = []
+            return ws
+        if case == "sgc2_hundreds":
+            g, labels = random_labeled_graph(1000, 3, 4, seed=22)
+            return DeltaWorkspace.build(g, FilterSpec("sgc", 2), labels)
+        # a 200-node path, then a dense 40-node block hanging off its end; the
+        # target is the block and every tenth path node, so block edges have
+        # wide balls and path edges narrow ones
+        rng = np.random.default_rng(23)
+        path = [(v, v + 1) for v in range(200)]
+        block = [(u, v) for u in range(200, 240) for v in range(u + 1, 240)
+                 if rng.random() < 0.8]
+        g = Graph.from_edges(240, path + block)
+        labels = LabelData(3, rng.integers(0, 3, size=240))
+        target = np.concatenate([np.arange(0, 200, 10), np.arange(200, 240)])
+        return DeltaWorkspace.build(g, FilterSpec("sgc", 2), labels, target=target)
+
+    @staticmethod
+    def _is_wide(ws, e):
+        ball = khop_set(ws.g, ws.g.edges[e], ws.pf.order)
+        return 2 * np.count_nonzero(ws.target_mask[ball]) > ws.target.size
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_batch_size_and_composition(self, case, monkeypatch):
+        ws = self._workspace(case)
+        m = ws.g.edge_count
+        sizes, batches = [], []
         batch = DeltaWorkspace._score_batch
 
-        def recording(ws_, edges, levels):
+        def recording(ws_, edges, dense):
             sizes.append(edges.size)
-            return batch(ws_, edges, levels)
+            batches.append(edges.copy())
+            return batch(ws_, edges, dense)
 
         monkeypatch.setattr(DeltaWorkspace, "_score_batch", recording)
         default = self._bits(ws.score_edges(np.arange(m)))
         default_size = sizes[0]
         assert default_size > 4
+        if case == "sgc2_hundreds":
+            assert max(sizes) >= 200
+        if case == "block_and_tail":
+            assert any(len({self._is_wide(ws, e) for e in b}) == 2 for b in batches)
         singles = self._bits([ws.score(e) for e in range(m)])
         perm = np.random.default_rng(3).permutation(m)
         shuffled = ws.score_edges(perm)
@@ -195,6 +237,18 @@ class TestBatchIndependence:
         assert singles == default
         assert unshuffled == default
         assert smaller == default
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_level_formats_agree(self, case, monkeypatch):
+        ws = self._workspace(case)
+        edges = np.random.default_rng(4).permutation(ws.g.edge_count)
+        batch = DeltaWorkspace._score_batch
+        got = {}
+        for dense in (False, True):
+            monkeypatch.setattr(DeltaWorkspace, "_score_batch",
+                                lambda ws_, e, _, dense=dense: batch(ws_, e, dense))
+            got[dense] = self._bits(ws.score_edges(edges))
+        assert got[False] == got[True]
 
 
 class TestScoreAllEdges:
