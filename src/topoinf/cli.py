@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .compat import compatibility
-from .csbm import CsbmParams, cora_like_params, generate_csbm, write_features
+from .csbm import MAX_SBM_NODES, CsbmParams, cora_like_params, generate_csbm, write_features
 from .filters import MAX_ORDER, PRESETS, FilterSpec
 from .graphs import (
     GraphFormatError,
@@ -53,6 +53,12 @@ from .rewire import (
     sample_dropedge,
 )
 from .verify import run_all_suites, run_gradient_suite, run_oracle_suite, run_theorem2_suite
+
+
+# Most epoch files one `dropedge` run may emit. Every epoch's edge list is
+# held until all outputs are computed, so the bound caps that memory at 1000
+# edge lists; DropEdge training schedules run a few hundred epochs.
+MAX_EPOCHS = 1000
 
 
 def _fmt(x: float) -> str:
@@ -277,8 +283,8 @@ def cmd_dropedge(args) -> int:
         raise ValueError("--lambda is required for score-based rewiring")
     check_tau(args.tau)
     check_drop_fraction(args.drop_rate)
-    if args.emit_epochs < 0:
-        raise ValueError(f"--emit-epochs {args.emit_epochs}: must be >= 0")
+    if not 0 <= args.emit_epochs <= MAX_EPOCHS:
+        raise ValueError(f"--emit-epochs {args.emit_epochs}: must lie in [0, {MAX_EPOCHS}]")
     g, labels, gp, lp = _load_graph_labels(args)
     target = _load_target(args, g.n)
     spec = _filter_spec(args)
@@ -294,8 +300,7 @@ def cmd_dropedge(args) -> int:
     for epoch in range(args.emit_epochs):
         dropped = sample_dropedge(dist, args.drop_rate, epoch_seed(args.seed, epoch))
         keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), dropped)
-        epoch_graph = type(g).from_edges(g.n, g.edges[keep])
-        outputs[f"{args.output_prefix}.epoch{epoch:04d}.edges"] = write_edge_list(epoch_graph)
+        outputs[f"{args.output_prefix}.epoch{epoch:04d}.edges"] = write_edge_list(g, keep)
 
     manifest = _manifest(args, "dropedge",
                          {"graph": gp, "labels": lp, "target": args.target},
@@ -309,6 +314,10 @@ def cmd_dropedge(args) -> int:
 
 def cmd_gen_csbm(args) -> int:
     if args.preset == "cora-like":
+        for name in ("n", "classes", "p", "q", "dim", "mu_scheme", "mu_scale"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name.replace('_', '-')}: --preset cora-like "
+                                 "fixes it; drop the flag or the preset")
         mix = tuple(float(x) for x in args.mix.split(","))
         if len(mix) != 2:
             raise ValueError("--mix must be 'intra,inter'")
@@ -317,10 +326,14 @@ def cmd_gen_csbm(args) -> int:
         for name in ("n", "classes", "p", "q", "dim"):
             if getattr(args, name) is None:
                 raise ValueError(f"--{name} is required without --preset")
+        if args.n > MAX_SBM_NODES:
+            raise ValueError(f"--n {args.n}: at most {MAX_SBM_NODES} nodes")
+        centers = {name: getattr(args, name) for name in ("mu_scheme", "mu_scale")
+                   if getattr(args, name) is not None}
         params = CsbmParams(n=args.n, c=args.classes, p=args.p, q=args.q,
-                            d=args.dim, sigma=args.sigma,
-                            mu_scheme=args.mu_scheme, mu_scale=args.mu_scale,
-                            seed=args.seed)
+                            d=args.dim, sigma=args.sigma, seed=args.seed, **centers)
+    # the manifest records the centers the run used
+    args.mu_scheme, args.mu_scale = params.mu_scheme, params.mu_scale
     sample = generate_csbm(params)
     dataset_manifest = {
         "params": params.to_dict(),
@@ -446,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     common_io(p, lam_required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--drop-rate", type=float, default=0.5)
-    p.add_argument("--emit-epochs", type=int, default=0)
+    p.add_argument("--emit-epochs", type=int, default=0,
+                   help=f"epoch files to sample, at most {MAX_EPOCHS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-prefix", required=True)
     p.set_defaults(handler=cmd_dropedge)
@@ -454,15 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-csbm", help="generate a block-model dataset")
     p.add_argument("--preset", choices=("cora-like",), default=None)
     p.add_argument("--mix", default="0.9,0.1", help="intra,inter mix for --preset")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None,
+                   help=f"node count, at most {MAX_SBM_NODES}")
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--mu-scheme", choices=("orthogonal_scaled", "gaussian_random"),
-                   default="orthogonal_scaled")
-    p.add_argument("--mu-scale", type=float, default=1.0)
+                   default=None, help="default orthogonal_scaled")
+    p.add_argument("--mu-scale", type=float, default=None, help="default 1.0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-prefix", required=True)
     p.set_defaults(handler=cmd_gen_csbm)

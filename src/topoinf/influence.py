@@ -30,12 +30,18 @@ Edges are scored in batches; one product per level serves the distinct
 endpoints of a batch. While the balls are small the levels are sparse
 columns (sparse x sparse products), so a batch stores only its balls; once
 a batch's level-K columns are more than DENSE_FILL full, the next batch
-propagates dense columns. Each batch is sized from the values the previous
-one stored per edge, levels and assembly temporaries, to about
-BATCH_BYTES, and holds at most twice the edges of the one before. Every
-level is non-negative and `csr_matmat` sums a row's terms in the order
-`csr_matvecs` does, so both formats give bitwise the same levels, and a
-score is bitwise the same whatever batch computes it.
+propagates dense columns, and the edges left are taken in walk order
+(`_walk_order`), where consecutive edges share an endpoint, so that a batch
+holds about one full-height column per edge rather than two. On sparse
+batches the walk did not pay for itself. Each batch holds the columns
+that BATCH_BYTES buys at the bytes the previous batch stored per column
+(levels, recurrence arrays and assembly temporaries), and at most twice the
+edges of the one before. An edge whose ball holds more than
+half the targets is assembled alone, over all target rows, and its ball's
+rows are summed on their own. Every level is non-negative and `csr_matmat`
+sums a row's terms in the order `csr_matvecs` does, so both formats give
+bitwise the same levels, and a score is bitwise the same whatever batch, in
+whatever order, computes it; scores come back in the caller's order.
 Batch scoring treats every edge as a removal from the *original* graph;
 `greedy_refine` is the sequential variant that re-scores as it removes.
 
@@ -162,9 +168,9 @@ def _mask_of(target: np.ndarray, n: int) -> np.ndarray:
 
 # Budget of one scoring batch on the values it stores, in bytes: its endpoint
 # levels (the stored entries of sparse columns, or dense columns at full
-# height) and the per-pair and per-wide-edge temporaries of its assembly.
-# `score_edges` sizes each batch from what the previous one stored per edge,
-# the first as a sparse batch whose balls hold every node.
+# height), its recurrence arrays and its assembly temporaries. `score_edges`
+# sizes each batch from what the previous one stored per endpoint column, the
+# first as a sparse batch whose balls hold every node.
 BATCH_BYTES = 4 << 20
 # A batch whose level-K endpoint columns were filled above this fraction is
 # followed by one propagated as dense columns. Either format gives bitwise the
@@ -237,57 +243,74 @@ class DeltaWorkspace:
         return self.score_edges([e])[0]
 
     def score_edges(self, edges) -> list:
-        """Exact scores of removing each of `edges` alone, in the given order."""
+        """Exact scores of removing each of `edges` alone, in the given order.
+
+        Once batches propagate dense columns, the edges left are scored in
+        walk order (`_walk_order`): consecutive edges share an endpoint, so a
+        batch of the same bytes holds fewer endpoint columns per edge and more
+        edges. A wide edge's changes are reduced alone, one edge at a time.
+        The scores come back in the given order, and an id given twice gets
+        its score twice."""
         edges = np.asarray(edges, dtype=np.int64).ravel()
         m = self.g.edge_count
         out_of_range = (edges < 0) | (edges >= m)
         if out_of_range.any():
             raise IndexError(f"edge index {edges[out_of_range][0]} out of range [0, {m})")
         # the first batch is sized as a sparse one whose balls hold every node
-        # (six values per entry of two full columns); each later one from the
-        # bytes the previous batch stored per edge, growing at most twofold so
-        # that a batch of small balls cannot size a much larger one
+        # (six values per entry of two full columns); each later one holds
+        # the endpoint columns that the budget buys at the bytes the previous
+        # batch stored per column, and at most twice its edges, so that a
+        # batch of small balls cannot size a much larger one
         full = self._stored_bytes(1, 12 * (self.pf.order + 1) * self.g.n, 0, 1)
-        step = max(1, BATCH_BYTES // full)
-        dense, scores, lo = False, [], 0
+        cap, budget = max(1, BATCH_BYTES // full), None
+        order = np.arange(edges.size)   # positions in `edges`, in scoring order
+        scores = [None] * edges.size
+        dense = walked = False
+        lo = 0
         while lo < edges.size:
-            batch = edges[lo:lo + step]
-            batch_scores, stored, fill = self._score_batch(batch, dense)
-            scores.extend(batch_scores)
-            step = max(1, min(2 * batch.size, BATCH_BYTES * batch.size // stored))
+            if dense and not walked:
+                # a dense column costs the full height: take the rest of the
+                # edges in walk order, so that they share columns
+                order[lo:] = lo + _walk_order(self.g.edges[edges[lo:]])
+                walked = True
+            ahead = order[lo:lo + cap]
+            columns = _columns_after(self.g.edges[edges[ahead]])
+            nb = ahead.size if budget is None else \
+                max(1, int(np.searchsorted(columns, budget, side="right")))
+            batch_scores, stored, fill = self._score_batch(edges[ahead[:nb]], dense)
+            for k, s in zip(ahead[:nb].tolist(), batch_scores):
+                scores[k] = s
+            cap, budget = 2 * nb, BATCH_BYTES * int(columns[nb - 1]) // stored
             dense = bool(fill > DENSE_FILL)
-            lo += batch.size
+            lo += nb
         return scores
 
     def _stored_bytes(self, nb, level_values, pairs, wide) -> int:
-        """Bytes a batch of `nb` edges stores: its levels, and besides them
-        per edge its recurrence arrays and score; per narrow pair its
-        gathered levels and weights, their products, the running sums and its
-        change; per wide edge its num, sums and change rows, plus one D's
-        products."""
+        """Bytes a batch of `nb` edges stores: its levels; per edge its
+        recurrence arrays, its filtered change F and its score; per narrow
+        pair its gathered levels and weights, their products, the running
+        sums and its change; and, when the batch has wide edges, one D with
+        its two products and one ball's changes.
+
+        The recurrence arrays are released before the assembly, yet they are
+        still charged: sized by the larger of the two phases alone, sgc K=2
+        batches on the cora-like input grew by a third and the process's
+        peak RSS grew with them, with no gain in time."""
         K, C, nt = self.pf.order, self.weights.shape[1], self.target.size
         values = level_values + 12 * (K + 2) * (C + 1) * nb + 16 * pairs
         if wide:
-            values += (4 * wide + 3 * (C + 1)) * nt
+            values += (3 * (C + 1) + 8) * nt
         return 8 * int(values)
 
-    def _score_batch(self, edges, dense: bool):
-        """Scores of `edges`, the bytes the batch stored and the filled
-        fraction of its level-K endpoint columns."""
+    def _filtered_change(self, ends, H):
+        """F with Delta U = sum_{t<=K} Y_t F_t for each edge of `ends`, where
+        Y_t = A_hat^t [e_i e_j] and H[t] = Y_t^T Y_t. The recurrence arrays
+        are released on return, before the assembly."""
         g, K, gamma = self.g, self.pf.order, np.asarray(self.pf.gamma)
-        nb, nt, C = edges.size, self.target.size, self.weights.shape[1]
-        ends = g.edges[edges]
         i, j = ends[:, 0], ends[:, 1]
-
-        # levels A_hat^t e_v, t <= K, of the batch's distinct endpoints v, with
-        # H[t] = [e_i e_j]^T A_hat^t [e_i e_j] and the ball pairs of each edge
-        nodes, col = np.unique(ends, return_inverse=True)
-        col = col.reshape(nb, 2)
-        levels = (_DenseLevels if dense else _SparseLevels)(self, ends, nodes, col)
-        H = levels.H
-
+        nb = ends.shape[0]
         # D_e = Z S Z^T with Z = [e_i, e_j, r_i, r_j] = Y_0 A0 + Y_1 A1, where
-        # Y_t = A_hat^t [e_i e_j] and r_v = (rho_v - 1) A_hat e_v off rows i, j
+        # r_v = (rho_v - 1) A_hat e_v off rows i, j
         s = self.adj.inv_sqrt_deg
         d_i, d_j = g.degrees[i].astype(np.float64), g.degrees[j].astype(np.float64)
         a_ii, a_jj, a_ij = s[i] * s[i], s[j] * s[j], s[i] * s[j]
@@ -315,12 +338,27 @@ class DeltaWorkspace:
         for r in range(K):
             c[r] = S @ PZ[r]
             PZ[r + 1:] += T[:K - 1 - r] @ c[r]
-        # Delta U = sum_{t<=K} Y_t F_t with F_t = A0 G_t + A1 G_{t-1}, where
-        # G_s = sum_{k>s} gamma_k c_{k-1-s} (G_{-1} = G_K = 0)
+        # F_t = A0 G_t + A1 G_{t-1}, where G_s = sum_{k>s} gamma_k c_{k-1-s}
+        # (G_{-1} = G_K = 0)
         G = np.zeros((K + 2,) + PZ.shape[1:])
         for r in range(K):
             G[1:K + 1 - r] += gamma[r + 1:, None, None, None] * c[r]
-        F = A0 @ G[1:] + A1 @ G[:-1]
+        return A0 @ G[1:] + A1 @ G[:-1]
+
+    def _score_batch(self, edges, dense: bool):
+        """Scores of `edges`, the bytes the batch stored and the filled
+        fraction of its level-K endpoint columns."""
+        g, K = self.g, self.pf.order
+        nb, nt, C = edges.size, self.target.size, self.weights.shape[1]
+        ends = g.edges[edges]
+        i, j = ends[:, 0], ends[:, 1]
+
+        # levels A_hat^t e_v, t <= K, of the batch's distinct endpoints v, with
+        # H[t] = [e_i e_j]^T A_hat^t [e_i e_j] and the ball pairs of each edge
+        nodes, col = np.unique(ends, return_inverse=True)
+        col = col.reshape(nb, 2)
+        levels = (_DenseLevels if dense else _SparseLevels)(self, ends, nodes, col)
+        F = self._filtered_change(ends, levels.H)
 
         # Delta U on the (edge, target row) pairs inside each edge's K-hop
         # ball; outside it the levels, and so the changes, are exactly zero. An
@@ -331,29 +369,31 @@ class DeltaWorkspace:
         soft = self.weights[self.target] if self.soft_influence else None
         cls = self.labels.labels[self.target]
 
-        def weigh(vals, er):
-            """Weight of vals[class, row] for target rows `er`: the row's own
-            label entry, or its inner product with the row's soft label."""
-            if soft is None:
-                return np.take_along_axis(vals, cls[er][None], axis=0)[0]
+        def soft_weight(vals, er):
+            """Inner products of vals[:, k] with the soft label of target row er[k]."""
             out = 0.0
             for q in range(C):
                 out = out + vals[q] * soft[er, q]
             return out
 
+        base_num, base_sums, base_I = (a[self.target] for a in
+                                       (self.base_num, self.base_sums, self.base_I))
+
         def changes(owner, er, num, sums):
-            rows = self.target[er]
-            sums = self.base_sums[rows] + sums
+            """Influence changes of target rows `er` (indices or a slice)."""
+            sums = base_sums[er] + sums
             low = sums <= ROW_SUM_TOL
             if low.any():
                 b = np.broadcast_to(owner, low.shape)[low].min()
-                bad = np.broadcast_to(rows, low.shape)[low & (owner == b)]
+                bad = self.target[er][low & (owner == b)]
                 raise ValueError(
                     f"removing edge ({i[b]}, {j[b]}) makes filter rows "
                     f"non-normalizable for nodes {bad[:5].tolist()}")
-            return (self.base_num[rows] + num) / sums - self.base_I[rows]
+            return (base_num[er] + num) / sums - base_I[er]
 
-        groups, pairs = [], 0
+        # each edge sums its ball's target rows in ascending order
+        totals, affected = np.zeros(nb), np.zeros(nb, dtype=np.int64)
+        pairs = 0
         narrow = np.flatnonzero((size > 0) & (2 * size <= nt))
         if narrow.size:
             en, rn = levels.pairs(narrow)
@@ -362,29 +402,27 @@ class DeltaWorkspace:
             for t in range(K + 1):
                 for p in (0, 1):
                     f, x = F[t, :, p], levels.at(t, col[en, p], rn)
-                    w = weigh(f[en].T, rn) if own is None else f[en, own]
+                    w = soft_weight(f[en].T, rn) if own is None else f[en, own]
                     num = num + x * w
                     sums = sums + x * f[en, C]
-            groups.append((narrow, changes(en, rn, num, sums)))
+            flat = changes(en, rn, num, sums)
+            starts = np.cumsum(size[narrow]) - size[narrow]
+            totals[narrow] = np.add.reduceat(flat, starts)
+            affected[narrow] = np.add.reduceat((flat != 0.0).astype(np.int64), starts)
             pairs = en.size
         wide = np.flatnonzero(2 * size > nt)
         if wide.size:
             X, xc = levels.columns(col[wide])
-            ball = (X[xc[:, 0], K] != 0.0) | (X[xc[:, 1], K] != 0.0)
             Fm = F[:, wide].transpose(1, 2, 3, 0).copy()
-            num, sums = np.empty((wide.size, nt)), np.empty((wide.size, nt))
-            for k in range(wide.size):
+            entry = cls * nt + np.arange(nt)    # flat index of each row's class entry
+            for k, b in enumerate(wide):
+                # D is exactly zero off the ball, so its rows there change
+                # nothing, but the ball's rows are summed on their own
                 D = Fm[k, 0] @ X[xc[k, 0]] + Fm[k, 1] @ X[xc[k, 1]]
-                num[k], sums[k] = weigh(D, slice(None)), D[C]
-            diffs = changes(wide[:, None], slice(None), num, sums)
-            groups.append((wide, diffs[ball]))
-
-        # each edge sums its ball's target rows in ascending order
-        totals, affected = np.zeros(nb), np.zeros(nb, dtype=np.int64)
-        for idx, flat in groups:
-            starts = np.cumsum(size[idx]) - size[idx]
-            totals[idx] = np.add.reduceat(flat, starts)
-            affected[idx] = np.add.reduceat((flat != 0.0).astype(np.int64), starts)
+                num = D.ravel()[entry] if soft is None else soft_weight(D, slice(None))
+                diffs = changes(b, slice(None), num, D[C])[levels.rows(b)]
+                totals[b] = np.add.reduceat(diffs, [0])[0]
+                affected[b] = np.count_nonzero(diffs)
 
         scores = []
         for b in range(nb):
@@ -396,6 +434,54 @@ class DeltaWorkspace:
                                        sign=TopoInfScore.classify(value)))
         stored = self._stored_bytes(nb, levels.stored, pairs, wide.size)
         return scores, stored, levels.fill
+
+
+def _columns_after(ends: np.ndarray) -> np.ndarray:
+    """Distinct endpoints among the first k + 1 rows of `ends`, for each k."""
+    flat = ends.ravel()
+    seen = np.zeros(flat.size, dtype=np.int64)
+    seen[np.unique(flat, return_index=True)[1]] = 1
+    return np.cumsum(seen)[1::2]
+
+
+def _walk_order(ends: np.ndarray) -> np.ndarray:
+    """A permutation of the rows of `ends`, an (m, 2) array of edge endpoints,
+    in which consecutive edges share an endpoint wherever the edges allow.
+
+    A depth-first walk over unused incident edges: from the node on top of
+    the stack it takes the node's next unused edge and steps to its other
+    end; at a node with none left it steps back. When the stack empties it
+    starts again at the first unused row, so every row is taken once; a
+    repeated edge is taken once per row."""
+    m = ends.shape[0]
+    nodes, ids = np.unique(ends, return_inverse=True)
+    ids = ids.ravel()
+    inc = (np.argsort(ids, kind="stable") // 2).tolist()   # rows by endpoint
+    ptr = np.zeros(nodes.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=nodes.size), out=ptr[1:])
+    ptr = ptr.tolist()
+    u, v = ids[0::2].tolist(), ids[1::2].tolist()
+    cursor, used, order = ptr[:-1], [False] * m, []
+    for first in range(m):
+        if used[first]:
+            continue
+        used[first] = True
+        order.append(first)
+        stack = [u[first], v[first]]
+        while stack:
+            a = stack[-1]
+            k, end = cursor[a], ptr[a + 1]
+            while k < end and used[inc[k]]:
+                k += 1
+            cursor[a] = k
+            if k == end:
+                stack.pop()
+                continue
+            e = inc[k]
+            used[e] = True
+            order.append(e)
+            stack.append(u[e] + v[e] - a)
+    return np.array(order, dtype=np.int64)
 
 
 class _DenseLevels:
@@ -422,6 +508,10 @@ class _DenseLevels:
         """(edge, target row) pairs in the balls of `edges`, ascending."""
         eb, er = np.nonzero(self.ball[edges])
         return edges[eb], er
+
+    def rows(self, b):
+        """Target rows in the ball of edge `b`, ascending."""
+        return np.flatnonzero(self.ball[b])
 
     def at(self, t, cols, er):
         """Level t of columns `cols` on target rows `er`."""
@@ -468,6 +558,7 @@ class _SparseLevels:
         pairs = np.unique(edge * nt + trow[np.arange(lens.sum()) + shift])
         self.eb, self.er = np.divmod(pairs, nt)
         self.size = np.bincount(self.eb, minlength=nb)
+        self.start = np.cumsum(self.size) - self.size
         # per entry: its key and value, and the sparse copies of its level;
         # per pair: its edge, row and the sort that found it
         self.stored = 6 * sum(k.size for k in self.keys) + 4 * pairs.size
@@ -475,6 +566,10 @@ class _SparseLevels:
     def pairs(self, edges):
         keep = np.isin(self.eb, edges)
         return self.eb[keep], self.er[keep]
+
+    def rows(self, b):
+        start = self.start[b]
+        return self.er[start:start + self.size[b]]
 
     def _get(self, t, cols, rows):
         keys = self.keys[t]
@@ -495,6 +590,7 @@ class _SparseLevels:
             c, r = np.divmod(self.keys[t], ws.g.n)
             keep = (slot[c] >= 0) & ws.target_mask[r]
             X[slot[c[keep]], t, ws.target_pos[r[keep]]] = self.vals[t][keep]
+        self.stored += X.size    # the batch stores this dense copy too
         return X, idx.reshape(cols.shape)
 
 

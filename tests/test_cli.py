@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from topoinf.cli import main
+from topoinf.cli import MAX_EPOCHS, main
+from topoinf.csbm import MAX_SBM_NODES
 from topoinf.filters import MAX_ORDER
 from topoinf.graphs import MAX_NODES
 
@@ -246,6 +248,16 @@ class TestGenCsbm:
         assert manifest["params"]["d"] == 1433
         # realized edge count near the matched expectation
         assert abs(manifest["edges"] - 5278) < 5 * np.sqrt(5278)
+        # the data files as the preset wrote them before it rejected the
+        # flags it fixes
+        pinned = {
+            "edges": "f6ea0f7a1e96c2136d8d431744ba33a4b43af2aa4651fb63edbb024317ea8315",
+            "labels": "cd016124d3a1b65e5489f4ed85c71f49b0c40e5149d5b0e0f17a7ffd4a75972a",
+            "features": "4f4cf5e585dc9505d0abb9cfa40a43ed58adab5f50c4b48d81c9ba3a6a1b5ff6",
+        }
+        for ext, digest in pinned.items():
+            data = (tmp_path / f"cora.{ext}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, ext
 
 
 class TestPseudoCommand:
@@ -351,6 +363,7 @@ SOFT = ["analyze", "--soft-labels", "{tmp}/g.input", "--soft", "--output", "{tmp
 GEN = ["gen-csbm", "--n", "10", "--classes", "2", "--p", "0.5", "--q", "0.1", "--dim", "2",
        "--output-prefix", "{tmp}/out"]
 DROPEDGE = ["dropedge", "--lambda", "0", "--tau", "1", "--output-prefix", "{tmp}/out"]
+PRESET = ["gen-csbm", "--preset", "cora-like", "--output-prefix", "{tmp}/out"]
 
 
 @pytest.mark.parametrize("graph_text, input_text, argv, name", [
@@ -376,14 +389,23 @@ DROPEDGE = ["dropedge", "--lambda", "0", "--tau", "1", "--output-prefix", "{tmp}
                                 "{tmp}/out.json"], "--target", id="empty-target"),
     pytest.param(TRIANGLE, FEATURES, DROPEDGE + ["--emit-epochs", "-1"], "--emit-epochs",
                  id="negative-epochs"),
+    pytest.param(TRIANGLE, FEATURES, DROPEDGE + ["--emit-epochs", str(MAX_EPOCHS + 1)],
+                 "--emit-epochs", id="oversized-epochs"),
+    pytest.param(TRIANGLE, FEATURES, GEN + ["--n", str(MAX_SBM_NODES + 1)], "--n",
+                 id="oversized-sbm"),
+    *(pytest.param(TRIANGLE, FEATURES, PRESET + [flag, value], flag, id=f"preset{flag}")
+      for flag, value in (("--n", "10"), ("--classes", "2"), ("--p", "0.5"),
+                          ("--q", "0.1"), ("--dim", "2"),
+                          ("--mu-scheme", "orthogonal_scaled"), ("--mu-scale", "1"))),
 ])
 def test_input_failures_exit_two(tmp_path, capsys, graph_text, input_text, argv, name):
     """Each bad input exits 2 with a message naming it and writes nothing.
 
     `input_text` is the features, soft-label or target file the command
-    reads. The oversized counts sit just above MAX_NODES and MAX_ORDER, so
-    the test never asks for more memory than an input at the limit would
-    need. gen-csbm reads no graph."""
+    reads. The oversized counts sit just above MAX_NODES, MAX_ORDER,
+    MAX_EPOCHS and MAX_SBM_NODES, so the test never asks for more memory or
+    more loop iterations than an input at the limit would need. gen-csbm
+    reads no graph."""
     (tmp_path / "g.edges").write_text(graph_text)
     (tmp_path / "g.labels").write_text(TRIANGLE_LABELS)
     (tmp_path / "g.input").write_text(input_text)

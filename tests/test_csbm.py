@@ -13,7 +13,7 @@ from topoinf import (
     generate_csbm,
     score_all_edges,
 )
-from topoinf.csbm import CsbmSample
+from topoinf.csbm import MAX_SBM_NODES, CsbmSample
 from topoinf.verify import random_labeled_graph
 
 from dense_oracle import expected_edge_count
@@ -67,6 +67,11 @@ class TestGeneration:
     def test_orthogonal_needs_enough_dims(self):
         with pytest.raises(ValueError, match="d >= c"):
             CsbmParams(n=9, c=3, p=0.3, q=0.1, d=2, sigma=1.0)
+
+    def test_node_count_bounded(self):
+        CsbmParams(n=MAX_SBM_NODES, c=3, p=0.3, q=0.1, d=3, sigma=1.0)
+        with pytest.raises(ValueError, match="exceeds"):
+            CsbmParams(n=MAX_SBM_NODES + 1, c=3, p=0.3, q=0.1, d=3, sigma=1.0)
 
     def test_gaussian_centers_allowed_in_low_dim(self):
         params = CsbmParams(n=9, c=3, p=0.3, q=0.1, d=2, sigma=1.0,

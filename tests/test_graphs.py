@@ -250,3 +250,17 @@ def test_node_set_validation():
     assert node_set([3, 1, 1, 2], 5).tolist() == [1, 2, 3]
     with pytest.raises(ValueError):
         node_set([5], 5)
+
+
+@pytest.mark.parametrize("ids, want", [
+    ([1, 1, 2], [1, 2]),                  # sorted, with a repeat
+    ([0, 2, 4], [0, 2, 4]),               # already canonical
+    (np.array([4.0, 2.0]), [2, 4]),
+    ([], []),
+    (np.array([[0, 3]]), [0, 3]),
+])
+def test_node_set_canonical(ids, want):
+    got = node_set(ids, 5)
+    assert got.dtype == np.int64 and got.tolist() == want
+    with pytest.raises(ValueError):
+        node_set(np.asarray(ids, dtype=np.int64).ravel().tolist() + [-1, 7], 5)
