@@ -10,7 +10,7 @@ import numpy as np
 
 from topoinf import (CsbmParams, FilterSpec, Graph, compatibility,
                      generate_csbm, greedy_refine, score_all_edges)
-from topoinf.rewire import (RemovalPlan, adaedge_partition, dropedge_weights,
+from topoinf.rewire import (adaedge_partition, dropedge_weights, remove_adaedge,
                             remove_by_topoinf, remove_random, sample_dropedge)
 
 params = CsbmParams(n=150, c=3, p=0.3, q=0.06, d=8, sigma=1.0, seed=7)
@@ -29,15 +29,13 @@ def apply_removal(edge_ids):
 
 
 report = score_all_edges(g, spec, labels)
-by_score = remove_by_topoinf(report, RemovalPlan(strategy="topoinf", ratio=ratio,
-                                                 set="positive"))
+by_score = remove_by_topoinf(report, ratio, "positive")
 print(f"score-ordered : C = {compatibility(apply_removal(by_score), spec, labels).C:.4f}")
 
-part = adaedge_partition(g, labels)
-rng = np.random.default_rng(0)
-ada = rng.choice(part.diff_label, size=min(budget, part.diff_label.size), replace=False)
+ada = remove_adaedge(g, labels, ratio, "positive", seed=0)
+cross = adaedge_partition(g, labels).diff_label.size
 print(f"label-based   : C = {compatibility(apply_removal(ada), spec, labels).C:.4f}"
-      f"   (drawn from {part.diff_label.size} cross-label edges)")
+      f"   (drawn from {cross} cross-label edges)")
 
 rand = remove_random(g, ratio, seed=0)
 print(f"uniform random: C = {compatibility(apply_removal(rand), spec, labels).C:.4f}")

@@ -60,9 +60,9 @@ from .pseudo import (
 from .rewire import (
     DropEdgeDistribution,
     EdgePartition,
-    RemovalPlan,
     adaedge_partition,
     dropedge_weights,
+    remove_adaedge,
     remove_by_topoinf,
     remove_random,
     sample_dropedge,

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .compat import compatibility
-from .csbm import MAX_SBM_NODES, CsbmParams, cora_like_params, generate_csbm, write_features
+from .csbm import (MAX_FEATURE_VALUES, MAX_SBM_NODES, CsbmParams, cora_like_params,
+                   generate_csbm, write_features)
 from .filters import MAX_ORDER, PRESETS, FilterSpec
 from .graphs import (
     GraphFormatError,
@@ -42,12 +43,11 @@ from .pseudo import (
     train_linear_sgc,
 )
 from .rewire import (
-    RemovalPlan,
-    adaedge_partition,
     check_drop_fraction,
     check_tau,
     dropedge_weights,
     epoch_seed,
+    remove_adaedge,
     remove_by_topoinf,
     remove_random,
     sample_dropedge,
@@ -87,8 +87,6 @@ def _add_filter_flags(p: argparse.ArgumentParser):
 
 
 def _load_graph_labels(args):
-    if getattr(args, "soft", False) and not getattr(args, "soft_labels", None):
-        raise ValueError("--soft requires --soft-labels")
     graph_path = Path(args.graph)
     g = load_edge_list(graph_path.read_text())
     labels = None
@@ -96,7 +94,7 @@ def _load_graph_labels(args):
     if getattr(args, "labels", None):
         label_path = Path(args.labels)
         labels = load_labels(label_path.read_text(), g.n)
-        if getattr(args, "soft_labels", None):
+        if getattr(args, "soft_labels", None) is not None:
             text = Path(args.soft_labels).read_text()
             try:
                 soft = load_soft_tsv(text, g.n, labels.c)
@@ -157,7 +155,7 @@ def cmd_analyze(args) -> int:
     target = _load_target(args, g.n)
     spec = _filter_spec(args)
     report = compatibility(g, spec, labels, target, args.lam,
-                           soft_influence=bool(args.soft_labels) and args.soft)
+                           soft_influence=args.soft_labels is not None)
     doc = report.to_json_dict()
     doc["filter"] = {"model": spec.preset, "k": spec.k, "alpha": spec.alpha,
                      "gamma": list(spec.gamma) if spec.gamma else None}
@@ -185,7 +183,7 @@ def cmd_score(args) -> int:
     spec = _filter_spec(args)
     report = score_all_edges(g, spec, labels, target, args.lam,
                              mode=args.mode,
-                             soft_influence=bool(args.soft_labels) and args.soft)
+                             soft_influence=args.soft_labels is not None)
     tsv = report.to_tsv()
     manifest = _manifest(args, "score",
                          {"graph": gp, "labels": lp, "target": args.target},
@@ -219,47 +217,46 @@ def cmd_score(args) -> int:
 
 
 def cmd_rewire(args) -> int:
+    topoinf = args.strategy == "topoinf"
+    if args.greedy and not topoinf:
+        raise ValueError("--greedy applies only to --strategy topoinf")
+    if args.strategy != "random" and not args.labels:
+        raise ValueError(f"--strategy {args.strategy} requires --labels")
+    if topoinf and args.lam is None:
+        raise ValueError("--lambda is required for score-based rewiring")
+    for flag, dest, read, readers in (
+            ("--seed", "seed", not topoinf, "--strategy random and adaedge read"),
+            ("--set", "set", args.strategy == "adaedge" or topoinf and not args.greedy,
+             "--strategy adaedge and topoinf without --greedy read"),
+            ("--rescore-every", "rescore_every", args.greedy, "--greedy reads"),
+            ("--lambda", "lam", topoinf, "--strategy topoinf reads")):
+        if not read and getattr(args, dest) is not None:
+            raise ValueError(f"{flag}: only {readers} it; drop the flag")
+    # the manifest records the defaults of the flags a run omits
+    for dest, default in (("seed", 0), ("set", "positive"), ("rescore_every", 1),
+                          ("lam", 0.0)):
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     g, labels, gp, lp = _load_graph_labels(args)
     target = _load_target(args, g.n)
     spec = _filter_spec(args)
-    if args.strategy in ("topoinf", "adaedge") and labels is None:
-        raise ValueError(f"--strategy {args.strategy} requires --labels")
-    if args.strategy == "topoinf" and args.lam is None:
-        raise ValueError("--lambda is required for score-based rewiring")
-    if args.lam is None:
-        args.lam = 0.0
-    trace_rows = []
 
     if args.greedy:
-        if args.strategy != "topoinf":
-            raise ValueError("--greedy applies only to --strategy topoinf")
         budget = int(args.ratio * g.edge_count)
         new_graph, trace = greedy_refine(g, spec, labels, target, args.lam,
                                          max_removals=budget,
                                          rescore_every=args.rescore_every)
         trace_rows = [(s.u, s.v, _fmt(s.score), _fmt(s.c_after)) for s in trace]
     else:
-        if args.strategy == "random":
-            removed = remove_random(g, args.ratio, args.seed)
-            trace_rows = [(int(g.edges[e, 0]), int(g.edges[e, 1]), "", "") for e in removed]
-        elif args.strategy == "adaedge":
-            if labels is None:
-                raise ValueError("--strategy adaedge requires --labels")
-            # different-label edges form the positive set (their removal helps)
-            part = adaedge_partition(g, labels)
-            pool = part.diff_label if args.set == "positive" else part.same_label
-            count = min(int(args.ratio * g.edge_count), pool.size)
-            rng = np.random.default_rng(args.seed)
-            removed = np.sort(rng.choice(pool, size=count, replace=False)) if count else \
-                np.empty(0, dtype=np.int64)
-            trace_rows = [(int(g.edges[e, 0]), int(g.edges[e, 1]), "", "") for e in removed]
-        else:
+        if topoinf:
             report = score_all_edges(g, spec, labels, target, args.lam)
-            plan = RemovalPlan(strategy="topoinf", ratio=args.ratio,
-                               seed=args.seed, set=args.set)
-            removed = remove_by_topoinf(report, plan)
+            removed = remove_by_topoinf(report, args.ratio, args.set)
             trace_rows = [(report.scores[e].u, report.scores[e].v,
                            _fmt(report.scores[e].value), "") for e in removed]
+        else:
+            removed = remove_random(g, args.ratio, args.seed) if args.strategy == "random" \
+                else remove_adaedge(g, labels, args.ratio, args.set, args.seed)
+            trace_rows = [(int(g.edges[e, 0]), int(g.edges[e, 1]), "", "") for e in removed]
         keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), removed)
         new_graph = type(g).from_edges(g.n, g.edges[keep])
 
@@ -313,6 +310,11 @@ def cmd_dropedge(args) -> int:
 
 
 def cmd_gen_csbm(args) -> int:
+    if args.preset is None and args.mix is not None:
+        raise ValueError("--mix: only --preset reads it; drop the flag")
+    # the manifest records the mix default as well
+    if args.mix is None:
+        args.mix = "0.9,0.1"
     if args.preset == "cora-like":
         for name in ("n", "classes", "p", "q", "dim", "mu_scheme", "mu_scale"):
             if getattr(args, name) is not None:
@@ -328,6 +330,9 @@ def cmd_gen_csbm(args) -> int:
                 raise ValueError(f"--{name} is required without --preset")
         if args.n > MAX_SBM_NODES:
             raise ValueError(f"--n {args.n}: at most {MAX_SBM_NODES} nodes")
+        if args.n * args.dim > MAX_FEATURE_VALUES:
+            raise ValueError(f"--dim {args.dim}: n * d = {args.n * args.dim} exceeds "
+                             f"{MAX_FEATURE_VALUES} feature values")
         centers = {name: getattr(args, name) for name in ("mu_scheme", "mu_scale")
                    if getattr(args, name) is not None}
         params = CsbmParams(n=args.n, c=args.classes, p=args.p, q=args.q,
@@ -412,27 +417,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def common_io(p, labels_required=True, lam_required=False):
+    def common_io(p, labels_required=True, lam_required=False, soft_labels=False):
         p.add_argument("--graph", required=True, help="edge-list file")
         p.add_argument("--labels", required=labels_required, help="label file")
         p.add_argument("--target", default=None, help="file of target node ids")
         # analysis commands default lambda to 0; rewiring commands must state it
         p.add_argument("--lambda", dest="lam", type=float,
                        default=None if lam_required else 0.0,
-                       help="regularizer weight" + (" (required)" if lam_required else ""))
-        p.add_argument("--soft-labels", default=None,
-                       help="soft-label TSV (enables --soft mode)")
-        p.add_argument("--soft", action="store_true",
-                       help="use soft inner-product influence (extension, non-default)")
+                       help="regularizer weight" + (" (required by score-based rewiring)"
+                                                  if lam_required else ""))
+        if soft_labels:
+            p.add_argument("--soft-labels", default=None, help="soft-label TSV: use "
+                           "soft inner-product influence (extension, non-default)")
         _add_filter_flags(p)
 
     p = sub.add_parser("analyze", help="compatibility report (JSON)")
-    common_io(p)
+    common_io(p, soft_labels=True)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("score", help="per-edge influence scores (TSV/JSON)")
-    common_io(p)
+    common_io(p, soft_labels=True)
     p.add_argument("--mode", choices=("exact", "incremental"), default="incremental")
     p.add_argument("--output", default=None, help="TSV path (default stdout)")
     p.add_argument("--json", default=None, help="also write JSON with run metadata")
@@ -442,15 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rewire", help="remove edges by strategy; emit new edge list")
     common_io(p, labels_required=False, lam_required=True)
     p.add_argument("--strategy", choices=("topoinf", "random", "adaedge"), required=True)
-    p.add_argument("--set", choices=("positive", "negative"), default="positive")
+    p.add_argument("--set", choices=("positive", "negative"), default=None,
+                   help="edge set to draw from (adaedge, batch topoinf); default positive")
     p.add_argument("--ratio", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--greedy", action="store_true",
-                      help="sequential re-scored removal (topoinf only)")
-    mode.add_argument("--batch", action="store_false", dest="greedy",
-                      help="score once, remove the chosen subset (default)")
-    p.add_argument("--rescore-every", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None, help="random and adaedge; default 0")
+    p.add_argument("--greedy", action="store_true",
+                   help="sequential re-scored removal (topoinf only; default: score once)")
+    p.add_argument("--rescore-every", type=int, default=None,
+                   help="removals between rescorings (--greedy only); default 1")
     p.add_argument("--output", required=True)
     p.add_argument("--trace", default=None, help="trace TSV (default <output>.trace.tsv)")
     p.set_defaults(handler=cmd_rewire)
@@ -467,13 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-csbm", help="generate a block-model dataset")
     p.add_argument("--preset", choices=("cora-like",), default=None)
-    p.add_argument("--mix", default="0.9,0.1", help="intra,inter mix for --preset")
+    p.add_argument("--mix", default=None,
+                   help="intra,inter mix (--preset only); default 0.9,0.1")
     p.add_argument("--n", type=int, default=None,
                    help=f"node count, at most {MAX_SBM_NODES}")
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=int, default=None,
+                   help=f"feature dimension d, n * d at most {MAX_FEATURE_VALUES}")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--mu-scheme", choices=("orthogonal_scaled", "gaussian_random"),
                    default=None, help="default orthogonal_scaled")

@@ -21,15 +21,30 @@ from .filters import SoftLabelMatrix, as_filter, soft_labels
 from .graphs import Graph, LabelData, node_set, normalized_adjacency
 
 __all__ = ["CompatReport", "node_influence", "node_regularizer", "compatibility",
-           "check_lambda"]
+           "check_scoring_inputs"]
 
 INF = float("inf")
 
 
-def check_lambda(lam: float):
-    """Reject a regularizer weight that is negative, NaN or infinite."""
+def check_scoring_inputs(g: Graph, labels: LabelData, target, lam: float,
+                         soft_influence: bool) -> np.ndarray:
+    """Check the inputs every score is computed from and return the target
+    as a sorted array of node ids (every node when `target` is None).
+
+    Rejects a regularizer weight that is negative, NaN or infinite, soft
+    influence without soft labels, and hard influence over a target node
+    without a label.
+    """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and non-negative, got {lam}")
+    target = np.arange(g.n, dtype=np.int64) if target is None else node_set(target, g.n)
+    if soft_influence:
+        if labels.soft is None:
+            raise ValueError("soft influence mode needs soft labels")
+    elif not labels.mask[target].all():
+        missing = target[~labels.mask[target]]
+        raise ValueError(f"target nodes without labels: {missing[:5].tolist()}")
+    return target
 
 
 @dataclass
@@ -82,15 +97,8 @@ def compatibility(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
     row with the filtered distribution instead of the hard-label entry
     (extension mode; requires labels.soft).
     """
-    check_lambda(lam)
-    target = np.arange(g.n, dtype=np.int64) if target is None else node_set(target, g.n)
+    target = check_scoring_inputs(g, labels, target, lam, soft_influence)
     pf = as_filter(spec)
-    if soft_influence and labels.soft is None:
-        raise ValueError("soft influence mode needs soft labels")
-    if not soft_influence and not labels.mask[target].all():
-        missing = target[~labels.mask[target]]
-        raise ValueError(f"target nodes without labels: {missing[:5].tolist()}")
-
     adj = normalized_adjacency(g)
     lbar = soft_labels(pf, adj, labels, use_soft=soft_influence)
     bad = np.intersect1d(lbar.nonnormalizable, target)

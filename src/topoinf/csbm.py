@@ -25,6 +25,7 @@ from .graphs import Graph, LabelData, normalized_adjacency
 
 __all__ = [
     "MAX_SBM_NODES",
+    "MAX_FEATURE_VALUES",
     "CsbmParams",
     "CsbmSample",
     "generate_csbm",
@@ -41,6 +42,11 @@ MU_SCHEMES = ("orthogonal_scaled", "gaussian_random")
 # once, row by row, so a draw costs O(n^2) time: 0.7 s at n = 10^4 and 2.3 s
 # at 2 x 10^4 on a 2-core x86 VM, so about a minute at this bound.
 MAX_SBM_NODES = 100_000
+# Largest n * d `CsbmParams` accepts. `generate_csbm` holds the n x d centers
+# F, the noise and X = F + sigma * noise as float64 arrays at once, 256 MiB
+# each at this bound, and `write_features` formats every value as text. The
+# cora-like preset uses 2708 x 1433, about 3.9 million values.
+MAX_FEATURE_VALUES = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,9 @@ class CsbmParams:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.d < 1:
             raise ValueError("feature dimension must be positive")
+        if int(self.n) * int(self.d) > MAX_FEATURE_VALUES:
+            raise ValueError(f"n * d = {int(self.n) * int(self.d)} exceeds "
+                             f"{MAX_FEATURE_VALUES} feature values")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
         if not math.isfinite(self.mu_scale):

@@ -1,7 +1,7 @@
 """Undirected simple graphs in compressed sparse row form.
 
-Graphs are immutable after construction: rewiring returns new objects, so a
-single instance can be shared safely by concurrent edge-scoring workers.
+Graphs are immutable after construction: rewiring returns new objects, so
+one instance can back any number of workspaces, reports and rewired copies.
 Each undirected edge is stored twice in the CSR arrays and once, as a
 (min, max) pair, in the canonical edge list whose row number is the edge's
 stable index.

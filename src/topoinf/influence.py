@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .compat import INF, CompatReport, check_lambda, compatibility
+from .compat import INF, CompatReport, check_scoring_inputs, compatibility
 from .filters import ROW_SUM_TOL, as_filter
 from .graphs import (
     Graph,
@@ -219,12 +219,8 @@ class DeltaWorkspace:
     @classmethod
     def build(cls, g: Graph, spec, labels: LabelData, target=None, lam: float = 0.0,
               soft_influence: bool = False) -> "DeltaWorkspace":
-        check_lambda(lam)
+        target = check_scoring_inputs(g, labels, target, lam, soft_influence)
         pf = as_filter(spec)
-        target = np.arange(g.n, dtype=np.int64) if target is None else node_set(target, g.n)
-        if not soft_influence and not labels.mask[target].all():
-            missing = target[~labels.mask[target]]
-            raise ValueError(f"target nodes without labels: {missing[:5].tolist()}")
         adj = normalized_adjacency(g)
         rows = labels.dense_rows(use_soft=soft_influence)
         stacked = np.hstack([rows, np.ones((g.n, 1))])
@@ -625,14 +621,14 @@ def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float =
     """
     if mode not in ("incremental", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    check_lambda(lam)
     pf = as_filter(spec)
-    target_arr = np.arange(g.n, dtype=np.int64) if target is None else node_set(target, g.n)
     if mode == "incremental":
-        ws = DeltaWorkspace.build(g, pf, labels, target_arr, lam, soft_influence)
+        ws = DeltaWorkspace.build(g, pf, labels, target, lam, soft_influence)
+        target_size = ws.target.size
         scores = ws.score_edges(np.arange(g.edge_count))
     else:
-        base = compatibility(g, pf, labels, target_arr, lam, soft_influence)
+        base = compatibility(g, pf, labels, target, lam, soft_influence)
+        target_size = base.target.size
         scores = [removal_step(g, pf, labels, base, e, soft_influence)[0]
                   for e in range(g.edge_count)]
     ranking = sorted(range(g.edge_count), key=lambda e: (-scores[e].value, e))
@@ -640,7 +636,7 @@ def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float =
     for s in scores:
         by_sign[s.sign].append(s.edge)
     metadata = {"filter": list(pf.gamma), "lambda": lam, "mode": mode,
-                "target_size": int(target_arr.size)}
+                "target_size": int(target_size)}
     return ScoreReport(
         scores=scores, ranking=ranking,
         positive=np.asarray(by_sign["positive"], dtype=np.int64),

@@ -24,11 +24,11 @@ import numpy as np
 from .graphs import Graph, LabelData
 
 __all__ = [
-    "RemovalPlan",
     "EdgePartition",
     "DropEdgeDistribution",
     "remove_by_topoinf",
     "remove_random",
+    "remove_adaedge",
     "adaedge_partition",
     "check_tau",
     "check_drop_fraction",
@@ -37,41 +37,26 @@ __all__ = [
     "epoch_seed",
 ]
 
-STRATEGIES = ("topoinf", "random", "adaedge")
+
+def _check_removal(ratio: float, which: str):
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError("ratio must lie in [0, 1]")
+    if which not in ("positive", "negative"):
+        raise ValueError("set must be 'positive' or 'negative'")
 
 
-@dataclass(frozen=True)
-class RemovalPlan:
-    strategy: str
-    ratio: float
-    seed: int = 0
-    set: str = "positive"
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ValueError("ratio must lie in [0, 1]")
-        if self.set not in ("positive", "negative"):
-            raise ValueError("set must be 'positive' or 'negative'")
-
-    def count(self, edge_count: int) -> int:
-        return int(self.ratio * edge_count)
-
-
-def remove_by_topoinf(report, plan: RemovalPlan) -> np.ndarray:
-    """Top floor(ratio * |E|) edges of the chosen sign partition.
+def remove_by_topoinf(report, ratio: float, which: str) -> np.ndarray:
+    """Top floor(ratio * |E|) edges of the `which` sign partition.
 
     Ordered by absolute score descending, ties broken by ascending edge id.
     Truncates with a warning when the partition is smaller than requested.
     """
-    if plan.strategy != "topoinf":
-        raise ValueError("plan strategy must be 'topoinf'")
-    pool = report.positive if plan.set == "positive" else report.negative
-    want = plan.count(len(report.scores))
+    _check_removal(ratio, which)
+    pool = report.positive if which == "positive" else report.negative
+    want = int(ratio * len(report.scores))
     if want > pool.size:
         warnings.warn(
-            f"requested {want} edges but the {plan.set} partition has {pool.size}; "
+            f"requested {want} edges but the {which} partition has {pool.size}; "
             "truncating", stacklevel=2)
         want = pool.size
     order = sorted(pool.tolist(), key=lambda e: (-abs(report.scores[e].value), e))
@@ -86,6 +71,18 @@ def remove_random(g: Graph, ratio: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     chosen = rng.choice(g.edge_count, size=count, replace=False)
     return np.sort(chosen.astype(np.int64))
+
+
+def remove_adaedge(g: Graph, labels: LabelData, ratio: float, which: str,
+                   seed: int) -> np.ndarray:
+    """Uniform sample, without replacement, of floor(ratio * |E|) edge ids
+    from the cross-label edges ("positive": their removal helps) or the
+    same-label edges ("negative"), truncated to that pool; sorted."""
+    _check_removal(ratio, which)
+    part = adaedge_partition(g, labels)
+    pool = part.diff_label if which == "positive" else part.same_label
+    count = min(int(ratio * g.edge_count), pool.size)
+    return np.sort(np.random.default_rng(seed).choice(pool, size=count, replace=False))
 
 
 @dataclass

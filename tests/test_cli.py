@@ -4,13 +4,16 @@ import json
 import numpy as np
 import pytest
 
+from topoinf import FilterSpec, LabelData, compatibility, load_edge_list, load_labels, \
+    score_all_edges
 from topoinf.cli import MAX_EPOCHS, main
-from topoinf.csbm import MAX_SBM_NODES
+from topoinf.csbm import MAX_FEATURE_VALUES, MAX_SBM_NODES
 from topoinf.filters import MAX_ORDER
 from topoinf.graphs import MAX_NODES
 
 TRIANGLE = "# nodes=3\n0 1\n0 2\n1 2\n"
 TRIANGLE_LABELS = "# classes=2\n0 0\n1 0\n2 1\n"
+TRIANGLE_SOFT = "0 0.8 0.2\n1 0.6 0.4\n2 0.1 0.9\n"
 
 
 @pytest.fixture
@@ -359,11 +362,29 @@ def test_dropedge_parameters_checked_before_scoring(fixture_files, capsys, monke
 FEATURES = "1 0\n0 1\n1 1\n"
 PSEUDO = ["pseudo", "--features", "{tmp}/g.input", "--output-prefix", "{tmp}/out"]
 SCORE = ["score", "--output", "{tmp}/out.tsv"]
-SOFT = ["analyze", "--soft-labels", "{tmp}/g.input", "--soft", "--output", "{tmp}/out.json"]
+SOFT = ["analyze", "--soft-labels", "{tmp}/g.input", "--output", "{tmp}/out.json"]
 GEN = ["gen-csbm", "--n", "10", "--classes", "2", "--p", "0.5", "--q", "0.1", "--dim", "2",
        "--output-prefix", "{tmp}/out"]
 DROPEDGE = ["dropedge", "--lambda", "0", "--tau", "1", "--output-prefix", "{tmp}/out"]
 PRESET = ["gen-csbm", "--preset", "cora-like", "--output-prefix", "{tmp}/out"]
+REWIRE = ["rewire", "--ratio", "0.5", "--output", "{tmp}/out.edges"]
+TOPOINF = REWIRE + ["--strategy", "topoinf", "--lambda", "0"]
+# a flag the chosen mode never reads exits 2 naming it, before any file is read
+UNREAD = [
+    pytest.param(TOPOINF + ["--seed", "1"], "--seed", id="topoinf-seed"),
+    pytest.param(REWIRE + ["--strategy", "random", "--set", "positive"], "--set",
+                 id="random-set"),
+    pytest.param(TOPOINF + ["--greedy", "--set", "positive"], "--set", id="greedy-set"),
+    pytest.param(TOPOINF + ["--rescore-every", "2"], "--rescore-every",
+                 id="batch-rescore-every"),
+    pytest.param(REWIRE + ["--strategy", "random", "--rescore-every", "1"],
+                 "--rescore-every", id="random-rescore-every"),
+    pytest.param(REWIRE + ["--strategy", "random", "--lambda", "0"], "--lambda",
+                 id="random-lambda"),
+    pytest.param(REWIRE + ["--strategy", "adaedge", "--lambda", "0.1"], "--lambda",
+                 id="adaedge-lambda"),
+    pytest.param(GEN + ["--mix", "0.9,0.1"], "--mix", id="mix-without-preset"),
+]
 
 
 @pytest.mark.parametrize("graph_text, input_text, argv, name", [
@@ -397,15 +418,18 @@ PRESET = ["gen-csbm", "--preset", "cora-like", "--output-prefix", "{tmp}/out"]
       for flag, value in (("--n", "10"), ("--classes", "2"), ("--p", "0.5"),
                           ("--q", "0.1"), ("--dim", "2"),
                           ("--mu-scheme", "orthogonal_scaled"), ("--mu-scale", "1"))),
+    pytest.param(TRIANGLE, FEATURES, GEN + ["--dim", str(MAX_FEATURE_VALUES // 10 + 1)],
+                 "--dim", id="oversized-features"),
+    *(pytest.param(TRIANGLE, FEATURES, *p.values, id=p.id) for p in UNREAD),
 ])
 def test_input_failures_exit_two(tmp_path, capsys, graph_text, input_text, argv, name):
     """Each bad input exits 2 with a message naming it and writes nothing.
 
     `input_text` is the features, soft-label or target file the command
     reads. The oversized counts sit just above MAX_NODES, MAX_ORDER,
-    MAX_EPOCHS and MAX_SBM_NODES, so the test never asks for more memory or
-    more loop iterations than an input at the limit would need. gen-csbm
-    reads no graph."""
+    MAX_EPOCHS, MAX_SBM_NODES and MAX_FEATURE_VALUES (n = 10), so the test
+    never asks for more memory or more loop iterations than an input at the
+    limit would need. gen-csbm reads no graph."""
     (tmp_path / "g.edges").write_text(graph_text)
     (tmp_path / "g.labels").write_text(TRIANGLE_LABELS)
     (tmp_path / "g.input").write_text(input_text)
@@ -436,3 +460,70 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv, name", UNREAD)
+def test_unread_flags_rejected_before_reading(tmp_path, capsys, monkeypatch, argv, name):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the graph was read before the flags were checked")
+
+    monkeypatch.setattr("topoinf.cli.load_edge_list", no_reading)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    io = [] if argv[0] == "gen-csbm" else \
+        ["--graph", tmp_path / "absent.edges", "--labels", tmp_path / "absent.labels"]
+    assert run([argv[0], *io, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + name)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["rewire", "--strategy", "topoinf", "--lambda", "0", "--ratio", "0.5",
+                  "--output", "{tmp}/out.edges", *flag], id=f"rewire{flag[0]}")
+    for flag in (["--soft"], ["--soft-labels", "{tmp}/g.soft"], ["--batch"])
+] + [
+    pytest.param(["dropedge", "--lambda", "0", "--tau", "1", "--output-prefix", "{tmp}/out",
+                  *flag], id=f"dropedge{flag[0]}")
+    for flag in (["--soft"], ["--soft-labels", "{tmp}/g.soft"])
+] + [
+    pytest.param([cmd, "--soft-labels", "{tmp}/g.soft", "--soft", "--output", "{tmp}/out"],
+                 id=f"{cmd}--soft")
+    for cmd in ("analyze", "score")
+])
+def test_removed_flags_exit_two(fixture_files, argv):
+    graph, labels, tmp = fixture_files
+    (tmp / "g.soft").write_text(TRIANGLE_SOFT)
+    argv = [a.format(tmp=tmp) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0], "--graph", graph, "--labels", labels, *argv[1:]])
+    assert exc.value.code == 2
+    assert not list(tmp.glob("out*"))
+
+
+
+def _soft_triangle():
+    labels = load_labels(TRIANGLE_LABELS, 3)
+    soft = np.array([[0.8, 0.2], [0.6, 0.4], [0.1, 0.9]])
+    return load_edge_list(TRIANGLE), LabelData(2, labels.labels, mask=labels.mask, soft=soft)
+
+
+def test_soft_labels_flag_selects_soft_influence(fixture_files):
+    graph, labels, tmp = fixture_files
+    (tmp / "g.soft").write_text(TRIANGLE_SOFT)
+    g, soft_labels = _soft_triangle()
+    spec = FilterSpec("sgc", 2)
+    out = tmp / "analyze.json"
+    assert run(["analyze", "--graph", graph, "--labels", labels,
+                "--soft-labels", tmp / "g.soft", "--output", out]) == 0
+    doc = json.loads(out.read_text())
+    doc.pop("filter")
+    want = compatibility(g, spec, soft_labels, soft_influence=True)
+    assert json.dumps(doc) == json.dumps(want.to_json_dict())
+    assert want.C != compatibility(g, spec, soft_labels).C
+    for mode in ("exact", "incremental"):
+        out = tmp / f"{mode}.tsv"
+        assert run(["score", "--graph", graph, "--labels", labels, "--mode", mode,
+                    "--soft-labels", tmp / "g.soft", "--output", out]) == 0
+        want = score_all_edges(g, spec, soft_labels, mode=mode, soft_influence=True)
+        assert out.read_text() == want.to_tsv()
+        assert out.read_text() != score_all_edges(g, spec, soft_labels, mode=mode).to_tsv()

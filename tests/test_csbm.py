@@ -13,7 +13,7 @@ from topoinf import (
     generate_csbm,
     score_all_edges,
 )
-from topoinf.csbm import MAX_SBM_NODES, CsbmSample
+from topoinf.csbm import MAX_FEATURE_VALUES, MAX_SBM_NODES, CsbmSample
 from topoinf.verify import random_labeled_graph
 
 from dense_oracle import expected_edge_count
@@ -72,6 +72,13 @@ class TestGeneration:
         CsbmParams(n=MAX_SBM_NODES, c=3, p=0.3, q=0.1, d=3, sigma=1.0)
         with pytest.raises(ValueError, match="exceeds"):
             CsbmParams(n=MAX_SBM_NODES + 1, c=3, p=0.3, q=0.1, d=3, sigma=1.0)
+
+    def test_feature_count_bounded(self):
+        # only the parameters are built: nothing n x d is allocated
+        limit = MAX_FEATURE_VALUES // 10
+        CsbmParams(n=10, c=3, p=0.3, q=0.1, d=limit, sigma=1.0)
+        with pytest.raises(ValueError, match="feature values"):
+            CsbmParams(n=10, c=3, p=0.3, q=0.1, d=limit + 1, sigma=1.0)
 
     def test_gaussian_centers_allowed_in_low_dim(self):
         params = CsbmParams(n=9, c=3, p=0.3, q=0.1, d=2, sigma=1.0,

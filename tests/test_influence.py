@@ -152,6 +152,15 @@ class TestIncremental:
             orc = topoinf_oracle(g, spec, lab2, e=e, soft_influence=True)
             assert inc.value == pytest.approx(orc.value, abs=1e-10)
 
+    def test_soft_influence_needs_soft_labels(self, triangle, triangle_labels, walk_filter):
+        # the workspace shares compatibility()'s input checks and their messages
+        for score in (lambda: DeltaWorkspace.build(triangle, walk_filter, triangle_labels,
+                                                   soft_influence=True),
+                      lambda: compatibility(triangle, walk_filter, triangle_labels,
+                                            soft_influence=True)):
+            with pytest.raises(ValueError, match="^soft influence mode needs soft labels$"):
+                score()
+
     def test_large_graph_completes_and_spot_checks(self):
         # ~10k edges: incremental pass completes; sampled edges match recompute
         g, labels = random_labeled_graph(2000, 10, 4, seed=12)

@@ -9,9 +9,9 @@ from topoinf import (
     FilterSpec,
     Graph,
     LabelData,
-    RemovalPlan,
     adaedge_partition,
     dropedge_weights,
+    remove_adaedge,
     remove_by_topoinf,
     remove_random,
     sample_dropedge,
@@ -52,40 +52,30 @@ def triangle_scores(triangle, triangle_labels, walk_filter):
 
 class TestRemoveByTopoinf:
     def test_takes_top_positive(self, triangle_scores):
-        plan = RemovalPlan(strategy="topoinf", ratio=1 / 3, set="positive")
-        out = remove_by_topoinf(triangle_scores, plan)
+        out = remove_by_topoinf(triangle_scores, 1 / 3, "positive")
         assert out.tolist() == [1]  # tie on |value| broken by ascending id
 
     def test_ratio_zero(self, triangle_scores):
-        plan = RemovalPlan(strategy="topoinf", ratio=0.0, set="positive")
-        assert remove_by_topoinf(triangle_scores, plan).size == 0
+        assert remove_by_topoinf(triangle_scores, 0.0, "positive").size == 0
 
     def test_negative_set_orders_by_magnitude(self):
         g, labels = random_labeled_graph(30, 4, 3, seed=1)
         rep = score_all_edges(g, FilterSpec("sgc", 2), labels)
-        plan = RemovalPlan(strategy="topoinf", ratio=0.2, set="negative")
-        out = remove_by_topoinf(rep, plan)
+        out = remove_by_topoinf(rep, 0.2, "negative")
         mags = [abs(rep.scores[e].value) for e in out]
         assert mags == sorted(mags, reverse=True)
         assert all(rep.scores[e].sign == "negative" for e in out)
 
     def test_truncation_warns(self, triangle_scores):
-        plan = RemovalPlan(strategy="topoinf", ratio=1.0, set="positive")
         with pytest.warns(UserWarning, match="truncating"):
-            out = remove_by_topoinf(triangle_scores, plan)
+            out = remove_by_topoinf(triangle_scores, 1.0, "positive")
         assert out.tolist() == [1, 2]
 
     def test_all_zero_scores(self, triangle, triangle_labels, identity_filter):
         rep = score_all_edges(triangle, identity_filter, triangle_labels)
-        plan = RemovalPlan(strategy="topoinf", ratio=1 / 3, set="positive")
         with pytest.warns(UserWarning):
-            out = remove_by_topoinf(rep, plan)
+            out = remove_by_topoinf(rep, 1 / 3, "positive")
         assert out.size == 0
-
-    def test_wrong_strategy_rejected(self, triangle_scores):
-        with pytest.raises(ValueError):
-            remove_by_topoinf(triangle_scores,
-                              RemovalPlan(strategy="random", ratio=0.5))
 
 
 class TestRemoveRandom:
@@ -132,6 +122,44 @@ class TestAdaEdge:
         part = adaedge_partition(triangle, LabelData(2, [-1, -1, -1]))
         assert part.unassigned.tolist() == [0, 1, 2]
         assert part.same_label.size == 0 and part.diff_label.size == 0
+
+
+class TestRemoveAdaEdge:
+    def test_sets_draw_from_their_partition(self):
+        g, labels = random_labeled_graph(40, 5, 3, seed=5)
+        part = adaedge_partition(g, labels)
+        pos = remove_adaedge(g, labels, 0.2, "positive", seed=1)
+        neg = remove_adaedge(g, labels, 0.2, "negative", seed=1)
+        assert pos.size == neg.size == int(0.2 * g.edge_count)
+        assert set(pos.tolist()) <= set(part.diff_label.tolist())
+        assert set(neg.tolist()) <= set(part.same_label.tolist())
+
+    def test_truncates_to_pool(self, triangle, triangle_labels):
+        assert remove_adaedge(triangle, triangle_labels, 1.0, "positive", seed=0).tolist() \
+            == [1, 2]
+        assert remove_adaedge(triangle, triangle_labels, 1.0, "negative", seed=0).tolist() \
+            == [0]
+        assert remove_adaedge(triangle, LabelData(2, [0, 0, 0]), 1.0, "positive",
+                              seed=0).size == 0
+
+    def test_seed_reproducible(self):
+        g, labels = random_labeled_graph(40, 5, 3, seed=6)
+        a = remove_adaedge(g, labels, 0.3, "positive", seed=9)
+        assert a.tolist() == remove_adaedge(g, labels, 0.3, "positive", seed=9).tolist()
+        assert np.all(np.diff(a) > 0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_matches_the_inline_draw(self, seed):
+        # the draw `rewire --strategy adaedge` made before it moved here
+        g, labels = random_labeled_graph(60, 6, 3, seed=7)
+        for which in ("positive", "negative"):
+            part = adaedge_partition(g, labels)
+            pool = part.diff_label if which == "positive" else part.same_label
+            count = min(int(0.15 * g.edge_count), pool.size)
+            rng = np.random.default_rng(seed)
+            inline = np.sort(rng.choice(pool, size=count, replace=False))
+            out = remove_adaedge(g, labels, 0.15, which, seed)
+            assert out.dtype == inline.dtype and np.array_equal(out, inline)
 
 
 class TestDropEdgeWeights:
@@ -288,11 +316,15 @@ class TestSampleDropEdge:
         assert len(draws) > 1
 
 
-def test_removal_plan_validation():
-    with pytest.raises(ValueError):
-        RemovalPlan(strategy="nope", ratio=0.5)
-    with pytest.raises(ValueError):
-        RemovalPlan(strategy="topoinf", ratio=1.5)
-    with pytest.raises(ValueError):
-        RemovalPlan(strategy="topoinf", ratio=0.5, set="both")
-    assert RemovalPlan(strategy="topoinf", ratio=0.25).count(10) == 2
+def test_removal_plan_validation(triangle, triangle_labels, triangle_scores):
+    for remove in (lambda ratio, which: remove_by_topoinf(triangle_scores, ratio, which),
+                   lambda ratio, which: remove_adaedge(triangle, triangle_labels,
+                                                       ratio, which, seed=0)):
+        with pytest.raises(ValueError, match="ratio"):
+            remove(1.5, "positive")
+        with pytest.raises(ValueError, match="set"):
+            remove(0.5, "both")
+    g, labels = random_labeled_graph(30, 4, 3, seed=1)
+    rep = score_all_edges(g, FilterSpec("sgc", 2), labels)
+    assert g.edge_count >= 10 and rep.positive.size >= 2
+    assert remove_by_topoinf(rep, 2.5 / g.edge_count, "positive").size == 2
