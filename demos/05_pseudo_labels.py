@@ -20,7 +20,7 @@ spec = FilterSpec("sgc", k=2)
 rng = np.random.default_rng(0)
 mask = rng.random(g.n) < 0.15
 mask[:3] = True  # make sure every class is represented
-partial = LabelData(truth.c, np.where(mask, truth.labels, -1), mask=mask)
+partial = LabelData(truth.c, np.where(mask, truth.labels, -1))
 print(f"{mask.sum()} of {g.n} nodes keep their true label")
 
 cfg = TrainConfig(learning_rate=0.5, epochs=300, l2_penalty=1e-4, seed=0)
@@ -33,7 +33,7 @@ acc = np.mean(pseudo.hardened[holdout] == truth.labels[holdout])
 print(f"pseudo-label accuracy on unlabeled nodes: {acc:.3f}")
 
 true_scores = score_all_edges(g, spec, truth, lam=0.0)
-est_scores = score_all_edges(g, spec, pseudo.as_label_data(truth.c), lam=0.0)
+est_scores = score_all_edges(g, spec, LabelData(truth.c, pseudo.hardened), lam=0.0)
 
 tv = np.array([s.value for s in true_scores.scores])
 ev = np.array([s.value for s in est_scores.scores])

@@ -98,7 +98,7 @@ def _load_graph_labels(args):
             text = Path(args.soft_labels).read_text()
             try:
                 soft = load_soft_tsv(text, g.n, labels.c)
-                labels = LabelData(labels.c, labels.labels, mask=labels.mask, soft=soft)
+                labels = LabelData(labels.c, labels.labels, soft=soft)
             except ValueError as exc:
                 raise ValueError(f"--soft-labels {args.soft_labels}: {exc}") from None
     return g, labels, graph_path, label_path
@@ -154,8 +154,7 @@ def cmd_analyze(args) -> int:
     g, labels, gp, lp = _load_graph_labels(args)
     target = _load_target(args, g.n)
     spec = _filter_spec(args)
-    report = compatibility(g, spec, labels, target, args.lam,
-                           soft_influence=args.soft_labels is not None)
+    report = compatibility(g, spec, labels, target, args.lam)
     doc = report.to_json_dict()
     doc["filter"] = {"model": spec.preset, "k": spec.k, "alpha": spec.alpha,
                      "gamma": list(spec.gamma) if spec.gamma else None}
@@ -181,9 +180,7 @@ def cmd_score(args) -> int:
     g, labels, gp, lp = _load_graph_labels(args)
     target = _load_target(args, g.n)
     spec = _filter_spec(args)
-    report = score_all_edges(g, spec, labels, target, args.lam,
-                             mode=args.mode,
-                             soft_influence=args.soft_labels is not None)
+    report = score_all_edges(g, spec, labels, target, args.lam, mode=args.mode)
     tsv = report.to_tsv()
     manifest = _manifest(args, "score",
                          {"graph": gp, "labels": lp, "target": args.target},
@@ -218,6 +215,8 @@ def cmd_score(args) -> int:
 
 def cmd_rewire(args) -> int:
     topoinf = args.strategy == "topoinf"
+    if not 0 <= args.ratio <= 1:
+        raise ValueError(f"--ratio {args.ratio}: must lie in [0, 1]")
     if args.greedy and not topoinf:
         raise ValueError("--greedy applies only to --strategy topoinf")
     if args.strategy != "random" and not args.labels:
@@ -229,12 +228,16 @@ def cmd_rewire(args) -> int:
             ("--set", "set", args.strategy == "adaedge" or topoinf and not args.greedy,
              "--strategy adaedge and topoinf without --greedy read"),
             ("--rescore-every", "rescore_every", args.greedy, "--greedy reads"),
-            ("--lambda", "lam", topoinf, "--strategy topoinf reads")):
+            *((flag, dest, topoinf, "--strategy topoinf reads") for flag, dest in
+              (("--lambda", "lam"), ("--target", "target"), ("--model", "model"),
+               ("--k", "k"), ("--alpha", "alpha"), ("--gamma", "gamma"))),
+            ("--labels", "labels", args.strategy != "random",
+             "--strategy topoinf and adaedge read")):
         if not read and getattr(args, dest) is not None:
             raise ValueError(f"{flag}: only {readers} it; drop the flag")
     # the manifest records the defaults of the flags a run omits
     for dest, default in (("seed", 0), ("set", "positive"), ("rescore_every", 1),
-                          ("lam", 0.0)):
+                          ("lam", 0.0), ("model", "sgc"), ("k", 2), ("alpha", 0.1)):
         if getattr(args, dest) is None:
             setattr(args, dest, default)
     g, labels, gp, lp = _load_graph_labels(args)
@@ -412,10 +415,14 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="topoinf",
+        prog="topoinf", allow_abbrev=False,
         description="Score topology/task compatibility, rank edge influence, rewire graphs.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand")
+
+    def command(name, help):
+        # no prefix matching, so a removed flag cannot parse as a kept one
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def common_io(p, labels_required=True, lam_required=False, soft_labels=False):
         p.add_argument("--graph", required=True, help="edge-list file")
@@ -431,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "soft inner-product influence (extension, non-default)")
         _add_filter_flags(p)
 
-    p = sub.add_parser("analyze", help="compatibility report (JSON)")
+    p = command("analyze", "compatibility report (JSON)")
     common_io(p, soft_labels=True)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("score", help="per-edge influence scores (TSV/JSON)")
+    p = command("score", "per-edge influence scores (TSV/JSON)")
     common_io(p, soft_labels=True)
     p.add_argument("--mode", choices=("exact", "incremental"), default="incremental")
     p.add_argument("--output", default=None, help="TSV path (default stdout)")
@@ -444,8 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_score)
 
-    p = sub.add_parser("rewire", help="remove edges by strategy; emit new edge list")
+    p = command("rewire", "remove edges by strategy; emit new edge list")
     common_io(p, labels_required=False, lam_required=True)
+    # topoinf only; cmd_rewire writes the defaults back for the manifest
+    p.set_defaults(model=None, k=None, alpha=None)
     p.add_argument("--strategy", choices=("topoinf", "random", "adaedge"), required=True)
     p.add_argument("--set", choices=("positive", "negative"), default=None,
                    help="edge set to draw from (adaedge, batch topoinf); default positive")
@@ -459,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="trace TSV (default <output>.trace.tsv)")
     p.set_defaults(handler=cmd_rewire)
 
-    p = sub.add_parser("dropedge", help="influence-biased edge-dropping distribution")
+    p = command("dropedge", "influence-biased edge-dropping distribution")
     common_io(p, lam_required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--drop-rate", type=float, default=0.5)
@@ -469,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-prefix", required=True)
     p.set_defaults(handler=cmd_dropedge)
 
-    p = sub.add_parser("gen-csbm", help="generate a block-model dataset")
+    p = command("gen-csbm", "generate a block-model dataset")
     p.add_argument("--preset", choices=("cora-like",), default=None)
     p.add_argument("--mix", default=None,
                    help="intra,inter mix (--preset only); default 0.9,0.1")
@@ -488,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-prefix", required=True)
     p.set_defaults(handler=cmd_gen_csbm)
 
-    p = sub.add_parser("pseudo", help="train pseudo labels from features")
+    p = command("pseudo", "train pseudo labels from features")
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--features", required=True)
@@ -500,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_flags(p)
     p.set_defaults(handler=cmd_pseudo)
 
-    p = sub.add_parser("verify", help="run self-check suites")
+    p = command("verify", "run self-check suites")
     p.add_argument("--suite", choices=("oracle", "theorem2", "gradients", "all"),
                    default="all")
     p.add_argument("--quick", action="store_true")

@@ -26,22 +26,17 @@ __all__ = ["CompatReport", "node_influence", "node_regularizer", "compatibility"
 INF = float("inf")
 
 
-def check_scoring_inputs(g: Graph, labels: LabelData, target, lam: float,
-                         soft_influence: bool) -> np.ndarray:
+def check_scoring_inputs(g: Graph, labels: LabelData, target, lam: float) -> np.ndarray:
     """Check the inputs every score is computed from and return the target
     as a sorted array of node ids (every node when `target` is None).
 
-    Rejects a regularizer weight that is negative, NaN or infinite, soft
-    influence without soft labels, and hard influence over a target node
-    without a label.
+    Rejects a regularizer weight that is negative, NaN or infinite, and,
+    without soft labels, a target node without a hard label.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and non-negative, got {lam}")
     target = np.arange(g.n, dtype=np.int64) if target is None else node_set(target, g.n)
-    if soft_influence:
-        if labels.soft is None:
-            raise ValueError("soft influence mode needs soft labels")
-    elif not labels.mask[target].all():
+    if labels.soft is None and not labels.mask[target].all():
         missing = target[~labels.mask[target]]
         raise ValueError(f"target nodes without labels: {missing[:5].tolist()}")
     return target
@@ -88,26 +83,26 @@ def node_regularizer(g: Graph, v: int) -> float:
     return INF if d == 0 else 1.0 / d
 
 
-def compatibility(g: Graph, spec, labels: LabelData, target=None, lam: float = 0.0,
-                  soft_influence: bool = False) -> CompatReport:
+def compatibility(g: Graph, spec, labels: LabelData, target=None,
+                  lam: float = 0.0) -> CompatReport:
     """Aggregate compatibility over a target node set.
 
-    `spec` is a FilterSpec or an already-expanded PolynomialFilter. With
-    `soft_influence` the per-node term is the inner product of the soft label
-    row with the filtered distribution instead of the hard-label entry
-    (extension mode; requires labels.soft).
+    `spec` is a FilterSpec or an already-expanded PolynomialFilter. When
+    `labels` carry soft labels, the per-node term is the inner product of the
+    soft label row with the filtered distribution instead of the hard-label
+    entry (soft influence, an extension).
     """
-    target = check_scoring_inputs(g, labels, target, lam, soft_influence)
+    target = check_scoring_inputs(g, labels, target, lam)
     pf = as_filter(spec)
     adj = normalized_adjacency(g)
-    lbar = soft_labels(pf, adj, labels, use_soft=soft_influence)
+    lbar = soft_labels(pf, adj, labels)
     bad = np.intersect1d(lbar.nonnormalizable, target)
     if bad.size:
         raise ValueError(
             f"non-normalizable filter rows for target nodes {bad[:5].tolist()} "
             "(row sum <= tolerance; negative coefficients?)")
 
-    if soft_influence:
+    if labels.soft is not None:
         per_i = np.einsum("ij,ij->i", labels.soft[target], lbar.values[target])
     else:
         per_i = lbar.values[target, labels.labels[target]].astype(np.float64)

@@ -143,7 +143,7 @@ def generate_csbm(params: CsbmParams) -> CsbmSample:
     noise = rng.normal(size=(n, params.d))
     X = F + params.sigma * noise
 
-    labels = LabelData(c, communities, mask=np.ones(n, dtype=bool))
+    labels = LabelData(c, communities)
     return CsbmSample(graph=graph, labels=labels, mu=mu, F=F, X=X, params=params)
 
 

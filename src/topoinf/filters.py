@@ -186,8 +186,7 @@ def row_normalized_filter(pf, adj: NormalizedAdjacency, m: np.ndarray) -> SoftLa
     return SoftLabelMatrix(values=values, row_sums=sums, nonnormalizable=bad)
 
 
-def soft_labels(pf, adj: NormalizedAdjacency, labels: LabelData,
-                use_soft: bool = False) -> SoftLabelMatrix:
+def soft_labels(pf, adj: NormalizedAdjacency, labels: LabelData) -> SoftLabelMatrix:
     """Filtered, row-normalized label distributions: `row_normalized_filter`
-    of the one-hot (or soft) label matrix."""
-    return row_normalized_filter(pf, adj, labels.dense_rows(use_soft=use_soft))
+    of `labels.dense_rows()`, the soft labels when present, else one-hot."""
+    return row_normalized_filter(pf, adj, labels.dense_rows())

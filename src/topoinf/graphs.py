@@ -230,28 +230,23 @@ def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
 
 
 class LabelData:
-    """Per-node class labels: hard ids, a known-mask, optional soft labels.
+    """Per-node class labels: hard ids, their known-mask, optional soft labels.
 
-    `labels[v] == -1` marks an unknown label (mask False). The soft matrix,
-    when present, is n x c with rows summing to one; it is how pseudo-label
-    distributions enter the pipeline.
+    `labels[v] == -1` marks an unknown label; `mask` is `labels >= 0`. The
+    soft matrix, when present, is n x c with rows summing to one; it is how
+    pseudo-label distributions enter the pipeline, and labels that carry it
+    are scored by soft influence everywhere.
     """
 
     __slots__ = ("c", "labels", "mask", "soft")
 
-    def __init__(self, c: int, labels, mask=None, soft=None):
+    def __init__(self, c: int, labels, soft=None):
         self.c = int(c)
         if self.c < 1:
             raise ValueError("class count must be positive")
         self.labels = np.asarray(labels, dtype=np.int64).copy()
-        if mask is None:
-            self.mask = self.labels >= 0
-        else:
-            self.mask = np.asarray(mask, dtype=bool).copy()
-            if self.mask.shape != self.labels.shape:
-                raise ValueError("mask/labels shape mismatch")
-        known = self.labels[self.mask]
-        if known.size and (known.min() < 0 or known.max() >= self.c):
+        self.mask = self.labels >= 0
+        if self.mask.any() and self.labels.max() >= self.c:
             raise ValueError(f"labels must lie in [0, {self.c})")
         if soft is not None:
             soft = np.asarray(soft, dtype=np.float64).copy()
@@ -286,13 +281,10 @@ class LabelData:
         out[np.arange(self.n), self.labels] = 1.0
         return out
 
-    def dense_rows(self, use_soft: bool = False) -> np.ndarray:
-        """Row-stochastic label matrix to propagate: soft if requested, else one-hot."""
-        if use_soft:
-            if self.soft is None:
-                raise ValueError("no soft labels available")
-            return np.array(self.soft)
-        return self.one_hot()
+    def dense_rows(self) -> np.ndarray:
+        """Row-stochastic label matrix to propagate: the soft labels when
+        present, else the one-hot hard labels."""
+        return self.one_hot() if self.soft is None else np.array(self.soft)
 
 
 def _iter_lines(text: str):
@@ -357,7 +349,7 @@ def load_edge_list(text: str) -> Graph:
 
 
 def load_labels(text: str, n: int) -> LabelData:
-    """Parse "node class" lines; unlisted nodes get mask False.
+    """Parse "node class" lines; unlisted nodes get label -1 (unknown).
 
     An optional "# classes=c" header declares the class count; without it, c
     is inferred as max class + 1 (so at least one labeled node is required).
@@ -393,7 +385,7 @@ def load_labels(text: str, n: int) -> LabelData:
         if not seen.any():
             raise GraphFormatError("no labels and no '# classes=c' header")
         declared_c = int(labels.max()) + 1
-    return LabelData(declared_c, labels, mask=seen)
+    return LabelData(declared_c, labels)
 
 
 def write_edge_list(g: Graph, edge_ids=None) -> str:

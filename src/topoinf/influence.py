@@ -135,22 +135,20 @@ def _reg_delta(lam: float, degrees: np.ndarray, target_mask: np.ndarray,
 
 
 def topoinf_oracle(g: Graph, spec, labels: LabelData, target=None, lam: float = 0.0,
-                   e: int = 0, soft_influence: bool = False) -> TopoInfScore:
+                   e: int = 0) -> TopoInfScore:
     """Full-recompute score of removing edge `e`."""
     if not 0 <= e < g.edge_count:
         raise IndexError(f"edge index {e} out of range [0, {g.edge_count})")
     pf = as_filter(spec)
-    base = compatibility(g, pf, labels, target, lam, soft_influence)
-    return removal_step(g, pf, labels, base, e, soft_influence)[0]
+    base = compatibility(g, pf, labels, target, lam)
+    return removal_step(g, pf, labels, base, e)[0]
 
 
-def removal_step(g: Graph, pf, labels: LabelData, base: CompatReport, e: int,
-                 soft_influence: bool):
+def removal_step(g: Graph, pf, labels: LabelData, base: CompatReport, e: int):
     """Score of removing edge `e` from `g`, whose report is `base`, by a full
     `compatibility()` recompute; returns the score and the new report."""
     i, j = (int(x) for x in g.edges[e])
-    new = compatibility(g.remove_edge(e), pf, labels, base.target, base.lam,
-                        soft_influence)
+    new = compatibility(g.remove_edge(e), pf, labels, base.target, base.lam)
     diffs = new.per_node_I - base.per_node_I
     affected = int(np.count_nonzero(diffs != 0.0))
     dr, excluded = _reg_delta(base.lam, g.degrees, _mask_of(base.target, g.n), i, j)
@@ -190,11 +188,9 @@ class DeltaWorkspace:
     """
 
     __slots__ = ("g", "adj", "pf", "labels", "lam", "target", "target_mask",
-                 "target_pos", "soft_influence", "weights", "P", "U", "base_sums",
-                 "base_num", "base_I")
+                 "target_pos", "weights", "P", "U", "base_sums", "base_num", "base_I")
 
-    def __init__(self, g, adj, pf, labels, lam, target, soft_influence,
-                 weights, P, U):
+    def __init__(self, g, adj, pf, labels, lam, target, weights, P, U):
         self.g = g
         self.adj = adj
         self.pf = pf
@@ -203,7 +199,6 @@ class DeltaWorkspace:
         self.target = target
         self.target_mask = _mask_of(target, g.n)
         self.target_pos = np.cumsum(self.target_mask) - 1  # row -> target index
-        self.soft_influence = soft_influence
         self.weights = weights
         self.P = P
         self.U = U
@@ -217,12 +212,12 @@ class DeltaWorkspace:
         self.base_I[ok] = self.base_num[ok] / self.base_sums[ok]
 
     @classmethod
-    def build(cls, g: Graph, spec, labels: LabelData, target=None, lam: float = 0.0,
-              soft_influence: bool = False) -> "DeltaWorkspace":
-        target = check_scoring_inputs(g, labels, target, lam, soft_influence)
+    def build(cls, g: Graph, spec, labels: LabelData, target=None,
+              lam: float = 0.0) -> "DeltaWorkspace":
+        target = check_scoring_inputs(g, labels, target, lam)
         pf = as_filter(spec)
         adj = normalized_adjacency(g)
-        rows = labels.dense_rows(use_soft=soft_influence)
+        rows = labels.dense_rows()
         stacked = np.hstack([rows, np.ones((g.n, 1))])
         weights = stacked[:, :-1].copy()
         gamma = pf.gamma
@@ -232,7 +227,7 @@ class DeltaWorkspace:
         for k in range(1, pf.order + 1):
             P[k] = adj.matrix @ P[k - 1]
             U += gamma[k] * P[k]
-        return cls(g, adj, pf, labels, lam, target, soft_influence, weights, P, U)
+        return cls(g, adj, pf, labels, lam, target, weights, P, U)
 
     def score(self, e: int) -> TopoInfScore:
         """Exact score of removing edge `e`."""
@@ -362,7 +357,7 @@ class DeltaWorkspace:
         # elementwise on its pairs, any other by one product per endpoint over
         # all target rows: either way its score depends on the edge alone
         size = levels.size
-        soft = self.weights[self.target] if self.soft_influence else None
+        soft = None if self.labels.soft is None else self.weights[self.target]
         cls = self.labels.labels[self.target]
 
         def soft_weight(vals, er):
@@ -613,7 +608,7 @@ class ScoreReport:
 
 
 def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float = 0.0,
-                    mode: str = "incremental", soft_influence: bool = False) -> ScoreReport:
+                    mode: str = "incremental") -> ScoreReport:
     """Score every edge as a removal from the original graph.
 
     mode "incremental" scores all edges in batches on one DeltaWorkspace;
@@ -623,13 +618,13 @@ def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float =
         raise ValueError(f"unknown mode {mode!r}")
     pf = as_filter(spec)
     if mode == "incremental":
-        ws = DeltaWorkspace.build(g, pf, labels, target, lam, soft_influence)
+        ws = DeltaWorkspace.build(g, pf, labels, target, lam)
         target_size = ws.target.size
         scores = ws.score_edges(np.arange(g.edge_count))
     else:
-        base = compatibility(g, pf, labels, target, lam, soft_influence)
+        base = compatibility(g, pf, labels, target, lam)
         target_size = base.target.size
-        scores = [removal_step(g, pf, labels, base, e, soft_influence)[0]
+        scores = [removal_step(g, pf, labels, base, e)[0]
                   for e in range(g.edge_count)]
     ranking = sorted(range(g.edge_count), key=lambda e: (-scores[e].value, e))
     by_sign = {"positive": [], "negative": [], "zero": [], "excluded": []}

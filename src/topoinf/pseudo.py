@@ -145,8 +145,7 @@ class PseudoLabels:
     source_mask: np.ndarray
 
     def as_label_data(self, c: int) -> LabelData:
-        return LabelData(c, self.hardened, mask=np.ones(self.hardened.shape[0], bool),
-                         soft=self.soft)
+        return LabelData(c, self.hardened, soft=self.soft)
 
     def to_label_text(self) -> str:
         c = self.soft.shape[1]

@@ -61,7 +61,7 @@ def random_labeled_graph(n: int, mean_degree: float, classes: int, seed: int):
     g = Graph.from_edges(n, sbm_edges(rng, np.zeros(n, dtype=np.int64), p, p))
     labels = np.arange(n, dtype=np.int64) % classes
     rng.shuffle(labels)
-    return g, LabelData(classes, labels, mask=np.ones(n, dtype=bool))
+    return g, LabelData(classes, labels)
 
 
 @dataclass
@@ -73,29 +73,27 @@ class EdgeCheck:
 
 
 def check_edge_scores(g: Graph, labels: LabelData, spec, lam: float = 0.0,
-                      target=None, tol: float = ORACLE_TOL,
-                      check_locality: bool = True) -> EdgeCheck:
-    """Compare incremental vs full-recompute scores for every edge of g."""
+                      target=None, tol: float = ORACLE_TOL) -> EdgeCheck:
+    """Compare incremental vs full-recompute scores, and the locality of the
+    recomputed changes, for every edge of g."""
     pf = as_filter(spec)
     ws = DeltaWorkspace.build(g, pf, labels, target, lam)
     base = compatibility(g, pf, labels, ws.target, lam)
     out = EdgeCheck(edges=g.edge_count)
     for e, inc in enumerate(ws.score_edges(np.arange(g.edge_count))):
-        oracle, new = removal_step(g, pf, labels, base, e, False)
+        oracle, new = removal_step(g, pf, labels, base, e)
         # equal values (both -inf for an excluded edge) differ by 0, -inf
         # against a finite value by inf
         d = 0.0 if inc.value == oracle.value else abs(inc.value - oracle.value)
         out.max_abs_diff = max(out.max_abs_diff, d)
         out.mismatches += int(d > tol)
 
-        if check_locality:
-            # a non-normalizable (NaN) row that stays NaN has not changed
-            a, b = new.lbar.values, base.lbar.values
-            changed = np.flatnonzero(
-                np.any((a != b) & ~(np.isnan(a) & np.isnan(b)), axis=1))
-            allowed = np.zeros(g.n, dtype=bool)
-            allowed[khop_set(g, (oracle.u, oracle.v), pf.order)] = True
-            out.locality_violations += int(np.count_nonzero(~allowed[changed]))
+        # a non-normalizable (NaN) row that stays NaN has not changed
+        a, b = new.lbar.values, base.lbar.values
+        changed = np.flatnonzero(np.any((a != b) & ~(np.isnan(a) & np.isnan(b)), axis=1))
+        allowed = np.zeros(g.n, dtype=bool)
+        allowed[khop_set(g, (oracle.u, oracle.v), pf.order)] = True
+        out.locality_violations += int(np.count_nonzero(~allowed[changed]))
     return out
 
 

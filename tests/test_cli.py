@@ -384,6 +384,18 @@ UNREAD = [
     pytest.param(REWIRE + ["--strategy", "adaedge", "--lambda", "0.1"], "--lambda",
                  id="adaedge-lambda"),
     pytest.param(GEN + ["--mix", "0.9,0.1"], "--mix", id="mix-without-preset"),
+    *(pytest.param(REWIRE + ["--strategy", strategy, flag, value], flag,
+                   id=f"{strategy}{flag}")
+      for strategy in ("random", "adaedge")
+      for flag, value in (("--target", "{tmp}/g.input"), ("--model", "appnp"),
+                          ("--k", "3"), ("--alpha", "0.2"), ("--gamma", "0,1"))),
+    pytest.param(REWIRE + ["--strategy", "random"], "--labels", id="random--labels"),
+]
+# every rewire mode checks --ratio, also before any file is read
+BAD_RATIO = [
+    pytest.param(TOPOINF + ["--greedy", "--ratio", "7"], "--ratio", id="greedy-ratio-7"),
+    pytest.param(TOPOINF + ["--greedy", "--ratio", "-1"], "--ratio", id="greedy-ratio-neg"),
+    pytest.param(TOPOINF + ["--ratio", "nan"], "--ratio", id="batch-ratio-nan"),
 ]
 
 
@@ -420,7 +432,7 @@ UNREAD = [
                           ("--mu-scheme", "orthogonal_scaled"), ("--mu-scale", "1"))),
     pytest.param(TRIANGLE, FEATURES, GEN + ["--dim", str(MAX_FEATURE_VALUES // 10 + 1)],
                  "--dim", id="oversized-features"),
-    *(pytest.param(TRIANGLE, FEATURES, *p.values, id=p.id) for p in UNREAD),
+    *(pytest.param(TRIANGLE, FEATURES, *p.values, id=p.id) for p in UNREAD + BAD_RATIO),
 ])
 def test_input_failures_exit_two(tmp_path, capsys, graph_text, input_text, argv, name):
     """Each bad input exits 2 with a message naming it and writes nothing.
@@ -462,7 +474,7 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("argv, name", UNREAD)
+@pytest.mark.parametrize("argv, name", UNREAD + BAD_RATIO)
 def test_unread_flags_rejected_before_reading(tmp_path, capsys, monkeypatch, argv, name):
     def no_reading(*args, **kwargs):
         raise AssertionError("the graph was read before the flags were checked")
@@ -489,6 +501,13 @@ def test_unread_flags_rejected_before_reading(tmp_path, capsys, monkeypatch, arg
     pytest.param([cmd, "--soft-labels", "{tmp}/g.soft", "--soft", "--output", "{tmp}/out"],
                  id=f"{cmd}--soft")
     for cmd in ("analyze", "score")
+] + [
+    # no abbreviations: a removed flag that prefixes a kept one, and a prefix
+    pytest.param(["analyze", "--soft", "{tmp}/g.soft", "--output", "{tmp}/out"],
+                 id="analyze--soft-prefix"),
+    pytest.param(["rewire", "--strategy", "topoinf", "--lambda", "0", "--ratio", "0.5",
+                  "--greedy", "--resc", "2", "--output", "{tmp}/out.edges"],
+                 id="rewire--resc"),
 ])
 def test_removed_flags_exit_two(fixture_files, argv):
     graph, labels, tmp = fixture_files
@@ -504,26 +523,26 @@ def test_removed_flags_exit_two(fixture_files, argv):
 def _soft_triangle():
     labels = load_labels(TRIANGLE_LABELS, 3)
     soft = np.array([[0.8, 0.2], [0.6, 0.4], [0.1, 0.9]])
-    return load_edge_list(TRIANGLE), LabelData(2, labels.labels, mask=labels.mask, soft=soft)
+    return load_edge_list(TRIANGLE), labels, LabelData(2, labels.labels, soft=soft)
 
 
 def test_soft_labels_flag_selects_soft_influence(fixture_files):
     graph, labels, tmp = fixture_files
     (tmp / "g.soft").write_text(TRIANGLE_SOFT)
-    g, soft_labels = _soft_triangle()
+    g, hard_labels, soft_labels = _soft_triangle()
     spec = FilterSpec("sgc", 2)
     out = tmp / "analyze.json"
     assert run(["analyze", "--graph", graph, "--labels", labels,
                 "--soft-labels", tmp / "g.soft", "--output", out]) == 0
     doc = json.loads(out.read_text())
     doc.pop("filter")
-    want = compatibility(g, spec, soft_labels, soft_influence=True)
+    want = compatibility(g, spec, soft_labels)
     assert json.dumps(doc) == json.dumps(want.to_json_dict())
-    assert want.C != compatibility(g, spec, soft_labels).C
+    assert want.C != compatibility(g, spec, hard_labels).C
     for mode in ("exact", "incremental"):
         out = tmp / f"{mode}.tsv"
         assert run(["score", "--graph", graph, "--labels", labels, "--mode", mode,
                     "--soft-labels", tmp / "g.soft", "--output", out]) == 0
-        want = score_all_edges(g, spec, soft_labels, mode=mode, soft_influence=True)
+        want = score_all_edges(g, spec, soft_labels, mode=mode)
         assert out.read_text() == want.to_tsv()
-        assert out.read_text() != score_all_edges(g, spec, soft_labels, mode=mode).to_tsv()
+        assert out.read_text() != score_all_edges(g, spec, hard_labels, mode=mode).to_tsv()

@@ -147,15 +147,8 @@ class TestCompatibility:
         # matrix and pick the same entries, so C agrees bitwise
         lab2 = LabelData(2, triangle_labels.labels, soft=triangle_labels.one_hot())
         hard = compatibility(triangle, walk_filter, triangle_labels, lam=0.0).C
-        soft = compatibility(triangle, walk_filter, lab2, lam=0.0,
-                             soft_influence=True).C
+        soft = compatibility(triangle, walk_filter, lab2, lam=0.0).C
         assert soft == hard
-
-    def test_soft_influence_requires_soft(self, triangle, triangle_labels,
-                                          walk_filter):
-        with pytest.raises(ValueError, match="soft"):
-            compatibility(triangle, walk_filter, triangle_labels,
-                          soft_influence=True)
 
 
 class TestReportSerialization:

@@ -245,6 +245,12 @@ class TestLabelData:
         with pytest.raises(ValueError):
             LabelData(2, [0, 5])
 
+    def test_mask_follows_known_labels(self):
+        lab = LabelData(3, [2, -1, 0, -1])
+        assert lab.mask.tolist() == [True, False, True, False]
+        assert not lab.all_labeled
+        assert LabelData(3, [2, 1, 0]).all_labeled
+
 
 def test_node_set_validation():
     assert node_set([3, 1, 1, 2], 5).tolist() == [1, 2, 3]

@@ -10,6 +10,7 @@ from topoinf import (
     Graph,
     LabelData,
     PolynomialFilter,
+    as_filter,
     compatibility,
     cora_like_params,
     generate_csbm,
@@ -21,7 +22,7 @@ from topoinf import (
 from topoinf import influence
 from topoinf.verify import check_edge_scores, random_labeled_graph
 
-from dense_oracle import dense_topoinf
+from dense_oracle import dense_rownorm_filter, dense_topoinf, dense_topoinf_rows
 from greedy_reference import reference_greedy
 
 INF = float("inf")
@@ -146,20 +147,11 @@ class TestIncremental:
         soft = np.random.default_rng(0).dirichlet(np.ones(3), size=30)
         lab2 = LabelData(3, labels.labels, soft=soft)
         spec = FilterSpec("sgc", 2)
-        ws = DeltaWorkspace.build(g, spec, lab2, soft_influence=True)
+        ws = DeltaWorkspace.build(g, spec, lab2)
         for e in range(0, g.edge_count, 3):
             inc = ws.score(e)
-            orc = topoinf_oracle(g, spec, lab2, e=e, soft_influence=True)
+            orc = topoinf_oracle(g, spec, lab2, e=e)
             assert inc.value == pytest.approx(orc.value, abs=1e-10)
-
-    def test_soft_influence_needs_soft_labels(self, triangle, triangle_labels, walk_filter):
-        # the workspace shares compatibility()'s input checks and their messages
-        for score in (lambda: DeltaWorkspace.build(triangle, walk_filter, triangle_labels,
-                                                   soft_influence=True),
-                      lambda: compatibility(triangle, walk_filter, triangle_labels,
-                                            soft_influence=True)):
-            with pytest.raises(ValueError, match="^soft influence mode needs soft labels$"):
-                score()
 
     def test_large_graph_completes_and_spot_checks(self):
         # ~10k edges: incremental pass completes; sampled edges match recompute
@@ -454,3 +446,56 @@ class TestGreedyRefine:
     def test_negative_budget_rejected(self, triangle, triangle_labels, walk_filter):
         with pytest.raises(ValueError):
             greedy_refine(triangle, walk_filter, triangle_labels, max_removals=-1)
+
+
+def _path_values(path, g, spec, labels):
+    """What `path` computes from `labels`: C, every edge's score, or the
+    score and C after of the first greedy removal."""
+    if path == "compatibility":
+        return [compatibility(g, spec, labels).C]
+    if path == "topoinf_oracle":
+        return [topoinf_oracle(g, spec, labels, e=e).value for e in range(g.edge_count)]
+    if path == "DeltaWorkspace":
+        ws = DeltaWorkspace.build(g, spec, labels)
+        return [s.value for s in ws.score_edges(np.arange(g.edge_count))]
+    if path == "greedy_refine":
+        _, trace = greedy_refine(g, spec, labels, max_removals=1)
+        return [trace[0].score, trace[0].c_after]
+    mode = path.removeprefix("score_all_edges-")
+    return [s.value for s in score_all_edges(g, spec, labels, mode=mode).scores]
+
+
+def _dense_values(path, g, rows, gamma):
+    """`_path_values` from the dense reference, with label rows `rows`
+    weighing each node's filtered distribution."""
+    def compat(edges):
+        lbar = dense_rownorm_filter(gamma, g.n, edges) @ rows
+        return float(np.einsum("ij,ij->", rows, lbar))
+
+    edges = g.edges.tolist()
+    if path == "compatibility":
+        return [compat(edges)]
+    scores = [dense_topoinf_rows(g.n, edges, rows, gamma, 0.0, e) for e in edges]
+    if path == "greedy_refine":
+        best = int(np.argmax(scores))
+        return [scores[best], compat(edges[:best] + edges[best + 1:])]
+    return scores
+
+
+@pytest.mark.parametrize("path", ["compatibility", "topoinf_oracle",
+                                  "score_all_edges-incremental", "score_all_edges-exact",
+                                  "DeltaWorkspace", "greedy_refine"])
+def test_soft_labels_decide_the_influence(path):
+    """Labels that carry soft rows are scored by soft influence on every
+    path; the same hard ids without them by hard influence."""
+    g, hard = random_labeled_graph(16, 4, 3, seed=5)
+    soft = np.random.default_rng(1).dirichlet(np.ones(3), size=g.n)
+    spec = FilterSpec("appnp", 2, alpha=0.2)
+    gamma = as_filter(spec).gamma
+    want_soft = _dense_values(path, g, soft, gamma)
+    want_hard = _dense_values(path, g, hard.one_hot(), gamma)
+    assert not np.allclose(want_soft, want_hard, atol=1e-6)
+    got_soft = _path_values(path, g, spec, LabelData(3, hard.labels, soft=soft))
+    got_hard = _path_values(path, g, spec, LabelData(3, hard.labels))
+    assert np.allclose(got_soft, want_soft, rtol=0, atol=1e-10)
+    assert np.allclose(got_hard, want_hard, rtol=0, atol=1e-10)

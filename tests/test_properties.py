@@ -83,8 +83,7 @@ def test_engine_matches_dense_oracle(case):
     hard = np.asarray(labels, dtype=np.int64)
     data = LabelData(c, hard, soft=soft)
     rows = soft if soft is not None else np.eye(c)[hard]
-    ws = DeltaWorkspace.build(g, spec, data, target, lam,
-                              soft_influence=soft is not None)
+    ws = DeltaWorkspace.build(g, spec, data, target, lam)
     for s in ws.score_edges(np.arange(g.edge_count)):
         edge = (s.u, s.v)
         want = dense_topoinf_rows(n, edges, rows, gamma, lam, edge, target)
@@ -118,8 +117,7 @@ def test_scores_add_over_disjoint_targets(case, split):
     label_data = LabelData(c, labels, soft=soft)
 
     def scores(part):
-        ws = DeltaWorkspace.build(g, spec, label_data, part, lam,
-                                  soft_influence=soft is not None)
+        ws = DeltaWorkspace.build(g, spec, label_data, part, lam)
         return ws.score_edges(np.arange(g.edge_count))
 
     for whole, a, b in zip(scores(target), scores(first), scores(second)):
@@ -133,7 +131,8 @@ def test_scores_add_over_disjoint_targets(case, split):
 @st.composite
 def greedy_cases(draw):
     """Sparse graphs (long paths between far nodes), filters with
-    non-negative coefficients, so no row is ever non-normalizable."""
+    non-negative coefficients, so no row is ever non-normalizable, and
+    optional soft labels, which greedy rewiring scores by soft influence."""
     n = draw(st.integers(4, 14))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = sorted(draw(st.lists(st.sampled_from(pairs), min_size=2,
@@ -147,7 +146,12 @@ def greedy_cases(draw):
     if draw(st.booleans()):
         target = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
     lam = draw(st.sampled_from([0.0, 0.1]))
-    return Graph.from_edges(n, edges), LabelData(c, labels), spec, target, lam
+    soft = None
+    if draw(st.booleans()):
+        raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n * c,
+                                     max_size=n * c))).reshape(n, c)
+        soft = raw / raw.sum(axis=1, keepdims=True)
+    return Graph.from_edges(n, edges), LabelData(c, labels, soft=soft), spec, target, lam
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

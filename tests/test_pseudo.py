@@ -43,7 +43,7 @@ class TestTraining:
         feats = np.zeros((8, 3))
         cfg = TrainConfig(learning_rate=0.5, epochs=400, l2_penalty=0.01, seed=1)
         model = train_linear_sgc(g, PolynomialFilter((1.0,)), feats, labels, cfg)
-        unlabeled = LabelData(2, np.full(8, -1), mask=np.zeros(8, bool))
+        unlabeled = LabelData(2, np.full(8, -1))
         pseudo = predict_pseudo(model, g, PolynomialFilter((1.0,)), feats, unlabeled)
         assert np.allclose(pseudo.soft, 0.5, atol=1e-3)
 
@@ -62,7 +62,7 @@ class TestTraining:
 
     def test_empty_mask_rejected(self):
         g, feats, _ = two_blob_instance(seed=4)
-        none = LabelData(2, np.full(g.n, -1), mask=np.zeros(g.n, bool))
+        none = LabelData(2, np.full(g.n, -1))
         with pytest.raises(ValueError, match="no labeled"):
             train_linear_sgc(g, PolynomialFilter((1.0,)), feats, none,
                              TrainConfig())
@@ -136,7 +136,7 @@ class TestPredictions:
         rng = np.random.default_rng(0)
         mask = rng.random(90) < 0.3
         mask[:3] = True  # keep every class represented
-        train_labels = LabelData(3, np.where(mask, sample.labels.labels, -1), mask=mask)
+        train_labels = LabelData(3, np.where(mask, sample.labels.labels, -1))
         spec = FilterSpec("sgc", 2)
         cfg = TrainConfig(learning_rate=0.5, epochs=300, seed=0)
         model = train_linear_sgc(sample.graph, spec, sample.X, train_labels, cfg)
