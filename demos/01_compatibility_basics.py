@@ -7,7 +7,7 @@ mass while the class-0 pair keeps two thirds each.
 """
 
 from topoinf import (FilterSpec, Graph, LabelData, PolynomialFilter,
-                     compatibility, normalized_adjacency, soft_labels)
+                     compatibility, normalized_adjacency)
 
 g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 labels = LabelData(2, [0, 0, 1])
@@ -17,12 +17,11 @@ adj = normalized_adjacency(g)
 print("normalized adjacency (every entry 1/3 on a triangle):")
 print(adj.matrix.toarray())
 
-lbar = soft_labels(walk, adj, labels)
+report = compatibility(g, walk, labels, lam=0.0)
 print("\nfiltered label distributions:")
 for v in range(3):
-    print(f"  node {v} (class {labels.labels[v]}): {lbar.values[v]}")
+    print(f"  node {v} (class {labels.labels[v]}): {report.lbar.values[v]}")
 
-report = compatibility(g, walk, labels, lam=0.0)
 print(f"\nC at lambda=0:   {report.C:.6f}   (per-node I: {report.per_node_I})")
 
 report_reg = compatibility(g, walk, labels, lam=0.1)

@@ -9,7 +9,7 @@ sampler.
 
 __version__ = "0.1.0"
 
-from .compat import CompatReport, compatibility, node_influence, node_regularizer
+from .compat import CompatReport, compatibility
 from .csbm import (
     CsbmParams,
     CsbmSample,
@@ -26,7 +26,6 @@ from .filters import (
     apply_filter,
     as_filter,
     expand_preset,
-    soft_labels,
 )
 from .graphs import (
     Graph,

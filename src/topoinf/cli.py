@@ -2,10 +2,11 @@
 
 Subcommands: analyze, score, rewire, dropedge, gen-csbm, pseudo, verify.
 Exit codes: 0 success, 1 internal error, 2 input validation. Every run
-computes its outputs fully before writing any file, so no partial artifacts
-are left behind. Data outputs are deterministic for a fixed seed; the run
-manifest (which carries a wall-clock timestamp) goes to a `.manifest.json`
-sidecar, or to stderr when the primary output goes to stdout.
+computes its outputs fully before writing any file, and writes all of them or
+none, so no partial artifacts are left behind. Data outputs are deterministic
+for a fixed seed; the run manifest (which carries a wall-clock timestamp) goes
+to a `.manifest.json` sidecar, or to stderr when the primary output goes to
+stdout.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -69,12 +71,21 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _floats(flag: str, text: str) -> tuple:
+    """The comma-separated finite numbers given to `flag`."""
+    try:
+        values = tuple(float(x) for x in text.split(","))
+        if all(math.isfinite(x) for x in values):
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} {text}: expected comma-separated finite numbers")
+
+
 def _filter_spec(args) -> FilterSpec:
     if not 1 <= args.k <= MAX_ORDER:
         raise ValueError(f"--k {args.k}: the filter order must lie in [1, {MAX_ORDER}]")
-    gamma = None
-    if args.gamma:
-        gamma = tuple(float(x) for x in args.gamma.split(","))
+    gamma = _floats("--gamma", args.gamma) if args.gamma else None
     return FilterSpec(args.model, args.k, alpha=args.alpha, gamma=gamma)
 
 
@@ -115,10 +126,14 @@ def _load_target(args, n):
         try:
             ids.append(int(line.split()[0]))
         except ValueError:
-            raise GraphFormatError(f"target file line {ln}: not a node id") from None
+            raise GraphFormatError(
+                f"--target {args.target} line {ln}: not a node id") from None
     if not ids:
         raise ValueError(f"--target {args.target}: no node ids")
-    return node_set(ids, n)
+    try:
+        return node_set(ids, n)
+    except ValueError as exc:
+        raise ValueError(f"--target {args.target}: {exc}") from None
 
 
 def _manifest(args, command: str, inputs: dict, seed=None) -> dict:
@@ -136,15 +151,32 @@ def _manifest(args, command: str, inputs: dict, seed=None) -> dict:
 
 def _emit(outputs: dict, manifest: dict, manifest_base: str | None,
           stdout_text: str | None = None):
-    """Write all outputs at once (everything is already computed)."""
-    for path, text in outputs.items():
-        Path(path).write_text(text)
+    """Write every output, the manifest sidecar included, or none of them.
+
+    Each file is first written next to its destination under a temporary
+    name, and the files are moved into place only once all are written; a
+    destination that is a directory fails before anything is written."""
+    files = {Path(path): text for path, text in outputs.items()}
+    if stdout_text is None and manifest_base is not None:
+        files[Path(manifest_base + ".manifest.json")] = json.dumps(manifest, indent=2) + "\n"
+    for path in files:
+        if path.is_dir():
+            raise ValueError(f"{path}: is a directory")
+    staged = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    try:
+        for path, tmp in staged.items():
+            try:
+                tmp.write_text(files[path])
+            except OSError as exc:
+                raise ValueError(f"{path}: cannot write: {exc.strerror}") from None
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
     if stdout_text is not None:
         sys.stdout.write(stdout_text)
         sys.stderr.write(json.dumps(manifest) + "\n")
-    elif manifest_base is not None:
-        Path(manifest_base + ".manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------- analyze
@@ -323,7 +355,7 @@ def cmd_gen_csbm(args) -> int:
             if getattr(args, name) is not None:
                 raise ValueError(f"--{name.replace('_', '-')}: --preset cora-like "
                                  "fixes it; drop the flag or the preset")
-        mix = tuple(float(x) for x in args.mix.split(","))
+        mix = _floats("--mix", args.mix)
         if len(mix) != 2:
             raise ValueError("--mix must be 'intra,inter'")
         params = cora_like_params(mix=mix, sigma=args.sigma, seed=args.seed)
@@ -365,9 +397,10 @@ def cmd_gen_csbm(args) -> int:
 
 def cmd_pseudo(args) -> int:
     g, labels, gp, lp = _load_graph_labels(args)
-    if labels is None:
-        raise ValueError("--labels is required")
-    features = np.loadtxt(args.features, ndmin=2)
+    try:
+        features = np.loadtxt(args.features, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"--features {args.features}: {exc}") from None
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise ValueError(f"--features {args.features}: row {bad[0]} (node {bad[0]}) "

@@ -1,8 +1,10 @@
 """Compatibility between a graph's topology and a node-classification task.
 
-Per node v with hard label c_v, the influence term is the filtered label mass
-the topology leaves on the correct class, I(v) = Lbar[v, c_v], and the
-regularizer is the reciprocal degree R(v) = 1/d_v (degree without self-loop).
+Per node v with label row y_v (one-hot for a hard label c_v, or v's soft
+label row), the influence term is the filtered label mass the topology leaves
+on v's label, I(v) = <y_v, Lbar_v>, which is Lbar[v, c_v] for a hard label.
+The regularizer is the reciprocal degree R(v) = 1/d_v (degree without
+self-loop).
 The aggregate over a target node set is C = sum_v I(v) - lambda * R(v).
 
 Isolated nodes have R = +inf. When lambda > 0 that sentinel propagates to
@@ -17,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import SoftLabelMatrix, as_filter, soft_labels
+from .filters import SoftLabelMatrix, as_filter, row_normalized_filter
 from .graphs import Graph, LabelData, node_set, normalized_adjacency
 
-__all__ = ["CompatReport", "node_influence", "node_regularizer", "compatibility",
-           "check_scoring_inputs"]
+__all__ = ["CompatReport", "compatibility", "check_scoring_inputs"]
 
 INF = float("inf")
 
@@ -68,44 +69,27 @@ class CompatReport:
         return {"lambda": enc(self.lam), "C": enc(self.C), "nodes": nodes}
 
 
-def node_influence(lbar, labels: LabelData, v: int) -> float:
-    """Filtered label mass on node v's own class, Lbar[v, c_v]."""
-    if not labels.mask[v]:
-        raise ValueError(f"node {v} has no hard label; supply pseudo labels first")
-    if v in lbar.nonnormalizable:
-        raise ValueError(f"node {v} has a non-normalizable filter row")
-    return float(lbar.values[v, labels.labels[v]])
-
-
-def node_regularizer(g: Graph, v: int) -> float:
-    """Reciprocal degree 1/d_v; +inf for isolated nodes."""
-    d = g.degree(v)
-    return INF if d == 0 else 1.0 / d
-
-
 def compatibility(g: Graph, spec, labels: LabelData, target=None,
                   lam: float = 0.0) -> CompatReport:
     """Aggregate compatibility over a target node set.
 
-    `spec` is a FilterSpec or an already-expanded PolynomialFilter. When
-    `labels` carry soft labels, the per-node term is the inner product of the
-    soft label row with the filtered distribution instead of the hard-label
-    entry (soft influence, an extension).
+    `spec` is a FilterSpec or an already-expanded PolynomialFilter. The
+    per-node term is the inner product of each target's label row with its
+    filtered distribution: the hard-label entry for one-hot rows, or soft
+    influence (an extension) when `labels` carry soft labels.
     """
     target = check_scoring_inputs(g, labels, target, lam)
     pf = as_filter(spec)
     adj = normalized_adjacency(g)
-    lbar = soft_labels(pf, adj, labels)
+    rows = labels.dense_rows()
+    lbar = row_normalized_filter(pf, adj, rows)
     bad = np.intersect1d(lbar.nonnormalizable, target)
     if bad.size:
         raise ValueError(
             f"non-normalizable filter rows for target nodes {bad[:5].tolist()} "
             "(row sum <= tolerance; negative coefficients?)")
 
-    if labels.soft is not None:
-        per_i = np.einsum("ij,ij->i", labels.soft[target], lbar.values[target])
-    else:
-        per_i = lbar.values[target, labels.labels[target]].astype(np.float64)
+    per_i = np.einsum("ij,ij->i", rows[target], lbar.values[target])
     deg = g.degrees[target].astype(np.float64)
     per_r = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), INF)
     isolated = target[deg == 0]

@@ -99,7 +99,6 @@ class CsbmSample:
     mu: np.ndarray        # c x d community centers
     F: np.ndarray         # n x d, row v equals its community center
     X: np.ndarray         # F + noise
-    params: CsbmParams
 
 
 def _community_centers(params: CsbmParams, rng) -> np.ndarray:
@@ -144,7 +143,7 @@ def generate_csbm(params: CsbmParams) -> CsbmSample:
     X = F + params.sigma * noise
 
     labels = LabelData(c, communities)
-    return CsbmSample(graph=graph, labels=labels, mu=mu, F=F, X=X, params=params)
+    return CsbmSample(graph=graph, labels=labels, mu=mu, F=F, X=X)
 
 
 def cora_like_params(mix=(0.9, 0.1), sigma: float = 1.0, seed: int = 0) -> CsbmParams:
@@ -170,9 +169,8 @@ class ContractionReport:
 
     before: np.ndarray
     after: np.ndarray
-    violations: np.ndarray     # node ids where after > before + tol
+    violations: np.ndarray     # node ids where after > before + 1e-9
     vacuous: bool = False
-    tol: float = 1e-9
 
     @property
     def ok(self) -> bool:
@@ -212,9 +210,8 @@ def check_distance_contraction(sample: CsbmSample, pf) -> ContractionReport:
 
     before = farthest(sample.F)
     after = farthest(filtered)
-    tol = 1e-9
-    violations = np.flatnonzero(after > before + tol)
-    return ContractionReport(before=before, after=after, violations=violations, tol=tol)
+    violations = np.flatnonzero(after > before + 1e-9)
+    return ContractionReport(before=before, after=after, violations=violations)
 
 
 @dataclass
@@ -241,12 +238,11 @@ class VarianceReport:
         return self.deterministic_ok and self.empirical_ok
 
 
-def check_variance_reduction(params: CsbmParams, pf, trials: int,
-                             seed: int | None = None) -> VarianceReport:
+def check_variance_reduction(params: CsbmParams, pf, trials: int) -> VarianceReport:
     """Checks that filtering cannot inflate noise: the row-normalized
     operator has squared Frobenius norm at most n, and over fresh noise draws
-    the mean filtered noise energy stays below the raw energy (up to
-    3/sqrt(trials) Monte Carlo slack)."""
+    seeded with params.seed + 1 the mean filtered noise energy stays below
+    the raw energy (up to 3/sqrt(trials) Monte Carlo slack)."""
     pf = _require_low_pass(pf)
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -257,7 +253,7 @@ def check_variance_reduction(params: CsbmParams, pf, trials: int,
     operator = row_normalized_filter(pf, adj, np.eye(n)).values
     frob_sq = float(np.sum(operator ** 2))
 
-    rng = np.random.default_rng(params.seed + 1 if seed is None else seed)
+    rng = np.random.default_rng(params.seed + 1)
     before = np.empty(trials)
     after = np.empty(trials)
     for t in range(trials):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import LabelData, NormalizedAdjacency
+from .graphs import NormalizedAdjacency
 
 __all__ = [
     "PRESETS",
@@ -32,7 +32,6 @@ __all__ = [
     "as_filter",
     "apply_filter",
     "row_normalized_filter",
-    "soft_labels",
     "ROW_SUM_TOL",
     "MAX_ORDER",
 ]
@@ -159,12 +158,7 @@ class SoftLabelMatrix:
     """
 
     values: np.ndarray
-    row_sums: np.ndarray
     nonnormalizable: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 def row_normalized_filter(pf, adj: NormalizedAdjacency, m: np.ndarray) -> SoftLabelMatrix:
@@ -176,17 +170,11 @@ def row_normalized_filter(pf, adj: NormalizedAdjacency, m: np.ndarray) -> SoftLa
     """
     stacked = np.hstack([m, np.ones((m.shape[0], 1))])
     filt = apply_filter(pf, adj, stacked)
-    sums = filt[:, -1].copy()
+    sums = filt[:, -1]
     values = filt[:, :-1]
     bad = np.flatnonzero(sums <= ROW_SUM_TOL)
     ok = sums > ROW_SUM_TOL
     values[ok] /= sums[ok, None]
     if bad.size:
         values[bad] = np.nan
-    return SoftLabelMatrix(values=values, row_sums=sums, nonnormalizable=bad)
-
-
-def soft_labels(pf, adj: NormalizedAdjacency, labels: LabelData) -> SoftLabelMatrix:
-    """Filtered, row-normalized label distributions: `row_normalized_filter`
-    of `labels.dense_rows()`, the soft labels when present, else one-hot."""
-    return row_normalized_filter(pf, adj, labels.dense_rows())
+    return SoftLabelMatrix(values=values, nonnormalizable=bad)

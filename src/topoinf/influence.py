@@ -180,15 +180,15 @@ DENSE_FILL = 0.05
 class DeltaWorkspace:
     """Precomputed state for scoring single-edge removals on one graph.
 
-    Holds P_k = A_hat^k [L | 1] for k <= K, the filtered baseline U with its
-    row sums, and the baseline per-node influences. `score_edges` scores edges
-    in batches sized by BATCH_BYTES and `score(e)` is a batch of one; a score
-    is bitwise the same whichever batch, and whichever level format, computes
-    it.
+    Holds P_k = A_hat^k [L | 1] for k <= K and, on the target rows, the
+    filtered baseline's row sums, label mass and per-node influences.
+    `score_edges` scores edges in batches sized by BATCH_BYTES and `score(e)`
+    is a batch of one; a score is bitwise the same whichever batch, and
+    whichever level format, computes it.
     """
 
     __slots__ = ("g", "adj", "pf", "labels", "lam", "target", "target_mask",
-                 "target_pos", "weights", "P", "U", "base_sums", "base_num", "base_I")
+                 "target_pos", "weights", "P", "base_sums", "base_num", "base_I")
 
     def __init__(self, g, adj, pf, labels, lam, target, weights, P, U):
         self.g = g
@@ -201,15 +201,13 @@ class DeltaWorkspace:
         self.target_pos = np.cumsum(self.target_mask) - 1  # row -> target index
         self.weights = weights
         self.P = P
-        self.U = U
+        U = U[target]
         self.base_sums = U[:, -1].copy()
-        self.base_num = np.einsum("ij,ij->i", weights, U[:, :-1])
-        bad = np.intersect1d(np.flatnonzero(self.base_sums <= ROW_SUM_TOL), target)
+        self.base_num = np.einsum("ij,ij->i", weights[target], U[:, :-1])
+        bad = target[self.base_sums <= ROW_SUM_TOL]
         if bad.size:
             raise ValueError(f"non-normalizable filter rows for nodes {bad[:5].tolist()}")
-        self.base_I = np.full(g.n, np.nan)
-        ok = self.base_sums > ROW_SUM_TOL
-        self.base_I[ok] = self.base_num[ok] / self.base_sums[ok]
+        self.base_I = self.base_num / self.base_sums
 
     @classmethod
     def build(cls, g: Graph, spec, labels: LabelData, target=None,
@@ -358,6 +356,8 @@ class DeltaWorkspace:
         # all target rows: either way its score depends on the edge alone
         size = levels.size
         soft = None if self.labels.soft is None else self.weights[self.target]
+        # hard labels gather the class entry: bitwise the one-hot inner
+        # product, and faster than it
         cls = self.labels.labels[self.target]
 
         def soft_weight(vals, er):
@@ -367,12 +367,9 @@ class DeltaWorkspace:
                 out = out + vals[q] * soft[er, q]
             return out
 
-        base_num, base_sums, base_I = (a[self.target] for a in
-                                       (self.base_num, self.base_sums, self.base_I))
-
         def changes(owner, er, num, sums):
             """Influence changes of target rows `er` (indices or a slice)."""
-            sums = base_sums[er] + sums
+            sums = self.base_sums[er] + sums
             low = sums <= ROW_SUM_TOL
             if low.any():
                 b = np.broadcast_to(owner, low.shape)[low].min()
@@ -380,7 +377,7 @@ class DeltaWorkspace:
                 raise ValueError(
                     f"removing edge ({i[b]}, {j[b]}) makes filter rows "
                     f"non-normalizable for nodes {bad[:5].tolist()}")
-            return (base_num[er] + num) / sums - base_I[er]
+            return (self.base_num[er] + num) / sums - self.base_I[er]
 
         # each edge sums its ball's target rows in ascending order
         totals, affected = np.zeros(nb), np.zeros(nb, dtype=np.int64)
@@ -595,7 +592,6 @@ class ScoreReport:
     negative: np.ndarray
     zero: np.ndarray
     excluded: np.ndarray
-    metadata: dict
 
     def ranked(self) -> list:
         return [self.scores[e] for e in self.ranking]
@@ -619,26 +615,21 @@ def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float =
     pf = as_filter(spec)
     if mode == "incremental":
         ws = DeltaWorkspace.build(g, pf, labels, target, lam)
-        target_size = ws.target.size
         scores = ws.score_edges(np.arange(g.edge_count))
     else:
         base = compatibility(g, pf, labels, target, lam)
-        target_size = base.target.size
         scores = [removal_step(g, pf, labels, base, e)[0]
                   for e in range(g.edge_count)]
     ranking = sorted(range(g.edge_count), key=lambda e: (-scores[e].value, e))
     by_sign = {"positive": [], "negative": [], "zero": [], "excluded": []}
     for s in scores:
         by_sign[s.sign].append(s.edge)
-    metadata = {"filter": list(pf.gamma), "lambda": lam, "mode": mode,
-                "target_size": int(target_size)}
     return ScoreReport(
         scores=scores, ranking=ranking,
         positive=np.asarray(by_sign["positive"], dtype=np.int64),
         negative=np.asarray(by_sign["negative"], dtype=np.int64),
         zero=np.asarray(by_sign["zero"], dtype=np.int64),
-        excluded=np.asarray(by_sign["excluded"], dtype=np.int64),
-        metadata=metadata)
+        excluded=np.asarray(by_sign["excluded"], dtype=np.int64))
 
 
 @dataclass(frozen=True)

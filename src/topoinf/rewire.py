@@ -112,7 +112,6 @@ class DropEdgeDistribution:
     edges: np.ndarray            # (m, 2) endpoint pairs
     values: np.ndarray           # scores in edge order (-inf for excluded)
     probabilities: np.ndarray    # sums to 1; excluded edges get exactly 0
-    tau: float
 
     def __len__(self):
         return self.edges.shape[0]
@@ -146,7 +145,7 @@ def dropedge_weights(report, tau: float) -> DropEdgeDistribution:
     w[finite] = np.exp((values[finite] - shift) / tau)
     probs = w / w.sum()
     edges = np.asarray([(s.u, s.v) for s in report.scores], dtype=np.int64)
-    return DropEdgeDistribution(edges=edges, values=values, probabilities=probs, tau=tau)
+    return DropEdgeDistribution(edges=edges, values=values, probabilities=probs)
 
 
 def sample_dropedge(dist: DropEdgeDistribution, drop_fraction: float, seed: int) -> np.ndarray:

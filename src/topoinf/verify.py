@@ -12,6 +12,8 @@ a form both the command line (`topoinf verify`) and the test suite execute:
   inflate noise energy.
 * gradients: the analytic gradient of the pseudo-label trainer must match
   central finite differences.
+
+Each suite runs one fixed shape, or a smaller one when `quick` is set.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class EdgeCheck:
 
 
 def check_edge_scores(g: Graph, labels: LabelData, spec, lam: float = 0.0,
-                      target=None, tol: float = ORACLE_TOL) -> EdgeCheck:
+                      target=None) -> EdgeCheck:
     """Compare incremental vs full-recompute scores, and the locality of the
     recomputed changes, for every edge of g."""
     pf = as_filter(spec)
@@ -86,7 +88,7 @@ def check_edge_scores(g: Graph, labels: LabelData, spec, lam: float = 0.0,
         # against a finite value by inf
         d = 0.0 if inc.value == oracle.value else abs(inc.value - oracle.value)
         out.max_abs_diff = max(out.max_abs_diff, d)
-        out.mismatches += int(d > tol)
+        out.mismatches += int(d > ORACLE_TOL)
 
         # a non-normalizable (NaN) row that stays NaN has not changed
         a, b = new.lbar.values, base.lbar.values
@@ -97,29 +99,21 @@ def check_edge_scores(g: Graph, labels: LabelData, spec, lam: float = 0.0,
     return out
 
 
-def _sweep_cases(sizes, graphs, seed0):
-    degrees = (4, 6, 8, 10)
-    for idx in range(graphs):
-        n = sizes[idx % len(sizes)]
-        mean_deg = degrees[idx % len(degrees)]
-        yield idx, n, mean_deg, seed0 + idx
-
-
-def run_oracle_suite(graphs: int = 20, sizes=(20, 50, 100, 200), ks=(1, 2, 3),
-                     presets=("sgc", "s2gc", "appnp", "gcn", "gcnii", "gprgnn"),
-                     classes: int = 4, seed0: int = 1000, lam: float = 0.0,
-                     tol: float = ORACLE_TOL, quick: bool = False) -> SuiteResult:
+def run_oracle_suite(quick: bool = False) -> SuiteResult:
+    graphs, sizes, ks = 20, (20, 50, 100, 200), (1, 2, 3)
+    presets = ("sgc", "s2gc", "appnp", "gcn", "gcnii", "gprgnn")
     if quick:
         graphs, sizes, ks = 4, (20, 50), (1, 2)
         presets = ("sgc", "appnp", "gprgnn")
     total = EdgeCheck()
     redraws = 0
-    rng = np.random.default_rng(seed0 + 7)
-    for idx, n, mean_deg, seed in _sweep_cases(sizes, graphs, seed0):
-        g, labels = random_labeled_graph(n, mean_deg, classes, seed)
+    rng = np.random.default_rng(1007)
+    for idx in range(graphs):
+        n, mean_deg = sizes[idx % len(sizes)], (4, 6, 8, 10)[idx % 4]
+        g, labels = random_labeled_graph(n, mean_deg, 4, 1000 + idx)
         for preset in presets:
             for k in ks:
-                if preset in ("gprgnn",):
+                if preset == "gprgnn":
                     gamma = tuple(np.round(rng.uniform(-0.3, 1.0, size=k + 1), 3))
                     if all(x == 0 for x in gamma):
                         gamma = gamma[:-1] + (1.0,)
@@ -127,14 +121,14 @@ def run_oracle_suite(graphs: int = 20, sizes=(20, 50, 100, 200), ks=(1, 2, 3),
                 else:
                     spec = FilterSpec(preset, k, alpha=0.1)
                 try:
-                    res = check_edge_scores(g, labels, spec, lam=lam, tol=tol)
+                    res = check_edge_scores(g, labels, spec)
                 except ValueError:
                     # negative learned coefficients can make rows non-normalizable;
                     # retry with a tamer draw
                     redraws += 1
                     spec = FilterSpec("gprgnn", k,
                                       gamma=tuple(np.round(rng.uniform(0.1, 1.0, size=k + 1), 3)))
-                    res = check_edge_scores(g, labels, spec, lam=lam, tol=tol)
+                    res = check_edge_scores(g, labels, spec)
                 total.edges += res.edges
                 total.max_abs_diff = max(total.max_abs_diff, res.max_abs_diff)
                 total.mismatches += res.mismatches
@@ -145,18 +139,15 @@ def run_oracle_suite(graphs: int = 20, sizes=(20, 50, 100, 200), ks=(1, 2, 3),
         passed=passed,
         lines=[
             f"edge removals checked: {total.edges}",
-            f"max |incremental - exact|: {total.max_abs_diff:.3e} (tol {tol:.0e})",
+            f"max |incremental - exact|: {total.max_abs_diff:.3e} (tol {ORACLE_TOL:.0e})",
             f"mismatches: {total.mismatches}",
             f"gprgnn redraws (non-normalizable rows): {redraws}",
             f"locality violations: {total.locality_violations}",
         ])
 
 
-def run_theorem2_suite(samples: int = 10, n: int = 60, c: int = 3, p: float = 0.5,
-                       q: float = 0.1, trials: int = 200, seed0: int = 0,
-                       quick: bool = False) -> SuiteResult:
-    if quick:
-        samples, trials = 3, 50
+def run_theorem2_suite(quick: bool = False) -> SuiteResult:
+    samples, trials = (3, 50) if quick else (10, 200)
     filters = [FilterSpec("sgc", 2), FilterSpec("appnp", 2, alpha=0.1),
                FilterSpec("s2gc", 2, alpha=0.1)]
     contraction_violations = 0
@@ -164,7 +155,7 @@ def run_theorem2_suite(samples: int = 10, n: int = 60, c: int = 3, p: float = 0.
     variance_failures = 0
     checks = 0
     for s in range(samples):
-        params = CsbmParams(n=n, c=c, p=p, q=q, d=8, sigma=1.0, seed=seed0 + s)
+        params = CsbmParams(n=60, c=3, p=0.5, q=0.1, d=8, sigma=1.0, seed=s)
         sample = generate_csbm(params)
         for spec in filters:
             rep = check_distance_contraction(sample, spec)
@@ -185,14 +176,12 @@ def run_theorem2_suite(samples: int = 10, n: int = 60, c: int = 3, p: float = 0.
         ])
 
 
-def run_gradient_suite(instances: int = 10, seed0: int = 42,
-                       tol: float = GRADIENT_TOL, quick: bool = False) -> SuiteResult:
-    if quick:
-        instances = 3
+def run_gradient_suite(quick: bool = False) -> SuiteResult:
+    instances = 3 if quick else 10
     worst = 0.0
     failures = 0
     for s in range(instances):
-        rng = np.random.default_rng(seed0 + s)
+        rng = np.random.default_rng(42 + s)
         m, d, c = 12, 5, 3
         feats = rng.normal(size=(m, d))
         y = rng.integers(0, c, size=m)
@@ -202,14 +191,14 @@ def run_gradient_suite(instances: int = 10, seed0: int = 42,
         _, grad_w, grad_b = loss_and_gradients(weights, bias.copy(), feats, y, l2)
         err = _fd_relative_error(weights, bias, feats, y, l2, grad_w, grad_b)
         worst = max(worst, err)
-        if err > tol:
+        if err > GRADIENT_TOL:
             failures += 1
     return SuiteResult(
         name="trainer gradients vs finite differences",
         passed=failures == 0,
         lines=[
             f"instances: {instances}",
-            f"worst relative error: {worst:.3e} (tol {tol:.0e})",
+            f"worst relative error: {worst:.3e} (tol {GRADIENT_TOL:.0e})",
         ])
 
 

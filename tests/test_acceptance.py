@@ -43,12 +43,13 @@ def _report(num, ok, detail):
 def oracle_sweep():
     """Criteria 1 and 2 share one sweep over 20 seeded random graphs,
     all six presets, K in {1, 2, 3}."""
-    return run_oracle_suite(graphs=20, sizes=(20, 50, 100, 200), ks=(1, 2, 3))
+    return run_oracle_suite()
 
 
 def test_criterion_1_oracle_equivalence(oracle_sweep):
-    detail = "; ".join(oracle_sweep.lines[:3])
-    _report(1, "mismatches: 0" in oracle_sweep.lines, detail)
+    ok = ("edge removals checked: 141642" in oracle_sweep.lines
+          and "mismatches: 0" in oracle_sweep.lines)
+    _report(1, ok, "; ".join(oracle_sweep.lines[:3]))
 
 
 def test_criterion_2_locality(oracle_sweep):
@@ -83,8 +84,9 @@ def test_criterion_3_triangle_fixture():
 
 
 def test_criterion_4_low_pass_properties():
-    res = run_theorem2_suite(samples=10, n=60, c=3, p=0.5, q=0.1, trials=200)
-    _report(4, res.passed, "; ".join(res.lines))
+    res = run_theorem2_suite()
+    ok = res.passed and "sample/filter combinations: 30" in res.lines
+    _report(4, ok, "; ".join(res.lines))
 
 
 def test_criterion_5_directional_behavior():
@@ -115,7 +117,7 @@ def test_criterion_5_directional_behavior():
 
 
 def test_criterion_6_gradient_check():
-    res = run_gradient_suite(instances=10)
+    res = run_gradient_suite()
     _report(6, res.passed, "; ".join(res.lines))
 
 

@@ -298,6 +298,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "[PASS]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suite, line", [
+        ("oracle", "mismatches: 0"),
+        ("theorem2", "distance-contraction violations: 0"),
+    ])
+    def test_quick_suites_pass(self, capsys, suite, line):
+        code = run(["verify", "--suite", suite, "--quick"])
+        assert code == 0
+        assert f"  {line}\n" in capsys.readouterr().out
+
 
 class TestLambdaRequiredForRewiring:
     def test_rewire_topoinf_needs_lambda(self, fixture_files, tmp_path):
@@ -362,6 +371,7 @@ def test_dropedge_parameters_checked_before_scoring(fixture_files, capsys, monke
 FEATURES = "1 0\n0 1\n1 1\n"
 PSEUDO = ["pseudo", "--features", "{tmp}/g.input", "--output-prefix", "{tmp}/out"]
 SCORE = ["score", "--output", "{tmp}/out.tsv"]
+ANALYZE = ["analyze", "--output", "{tmp}/out.json"]
 SOFT = ["analyze", "--soft-labels", "{tmp}/g.input", "--output", "{tmp}/out.json"]
 GEN = ["gen-csbm", "--n", "10", "--classes", "2", "--p", "0.5", "--q", "0.1", "--dim", "2",
        "--output-prefix", "{tmp}/out"]
@@ -402,6 +412,14 @@ BAD_RATIO = [
 @pytest.mark.parametrize("graph_text, input_text, argv, name", [
     pytest.param(TRIANGLE, "1 0\nnan 1\n1 1\n", PSEUDO, "--features", id="nan-feature"),
     pytest.param(TRIANGLE, "1 0\n0 1\n1 inf\n", PSEUDO, "--features", id="inf-feature"),
+    pytest.param(TRIANGLE, "1 0\n0 x\n1 1\n", PSEUDO, "--features",
+                 id="non-numeric-feature"),
+    pytest.param(TRIANGLE, FEATURES, ANALYZE + ["--model", "custom", "--k", "1",
+                                                "--gamma", "a,b"], "--gamma",
+                 id="non-numeric-gamma"),
+    pytest.param(TRIANGLE, "7\n", ANALYZE + ["--target", "{tmp}/g.input"], "--target",
+                 id="out-of-range-target"),
+    pytest.param(TRIANGLE, FEATURES, PRESET + ["--mix", "1,nan"], "--mix", id="nan-mix"),
     pytest.param(TRIANGLE, FEATURES, PSEUDO + ["--lr", "1e6"], "--lr", id="diverging-lr",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     pytest.param(f"# nodes={MAX_NODES + 1}\n0 1\n", FEATURES, SCORE, "nodes=",
@@ -466,6 +484,22 @@ class TestValidationBeforeWrite:
                     "--output", out])
         assert code == 2
         assert not out.exists()
+
+    def test_directory_destination_writes_nothing(self, fixture_files):
+        graph, _, tmp = fixture_files
+        (tmp / "adir").mkdir()
+        code = run(["rewire", "--graph", graph, "--strategy", "random", "--ratio", "0.5",
+                    "--output", tmp / "r.edges", "--trace", tmp / "adir"])
+        assert code == 2
+        assert sorted(p.name for p in tmp.iterdir()) == ["adir", "g.edges", "g.labels"]
+        assert not list((tmp / "adir").iterdir())
+
+    def test_unwritable_destination_writes_nothing(self, fixture_files):
+        graph, labels, tmp = fixture_files
+        code = run(["score", "--graph", graph, "--labels", labels,
+                    "--json", tmp / "s.json", "--output", tmp / "absent" / "s.tsv"])
+        assert code == 2
+        assert sorted(p.name for p in tmp.iterdir()) == ["g.edges", "g.labels"]
 
 
 def test_version_flag(capsys):

@@ -10,10 +10,6 @@ from topoinf import (
     LabelData,
     PolynomialFilter,
     compatibility,
-    node_influence,
-    node_regularizer,
-    normalized_adjacency,
-    soft_labels,
 )
 
 from dense_oracle import dense_compat
@@ -23,27 +19,23 @@ INF = float("inf")
 
 class TestNodeTerms:
     def test_influence_on_triangle(self, triangle, triangle_labels, walk_filter):
-        lbar = soft_labels(walk_filter, normalized_adjacency(triangle), triangle_labels)
-        assert node_influence(lbar, triangle_labels, 0) == pytest.approx(2 / 3, abs=1e-12)
-        assert node_influence(lbar, triangle_labels, 2) == pytest.approx(1 / 3, abs=1e-12)
+        per_i = compatibility(triangle, walk_filter, triangle_labels).per_node_I
+        assert per_i[0] == pytest.approx(2 / 3, abs=1e-12)
+        assert per_i[2] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_influence_identity_filter(self, triangle, triangle_labels, identity_filter):
-        lbar = soft_labels(identity_filter, normalized_adjacency(triangle), triangle_labels)
+        per_i = compatibility(triangle, identity_filter, triangle_labels).per_node_I
         for v in range(3):
-            assert node_influence(lbar, triangle_labels, v) == 1.0
+            assert per_i[v] == 1.0
 
-    def test_influence_unlabeled_node(self, triangle, walk_filter):
-        labels = LabelData(2, [0, 0, -1])
-        lbar = soft_labels(walk_filter, normalized_adjacency(triangle),
-                           LabelData(2, [0, 0, 1]))
-        with pytest.raises(ValueError, match="pseudo"):
-            node_influence(lbar, labels, 2)
+    def test_regularizer(self, triangle, triangle_labels, path4, identity_filter):
+        def per_r(g, labels):
+            return compatibility(g, identity_filter, labels).per_node_R
 
-    def test_regularizer(self, triangle, path4):
-        assert node_regularizer(triangle, 0) == 0.5
-        assert node_regularizer(path4, 0) == 1.0
+        assert per_r(triangle, triangle_labels)[0] == 0.5
+        assert per_r(path4, LabelData(2, [0, 0, 1, 1]))[0] == 1.0
         isolated = Graph.from_edges(2, [(0, 1)]).remove_edge(0)
-        assert node_regularizer(isolated, 0) == INF
+        assert per_r(isolated, LabelData(2, [0, 1]))[0] == INF
 
 
 class TestCompatibility:

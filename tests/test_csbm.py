@@ -131,7 +131,7 @@ class TestDistanceContraction:
         mono = CsbmSample(graph=base.graph,
                           labels=LabelData(2, np.zeros(6, dtype=np.int64)),
                           mu=base.mu, F=base.mu[np.zeros(6, dtype=int)],
-                          X=base.X, params=params)
+                          X=base.X)
         rep = check_distance_contraction(mono, FilterSpec("sgc", 2))
         assert rep.vacuous and rep.ok
 

@@ -11,10 +11,9 @@ from topoinf import (
     apply_filter,
     expand_preset,
     normalized_adjacency,
-    soft_labels,
 )
 
-from topoinf.filters import MAX_ORDER
+from topoinf.filters import MAX_ORDER, row_normalized_filter
 
 from dense_oracle import dense_rownorm_filter, dense_soft_labels
 
@@ -130,17 +129,19 @@ class TestApplyFilter:
 class TestSoftLabels:
     def test_triangle_rows(self, triangle, triangle_labels, walk_filter):
         adj = normalized_adjacency(triangle)
-        lbar = soft_labels(walk_filter, adj, triangle_labels)
+        lbar = row_normalized_filter(walk_filter, adj, triangle_labels.dense_rows())
         assert np.allclose(lbar.values, [[2 / 3, 1 / 3]] * 3)
         assert lbar.nonnormalizable.size == 0
 
     def test_same_class_pair_is_one_hot(self, walk_filter):
         g = Graph.from_edges(2, [(0, 1)])
-        lbar = soft_labels(walk_filter, normalized_adjacency(g), LabelData(2, [0, 0]))
+        lbar = row_normalized_filter(walk_filter, normalized_adjacency(g),
+                                     LabelData(2, [0, 0]).dense_rows())
         assert np.allclose(lbar.values, [[1.0, 0.0], [1.0, 0.0]])
 
     def test_identity_filter_returns_labels(self, triangle, triangle_labels, identity_filter):
-        lbar = soft_labels(identity_filter, normalized_adjacency(triangle), triangle_labels)
+        lbar = row_normalized_filter(identity_filter, normalized_adjacency(triangle),
+                                     triangle_labels.dense_rows())
         assert np.array_equal(lbar.values, triangle_labels.one_hot())
 
     def test_matches_dense_oracle(self):
@@ -150,7 +151,8 @@ class TestSoftLabels:
         g = Graph.from_edges(14, pairs)
         labels = LabelData(3, rng.integers(0, 3, size=14))
         gamma = (0.1, 0.3, 0.6)
-        lbar = soft_labels(PolynomialFilter(gamma), normalized_adjacency(g), labels)
+        lbar = row_normalized_filter(PolynomialFilter(gamma), normalized_adjacency(g),
+                                     labels.dense_rows())
         ref = dense_soft_labels(14, g.edges.tolist(), labels.labels.tolist(), 3, gamma)
         assert np.allclose(lbar.values, ref, atol=1e-12)
 
@@ -165,14 +167,14 @@ class TestSoftLabels:
         g = Graph.from_edges(10, pairs)
         # labels = identity: each node its own class, so values = RowNorm(f)
         labels = LabelData(10, np.arange(10))
-        lbar = soft_labels(spec, normalized_adjacency(g), labels)
+        lbar = row_normalized_filter(spec, normalized_adjacency(g), labels.dense_rows())
         assert np.allclose(lbar.values.sum(axis=1), 1.0, atol=1e-9)
 
     def test_negative_gamma_flags_rows(self):
         g = Graph.from_edges(2, [(0, 1)])
         # row sums of A_hat are exactly 1, so f = A_hat - I has zero row sums
-        lbar = soft_labels(PolynomialFilter((-1.0, 1.0)), normalized_adjacency(g),
-                           LabelData(2, [0, 1]))
+        lbar = row_normalized_filter(PolynomialFilter((-1.0, 1.0)), normalized_adjacency(g),
+                                     LabelData(2, [0, 1]).dense_rows())
         assert lbar.nonnormalizable.tolist() == [0, 1]
         assert np.isnan(lbar.values).all()
 
@@ -183,6 +185,7 @@ class TestSoftLabels:
         g = Graph.from_edges(20, pairs)
         for spec in (FilterSpec("sgc", 2), FilterSpec("appnp", 2, alpha=0.1)):
             rn = dense_rownorm_filter(expand_preset(spec).gamma, 20, g.edges.tolist())
-            lbar = soft_labels(spec, normalized_adjacency(g), LabelData(20, np.arange(20)))
+            lbar = row_normalized_filter(spec, normalized_adjacency(g),
+                                         LabelData(20, np.arange(20)).dense_rows())
             assert np.allclose(lbar.values, rn, atol=1e-12)
             assert np.sum(lbar.values ** 2) <= 20 + 1e-9

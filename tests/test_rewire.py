@@ -27,7 +27,7 @@ def _distribution(probabilities) -> DropEdgeDistribution:
     p = np.asarray(probabilities, dtype=np.float64)
     ids = np.arange(p.size, dtype=np.int64)
     return DropEdgeDistribution(edges=np.column_stack([ids, ids + 1]),
-                                values=np.zeros(p.size), probabilities=p, tau=1.0)
+                                values=np.zeros(p.size), probabilities=p)
 
 
 def _sequential_law(p, count):
