@@ -153,6 +153,8 @@ def cora_like_params(mix=(0.9, 0.1), sigma: float = 1.0, seed: int = 0) -> CsbmP
     count hits the target."""
     n, c, d, m_target = 2708, 7, 1433, 5278
     a, b = float(mix[0]), float(mix[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"mix ({a}, {b}) must be finite")
     if a <= 0 or b < 0:
         raise ValueError("mix must be positive (intra) and non-negative (inter)")
     sizes = np.full(c, n // c, dtype=np.int64)

@@ -45,6 +45,14 @@ whatever order, computes it; scores come back in the caller's order.
 Batch scoring treats every edge as a removal from the *original* graph;
 `greedy_refine` is the sequential variant that re-scores as it removes.
 
+So dense batches are also scored on every CPU in the process's affinity
+mask (`os.sched_getaffinity`; `taskset` limits it): the walked edges are cut
+into contiguous shares, one per CPU, and all but the first are scored in
+forked child processes that send their values back through pipes. Scores are
+bitwise those of one process. The split is made only when the edges left
+fill two batches per share, so sparse-regime scoring stays in one process,
+as it does where the platform has no `os.fork` or `os.sched_getaffinity`.
+
 The same locality makes greedy rescoring local. Removing (i, j) changes
 A_hat only in rows and columns i and j, so the levels A_hat^t e_a and the
 rows P_k[a] change only for a within K hops of {i, j}, and the base terms
@@ -60,6 +68,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,9 +199,10 @@ class DeltaWorkspace:
     """
 
     __slots__ = ("g", "adj", "pf", "labels", "lam", "target", "target_mask",
-                 "target_pos", "weights", "P", "base_sums", "base_num", "base_I")
+                 "target_pos", "cls", "entry", "soft", "P", "base_sums", "base_num",
+                 "base_I")
 
-    def __init__(self, g, adj, pf, labels, lam, target, weights, P, U):
+    def __init__(self, g, adj, pf, labels, lam, target, P, U):
         self.g = g
         self.adj = adj
         self.pf = pf
@@ -199,11 +211,17 @@ class DeltaWorkspace:
         self.target = target
         self.target_mask = _mask_of(target, g.n)
         self.target_pos = np.cumsum(self.target_mask) - 1  # row -> target index
-        self.weights = weights
+        # the fixed arrays of the target rows: hard labels gather the class
+        # entry (bitwise the one-hot inner product, and faster than it), at
+        # `entry` in a flattened (class, target row) array
+        self.cls = labels.labels[target]
+        self.entry = self.cls * target.size + np.arange(target.size)
+        rows = P[0, target, :-1]
+        self.soft = None if labels.soft is None else rows
         self.P = P
         U = U[target]
         self.base_sums = U[:, -1].copy()
-        self.base_num = np.einsum("ij,ij->i", weights[target], U[:, :-1])
+        self.base_num = np.einsum("ij,ij->i", rows, U[:, :-1])
         bad = target[self.base_sums <= ROW_SUM_TOL]
         if bad.size:
             raise ValueError(f"non-normalizable filter rows for nodes {bad[:5].tolist()}")
@@ -215,9 +233,7 @@ class DeltaWorkspace:
         target = check_scoring_inputs(g, labels, target, lam)
         pf = as_filter(spec)
         adj = normalized_adjacency(g)
-        rows = labels.dense_rows()
-        stacked = np.hstack([rows, np.ones((g.n, 1))])
-        weights = stacked[:, :-1].copy()
+        stacked = np.hstack([labels.dense_rows(), np.ones((g.n, 1))])
         gamma = pf.gamma
         P = np.empty((pf.order + 1,) + stacked.shape)
         P[0] = stacked
@@ -225,7 +241,7 @@ class DeltaWorkspace:
         for k in range(1, pf.order + 1):
             P[k] = adj.matrix @ P[k - 1]
             U += gamma[k] * P[k]
-        return cls(g, adj, pf, labels, lam, target, weights, P, U)
+        return cls(g, adj, pf, labels, lam, target, P, U)
 
     def score(self, e: int) -> TopoInfScore:
         """Exact score of removing edge `e`."""
@@ -237,42 +253,61 @@ class DeltaWorkspace:
         Once batches propagate dense columns, the edges left are scored in
         walk order (`_walk_order`): consecutive edges share an endpoint, so a
         batch of the same bytes holds fewer endpoint columns per edge and more
-        edges. A wide edge's changes are reduced alone, one edge at a time.
-        The scores come back in the given order, and an id given twice gets
-        its score twice."""
+        edges. The walk is cut into one contiguous share per CPU the process
+        may run on (`_in_shares`), when it fills two batches per share. A wide
+        edge's changes are reduced alone, one edge at a time. The scores come
+        back in the given order, and an id given twice gets its score twice."""
         edges = np.asarray(edges, dtype=np.int64).ravel()
         m = self.g.edge_count
         out_of_range = (edges < 0) | (edges >= m)
         if out_of_range.any():
             raise IndexError(f"edge index {edges[out_of_range][0]} out of range [0, {m})")
+        values, affected = np.empty(edges.size), np.empty(edges.size, dtype=np.int64)
         # the first batch is sized as a sparse one whose balls hold every node
-        # (six values per entry of two full columns); each later one holds
-        # the endpoint columns that the budget buys at the bytes the previous
-        # batch stored per column, and at most twice its edges, so that a
-        # batch of small balls cannot size a much larger one
+        # (six values per entry of two full columns)
         full = self._stored_bytes(1, 12 * (self.pf.order + 1) * self.g.n, 0, 1)
-        cap, budget = max(1, BATCH_BYTES // full), None
-        order = np.arange(edges.size)   # positions in `edges`, in scoring order
-        scores = [None] * edges.size
-        dense = walked = False
-        lo = 0
-        while lo < edges.size:
-            if dense and not walked:
-                # a dense column costs the full height: take the rest of the
-                # edges in walk order, so that they share columns
-                order[lo:] = lo + _walk_order(self.g.edges[edges[lo:]])
-                walked = True
+        lo, cap, budget = self._score_run(edges, np.arange(edges.size), values, affected,
+                                          max(1, BATCH_BYTES // full), None, False)
+        if lo < edges.size:
+            # a dense column costs the full height: take the rest of the edges
+            # in walk order, so that they share columns
+            rest = lo + _walk_order(self.g.edges[edges[lo:]])
+            columns = _columns_after(self.g.edges[edges[rest]])
+            per_batch = max(1, int(np.searchsorted(columns, budget, side="right")))
+            shares = np.array_split(rest, max(1, min(_workers(), rest.size // (2 * per_batch))))
+            _in_shares(lambda share: self._score_run(edges, share, values, affected,
+                                                     cap, budget, True),
+                       shares, values, affected)
+        ends = self.g.edges[edges].tolist()
+        return [TopoInfScore(edge=e, u=u, v=v, value=x, affected_nodes=a,
+                             sign=TopoInfScore.classify(x))
+                for e, (u, v), x, a in zip(edges.tolist(), ends, values.tolist(),
+                                           affected.tolist())]
+
+    def _score_run(self, edges, order, values, affected, cap, budget, walked):
+        """Score edges[order] in batches, in that order, into values[order] and
+        affected[order]; return the positions scored and the next batch's
+        edge cap and byte budget.
+
+        Each batch holds the endpoint columns that BATCH_BYTES buys at the
+        bytes the previous batch stored per column, and at most twice its
+        edges, so that a batch of small balls cannot size a much larger one.
+        Unless `walked`, the batches start sparse and the run stops after the
+        first whose level-K columns are more than DENSE_FILL full; a `walked`
+        run starts dense and takes all of `order`."""
+        dense, lo = walked, 0
+        while lo < order.size and (walked or not dense):
             ahead = order[lo:lo + cap]
             columns = _columns_after(self.g.edges[edges[ahead]])
             nb = ahead.size if budget is None else \
                 max(1, int(np.searchsorted(columns, budget, side="right")))
-            batch_scores, stored, fill = self._score_batch(edges[ahead[:nb]], dense)
-            for k, s in zip(ahead[:nb].tolist(), batch_scores):
-                scores[k] = s
+            batch = ahead[:nb]
+            values[batch], affected[batch], stored, fill = \
+                self._score_batch(edges[batch], dense)
             cap, budget = 2 * nb, BATCH_BYTES * int(columns[nb - 1]) // stored
             dense = bool(fill > DENSE_FILL)
             lo += nb
-        return scores
+        return lo, cap, budget
 
     def _stored_bytes(self, nb, level_values, pairs, wide) -> int:
         """Bytes a batch of `nb` edges stores: its levels; per edge its
@@ -285,7 +320,7 @@ class DeltaWorkspace:
         still charged: sized by the larger of the two phases alone, sgc K=2
         batches on the cora-like input grew by a third and the process's
         peak RSS grew with them, with no gain in time."""
-        K, C, nt = self.pf.order, self.weights.shape[1], self.target.size
+        K, C, nt = self.pf.order, self.labels.c, self.target.size
         values = level_values + 12 * (K + 2) * (C + 1) * nb + 16 * pairs
         if wide:
             values += (3 * (C + 1) + 8) * nt
@@ -335,10 +370,10 @@ class DeltaWorkspace:
         return A0 @ G[1:] + A1 @ G[:-1]
 
     def _score_batch(self, edges, dense: bool):
-        """Scores of `edges`, the bytes the batch stored and the filled
-        fraction of its level-K endpoint columns."""
+        """Score values and affected-node counts of `edges`, the bytes the
+        batch stored and the filled fraction of its level-K endpoint columns."""
         g, K = self.g, self.pf.order
-        nb, nt, C = edges.size, self.target.size, self.weights.shape[1]
+        nb, nt, C = edges.size, self.target.size, self.labels.c
         ends = g.edges[edges]
         i, j = ends[:, 0], ends[:, 1]
 
@@ -355,10 +390,7 @@ class DeltaWorkspace:
         # elementwise on its pairs, any other by one product per endpoint over
         # all target rows: either way its score depends on the edge alone
         size = levels.size
-        soft = None if self.labels.soft is None else self.weights[self.target]
-        # hard labels gather the class entry: bitwise the one-hot inner
-        # product, and faster than it
-        cls = self.labels.labels[self.target]
+        soft, cls = self.soft, self.cls
 
         def soft_weight(vals, er):
             """Inner products of vals[:, k] with the soft label of target row er[k]."""
@@ -402,26 +434,21 @@ class DeltaWorkspace:
         if wide.size:
             X, xc = levels.columns(col[wide])
             Fm = F[:, wide].transpose(1, 2, 3, 0).copy()
-            entry = cls * nt + np.arange(nt)    # flat index of each row's class entry
             for k, b in enumerate(wide):
                 # D is exactly zero off the ball, so its rows there change
                 # nothing, but the ball's rows are summed on their own
                 D = Fm[k, 0] @ X[xc[k, 0]] + Fm[k, 1] @ X[xc[k, 1]]
-                num = D.ravel()[entry] if soft is None else soft_weight(D, slice(None))
+                num = D.ravel()[self.entry] if soft is None else soft_weight(D, slice(None))
                 diffs = changes(b, slice(None), num, D[C])[levels.rows(b)]
                 totals[b] = np.add.reduceat(diffs, [0])[0]
                 affected[b] = np.count_nonzero(diffs)
 
-        scores = []
+        values = np.empty(nb)
         for b in range(nb):
-            u, v = int(i[b]), int(j[b])
-            dr, excluded = _reg_delta(self.lam, g.degrees, self.target_mask, u, v)
-            value = -INF if excluded else float(totals[b]) - self.lam * dr
-            scores.append(TopoInfScore(edge=int(edges[b]), u=u, v=v, value=value,
-                                       affected_nodes=int(affected[b]),
-                                       sign=TopoInfScore.classify(value)))
+            dr, excluded = _reg_delta(self.lam, g.degrees, self.target_mask, i[b], j[b])
+            values[b] = -INF if excluded else float(totals[b]) - self.lam * dr
         stored = self._stored_bytes(nb, levels.stored, pairs, wide.size)
-        return scores, stored, levels.fill
+        return values, affected, stored, levels.fill
 
 
 def _columns_after(ends: np.ndarray) -> np.ndarray:
@@ -470,6 +497,62 @@ def _walk_order(ends: np.ndarray) -> np.ndarray:
             order.append(e)
             stack.append(u[e] + v[e] - a)
     return np.array(order, dtype=np.int64)
+
+
+def _workers() -> int:
+    """CPUs this process may run on, where it can fork; 1 elsewhere."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _in_shares(score, shares, values, affected):
+    """Call score(share) for each of `shares`, position arrays that each fill
+    values[share] and affected[share]: the first here, every other in a forked
+    child that sends its slices back through a pipe.
+
+    Every child is reaped before this returns or raises. An exception raised
+    in a child's share is raised here, the earliest share's first; a child
+    ends with os._exit, so it never runs this process's exit handlers or
+    flushes its buffers."""
+    children = []   # (pid, read end of its pipe, its share)
+    done = False
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(r)
+                    try:
+                        score(share)
+                        result = values[share], affected[share]
+                    except Exception as exc:   # sent to the parent, raised there
+                        result = exc
+                    with open(w, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                finally:
+                    os._exit(0)
+            children.append((pid, r, share))
+            os.close(w)
+        score(shares[0])
+        for pid, r, share in children:
+            with open(r, "rb", closefd=False) as pipe:
+                try:
+                    result = pickle.load(pipe)
+                except EOFError:
+                    raise RuntimeError(f"scoring process {pid} ended without "
+                                       "sending its scores") from None
+            if isinstance(result, Exception):
+                raise result
+            values[share], affected[share] = result
+        done = True
+    finally:
+        for pid, r, _ in children:
+            os.close(r)
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 class _DenseLevels:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,14 @@ def path4():
 
 def make_labels(c, hard):
     return LabelData(c, np.asarray(hard, dtype=np.int64))
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid: pid {pid})")

@@ -109,6 +109,13 @@ class TestCoraLike:
             pytest.approx(5278, abs=1e-6)
 
 
+    @pytest.mark.parametrize("mix", [(1.0, float("nan")), (float("nan"), 0.1),
+                                     (1.0, float("inf")), (float("-inf"), 0.1)])
+    def test_non_finite_mix_rejected(self, mix):
+        with pytest.raises(ValueError, match=r"^mix \(.*(nan|inf).*\) must be finite"):
+            cora_like_params(mix=mix)
+
+
 class TestDistanceContraction:
     def test_identity_filter_is_equality(self):
         params = CsbmParams(n=20, c=2, p=0.4, q=0.1, d=4, sigma=1.0, seed=5)

@@ -211,6 +211,7 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("case", CASES)
     def test_batch_size_and_composition(self, case, monkeypatch):
+        monkeypatch.setattr(influence, "_workers", lambda: 1)   # every batch in this process
         ws = self._workspace(case)
         m = ws.g.edge_count
         sizes, batches = [], []
@@ -243,6 +244,7 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("case", CASES)
     def test_level_formats_agree(self, case, monkeypatch):
+        monkeypatch.setattr(influence, "_workers", lambda: 1)   # every batch in this process
         ws = self._workspace(case)
         edges = np.random.default_rng(4).permutation(ws.g.edge_count)
         batch = DeltaWorkspace._score_batch
@@ -266,6 +268,93 @@ class TestBatchIndependence:
         assert self._bits(got) == self._bits([single[e] for e in edges.tolist()])
 
 
+def _scores_in_pool_worker(case):
+    """`score_all_edges` bits on a TestBatchIndependence case, and the share
+    count of each split it made; run in a pool worker, so the patch stays there."""
+    ws = TestBatchIndependence._workspace(case)
+    splits, split = [], influence._in_shares
+    influence._in_shares = lambda *args: splits.append(len(args[1])) or split(*args)
+    rep = score_all_edges(ws.g, ws.pf, ws.labels, ws.target, ws.lam)
+    return TestBatchIndependence._bits(rep.scores), splits
+
+
+class TestShares:
+    """Dense batches split across forked processes give the serial bits, and a
+    child's error reaches the caller. `influence._workers` sets the number of
+    shares; a smaller BATCH_BYTES makes batches small enough that even the
+    small cases fill two per share."""
+
+    @staticmethod
+    def _workspace(case):
+        if case == "block300":   # one criterion-5 block model
+            sample = generate_csbm(CsbmParams(n=300, c=3, p=0.8, q=0.05, d=8,
+                                              sigma=1.0, seed=0))
+            return DeltaWorkspace.build(sample.graph, FilterSpec("sgc", 2), sample.labels)
+        return TestBatchIndependence._workspace(case)
+
+    @staticmethod
+    def _split(monkeypatch, workers):
+        """Force `workers` shares on a smaller budget; return a list that
+        collects the shares of each split that follows."""
+        shares = []
+        split = influence._in_shares
+
+        def recording(score, parts, values, affected):
+            shares.append([part.tolist() for part in parts])
+            return split(score, parts, values, affected)
+
+        monkeypatch.setattr(influence, "_workers", lambda: workers)
+        monkeypatch.setattr(influence, "_in_shares", recording)
+        monkeypatch.setattr(influence, "BATCH_BYTES", influence.BATCH_BYTES // 32)
+        return shares
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["appnp10", "block_and_tail", "block300"])
+    def test_split_matches_serial(self, case, workers, monkeypatch):
+        ws = self._workspace(case)
+        edges = np.arange(ws.g.edge_count)
+        monkeypatch.setattr(influence, "_workers", lambda: 1)
+        serial = TestBatchIndependence._bits(ws.score_edges(edges))
+        shares = self._split(monkeypatch, workers)
+        assert TestBatchIndependence._bits(ws.score_edges(edges)) == serial
+        assert [len(parts) for parts in shares] == [workers]
+
+    def test_child_error_reaches_caller(self, monkeypatch):
+        # a hub with 400 leaves, and node 401 between the hub and node 402:
+        # without (401, 402), node 401 is one more leaf of the hub and its
+        # filter row sums to -0.65 + 0.535 < 0
+        g = Graph.from_edges(403, [(0, v) for v in range(1, 402)] + [(401, 402)])
+        ws = DeltaWorkspace.build(g, PolynomialFilter((-0.65, 1.0)),
+                                  LabelData(2, np.arange(403) % 2), target=[401])
+        edges = np.arange(g.edge_count)
+        monkeypatch.setattr(influence, "_workers", lambda: 1)
+        with pytest.raises(ValueError) as serial:
+            ws.score_edges(edges)
+        shares = self._split(monkeypatch, 2)
+        with pytest.raises(ValueError) as split:
+            ws.score_edges(edges)
+        assert g.edge_id(401, 402) in shares[0][1]    # the child's share
+        assert type(split.value) is type(serial.value)
+        assert str(split.value) == str(serial.value)
+        assert "non-normalizable for nodes [401]" in str(split.value)
+
+    def test_inside_a_pool_worker(self, monkeypatch):
+        import multiprocessing
+
+        ws = TestBatchIndependence._workspace("appnp10")
+        monkeypatch.setattr(influence, "_workers", lambda: 1)
+        serial = TestBatchIndependence._bits(score_all_edges(ws.g, ws.pf, ws.labels).scores)
+        monkeypatch.setattr(influence, "_workers", lambda: 2)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            got, splits = pool.apply_async(_scores_in_pool_worker, ("appnp10",)).get(120)
+        finally:
+            pool.terminate()
+            pool.join()
+        assert got == serial
+        assert splits == [2]
+
+
 class TestWalkOrder:
     @pytest.mark.parametrize("seed", range(5))
     def test_visits_every_position_once(self, seed):
@@ -284,7 +373,7 @@ class TestWalkOrder:
         # one break at most: the walk starts mid-path and comes back for the rest
         assert shared.count(0) <= 1
 
-    def test_scoring_peak_memory(self):
+    def test_scoring_peak_memory(self, monkeypatch):
         """tracemalloc peak of scoring every edge of the cora-like preset at
         appnp K=10. Before edges were scored in walk order it read 5,810,143
         and 5,812,796 bytes (5.54 MiB) in two runs, with Python 3.11.7, numpy
@@ -292,6 +381,7 @@ class TestWalkOrder:
         sample = generate_csbm(cora_like_params(seed=0))
         ws = DeltaWorkspace.build(sample.graph, FilterSpec("appnp", 10, alpha=0.1),
                                   sample.labels)
+        monkeypatch.setattr(influence, "_workers", lambda: 1)   # every batch in this process
         tracemalloc.start()
         try:
             ws.score_edges(np.arange(ws.g.edge_count))
