@@ -48,10 +48,13 @@ Batch scoring treats every edge as a removal from the *original* graph;
 So dense batches are also scored on every CPU in the process's affinity
 mask (`os.sched_getaffinity`; `taskset` limits it): the walked edges are cut
 into contiguous shares, one per CPU, and all but the first are scored in
-forked child processes that send their values back through pipes. Scores are
-bitwise those of one process. The split is made only when the edges left
-fill two batches per share, so sparse-regime scoring stays in one process,
-as it does where the platform has no `os.fork` or `os.sched_getaffinity`.
+forked child processes that write their values straight into a result
+buffer shared with the caller. A share whose child cannot be forked or does
+not finish is scored in the caller, so errors are raised as a serial call
+raises them and scores are bitwise those of one process. The split is made
+only when the edges left fill two batches per share, so sparse-regime
+scoring stays in one process, as it does where the platform has no
+`os.fork` or `os.sched_getaffinity`.
 
 The same locality makes greedy rescoring local. Removing (i, j) changes
 A_hat only in rows and columns i and j, so the levels A_hat^t e_a and the
@@ -68,8 +71,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import mmap
 import os
-import pickle
 import signal
 from dataclasses import dataclass
 
@@ -262,7 +265,11 @@ class DeltaWorkspace:
         out_of_range = (edges < 0) | (edges >= m)
         if out_of_range.any():
             raise IndexError(f"edge index {edges[out_of_range][0]} out of range [0, {m})")
-        values, affected = np.empty(edges.size), np.empty(edges.size, dtype=np.int64)
+        # the results live in one shared mapping, so forked shares write them
+        # in place (a zero-length mapping is invalid)
+        buf = mmap.mmap(-1, 16 * max(1, edges.size))
+        values = np.frombuffer(buf, count=edges.size)
+        affected = np.frombuffer(buf, dtype=np.int64, count=edges.size, offset=8 * edges.size)
         # the first batch is sized as a sparse one whose balls hold every node
         # (six values per entry of two full columns)
         full = self._stored_bytes(1, 12 * (self.pf.order + 1) * self.g.n, 0, 1)
@@ -277,7 +284,7 @@ class DeltaWorkspace:
             shares = np.array_split(rest, max(1, min(_workers(), rest.size // (2 * per_batch))))
             _in_shares(lambda share: self._score_run(edges, share, values, affected,
                                                      cap, budget, True),
-                       shares, values, affected)
+                       shares)
         ends = self.g.edges[edges].tolist()
         return [TopoInfScore(edge=e, u=u, v=v, value=x, affected_nodes=a,
                              sign=TopoInfScore.classify(x))
@@ -506,53 +513,43 @@ def _workers() -> int:
     return 1
 
 
-def _in_shares(score, shares, values, affected):
-    """Call score(share) for each of `shares`, position arrays that each fill
-    values[share] and affected[share]: the first here, every other in a forked
-    child that sends its slices back through a pipe.
+def _in_shares(score, shares):
+    """Call score(share) for each of `shares`: the first here, every other in a
+    forked child, which writes its results straight into the caller's shared
+    arrays and reports only its exit status.
 
-    Every child is reaped before this returns or raises. An exception raised
-    in a child's share is raised here, the earliest share's first; a child
-    ends with os._exit, so it never runs this process's exit handlers or
-    flushes its buffers."""
-    children = []   # (pid, read end of its pipe, its share)
-    done = False
+    A share whose child could not be forked, or did not exit with status 0,
+    is scored here after the children before it, so an error in a share is
+    raised as a serial call raises it. Every child is reaped before this
+    returns or raises; on an error or an interrupt here, the children not yet
+    reaped are killed first. A child ends with os._exit, so it never runs this
+    process's exit handlers or flushes its buffers."""
+    children = []   # (pid, or None where the fork failed, and its share)
     try:
         for share in shares[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:   # out of processes or memory: scored here instead
+                pid = None
             if pid == 0:
                 try:
-                    os.close(r)
-                    try:
-                        score(share)
-                        result = values[share], affected[share]
-                    except Exception as exc:   # sent to the parent, raised there
-                        result = exc
-                    with open(w, "wb") as pipe:
-                        pickle.dump(result, pipe)
-                finally:
+                    score(share)
                     os._exit(0)
-            children.append((pid, r, share))
-            os.close(w)
+                finally:
+                    os._exit(1)
+            children.append((pid, share))
         score(shares[0])
-        for pid, r, share in children:
-            with open(r, "rb", closefd=False) as pipe:
-                try:
-                    result = pickle.load(pipe)
-                except EOFError:
-                    raise RuntimeError(f"scoring process {pid} ended without "
-                                       "sending its scores") from None
-            if isinstance(result, Exception):
-                raise result
-            values[share], affected[share] = result
-        done = True
-    finally:
-        for pid, r, _ in children:
-            os.close(r)
+        while children:
+            pid, share = children[0]
+            done = pid is not None and os.waitpid(pid, 0)[1] == 0
+            children.pop(0)
             if not done:
+                score(share)
+    finally:
+        for pid, _ in children:
+            if pid is not None:
                 os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+                os.waitpid(pid, 0)
 
 
 class _DenseLevels:
@@ -764,11 +761,9 @@ def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
     since_rescore = rescore_every
     while len(trace) < max_removals:
         if since_rescore >= rescore_every:
-            if seeds is None:
-                fresh = score_all_edges(current, pf, labels, target_arr, lam).scores
-            else:
-                ws = DeltaWorkspace.build(current, pf, labels, target_arr, lam)
-                fresh = ws.score_edges(_stale_edges(current, seeds, target_mask, pf.order))
+            ws = DeltaWorkspace.build(current, pf, labels, target_arr, lam)
+            fresh = ws.score_edges(np.arange(current.edge_count) if seeds is None else
+                                   _stale_edges(current, seeds, target_mask, pf.order))
             for s in fresh:
                 values[s.u, s.v] = s.value
                 if s.sign == "positive":

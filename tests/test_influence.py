@@ -1,3 +1,6 @@
+import errno
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -299,9 +302,9 @@ class TestShares:
         shares = []
         split = influence._in_shares
 
-        def recording(score, parts, values, affected):
+        def recording(score, parts):
             shares.append([part.tolist() for part in parts])
-            return split(score, parts, values, affected)
+            return split(score, parts)
 
         monkeypatch.setattr(influence, "_workers", lambda: workers)
         monkeypatch.setattr(influence, "_in_shares", recording)
@@ -337,6 +340,30 @@ class TestShares:
         assert type(split.value) is type(serial.value)
         assert str(split.value) == str(serial.value)
         assert "non-normalizable for nodes [401]" in str(split.value)
+
+    @pytest.mark.parametrize("fault", ["fork-fails", "child-killed"])
+    def test_unfinished_share_scored_here(self, fault, monkeypatch):
+        ws = self._workspace("appnp10")
+        edges = np.arange(ws.g.edge_count)
+        monkeypatch.setattr(influence, "_workers", lambda: 1)
+        serial = TestBatchIndependence._bits(ws.score_edges(edges))
+        shares = self._split(monkeypatch, 2)
+        parent, run = os.getpid(), DeltaWorkspace._score_run
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        def dying(ws_, *args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run(ws_, *args)
+
+        if fault == "fork-fails":
+            monkeypatch.setattr(os, "fork", fork)
+        else:
+            monkeypatch.setattr(DeltaWorkspace, "_score_run", dying)
+        assert TestBatchIndependence._bits(ws.score_edges(edges)) == serial
+        assert [len(parts) for parts in shares] == [2]
 
     def test_inside_a_pool_worker(self, monkeypatch):
         import multiprocessing
