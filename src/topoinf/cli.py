@@ -324,9 +324,10 @@ def cmd_dropedge(args) -> int:
     dist = dropedge_weights(report, args.tau)
 
     dist_lines = ["u\tv\ttopoinf\tprobability"]
-    for row, val, prob in zip(dist.edges, dist.values, dist.probabilities):
+    for (u, v), val, prob in zip(dist.edges.tolist(), dist.values.tolist(),
+                                 dist.probabilities.tolist()):
         v_txt = "-inf" if math.isinf(val) else _fmt(val)
-        dist_lines.append(f"{int(row[0])}\t{int(row[1])}\t{v_txt}\t{_fmt(prob)}")
+        dist_lines.append(f"{u}\t{v}\t{v_txt}\t{_fmt(prob)}")
     outputs = {args.output_prefix + ".dist.tsv": "\n".join(dist_lines) + "\n"}
 
     for epoch in range(args.emit_epochs):

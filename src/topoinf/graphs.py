@@ -10,7 +10,6 @@ stable index.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Graph",
@@ -213,20 +212,28 @@ class NormalizedAdjacency:
         _freeze(matrix.data, matrix.indices, matrix.indptr, inv_sqrt_deg)
 
 
+def csr_matrix(data, indices, indptr, shape):
+    """A scipy CSR matrix over the given arrays. This is the only place topoinf
+    loads scipy, on the first call: importing topoinf, drawing a block model
+    and writing text never pay for it."""
+    import scipy.sparse as sp
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
 def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     n = g.n
     s = 1.0 / np.sqrt((g.degrees + 1).astype(np.float64))
     diag = np.arange(n, dtype=np.int64)
-    # splice the diagonal into each (already sorted) neighbor row
-    row_of_entry = np.repeat(diag, g.degrees)
-    below = np.bincount(row_of_entry[g.indices < row_of_entry], minlength=n)
-    insert_at = g.indptr[:-1] + below
-    indices = np.insert(g.indices, insert_at, diag)
-    indptr = g.indptr + np.arange(n + 1, dtype=np.int64)
+    # every stored entry starts as its row's diagonal; each neighbor then moves
+    # past the diagonals of the rows before it, and past its own if above it
     src = np.repeat(diag, g.degrees + 1)
+    indices = src.copy()
+    row_of_entry = np.repeat(diag, g.degrees)
+    shift = row_of_entry + (g.indices > row_of_entry)
+    indices[np.arange(g.indices.size) + shift] = g.indices
+    indptr = g.indptr + np.arange(n + 1, dtype=np.int64)
     vals = s[src] * s[indices]
-    matrix = sp.csr_matrix((vals, indices, indptr), shape=(n, n))
-    return NormalizedAdjacency(n, matrix, s)
+    return NormalizedAdjacency(n, csr_matrix(vals, indices, indptr, (n, n)), s)
 
 
 class LabelData:
@@ -317,6 +324,8 @@ def load_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             got = _parse_header(line, "nodes")
             if got is not None:
+                if got < 1:
+                    raise GraphFormatError(f"line {ln}: nodes={got} must be at least 1")
                 if got > MAX_NODES:
                     raise GraphFormatError(
                         f"line {ln}: nodes={got} exceeds the limit of {MAX_NODES} nodes")
@@ -361,6 +370,8 @@ def load_labels(text: str, n: int) -> LabelData:
         if line.startswith("#"):
             got = _parse_header(line, "classes")
             if got is not None:
+                if got < 1:
+                    raise GraphFormatError(f"line {ln}: classes={got} must be at least 1")
                 declared_c = got
             continue
         parts = line.split()
@@ -392,12 +403,12 @@ def write_edge_list(g: Graph, edge_ids=None) -> str:
     """Edge-list text in the ingestion format (with a node-count header)."""
     rows = g.edges if edge_ids is None else g.edges[np.asarray(edge_ids, dtype=np.int64)]
     lines = [f"# nodes={g.n}"]
-    lines.extend(f"{int(u)} {int(v)}" for u, v in rows)
+    lines.extend(map("{} {}".format, rows[:, 0].tolist(), rows[:, 1].tolist()))
     return "\n".join(lines) + "\n"
 
 
 def write_labels(labels: LabelData) -> str:
+    known = np.flatnonzero(labels.mask)
     lines = [f"# classes={labels.c}"]
-    for v in np.flatnonzero(labels.mask):
-        lines.append(f"{int(v)} {int(labels.labels[v])}")
+    lines.extend(map("{} {}".format, known.tolist(), labels.labels[known].tolist()))
     return "\n".join(lines) + "\n"

@@ -77,13 +77,13 @@ import signal
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .compat import INF, CompatReport, check_scoring_inputs, compatibility
 from .filters import ROW_SUM_TOL, as_filter
 from .graphs import (
     Graph,
     LabelData,
+    csr_matrix,
     khop_set,
     node_set,
     normalized_adjacency,
@@ -600,7 +600,10 @@ class _SparseLevels:
         n, K, nt = ws.g.n, ws.pf.order, ws.target.size
         nb, nc = ends.shape[0], nodes.size
         self.ws, self.nc = ws, nc
-        cur = sp.csr_matrix((np.ones(nc), (nodes, np.arange(nc))), shape=(n, nc))
+        # column k holds a one in row nodes[k]; `nodes` is ascending and unique
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[nodes + 1] = 1
+        cur = csr_matrix(np.ones(nc), np.arange(nc), np.cumsum(indptr), (n, nc))
         self.keys, self.vals = [], []   # per level: col * n + row, ascending
         for t in range(K + 1):
             if t:

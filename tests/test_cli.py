@@ -425,6 +425,8 @@ BAD_RATIO = [
     pytest.param(f"# nodes={MAX_NODES + 1}\n0 1\n", FEATURES, SCORE, "nodes=",
                  id="oversized-header"),
     pytest.param(f"0 {MAX_NODES}\n", FEATURES, SCORE, "nodes=", id="oversized-node-id"),
+    pytest.param("# nodes=-3\n0 1\n", FEATURES, SCORE, "line 1: nodes=-3",
+                 id="negative-node-header"),
     pytest.param(TRIANGLE, "0 1 0\n1 1.5 -0.5\n2 0 1\n", SOFT, "--soft-labels",
                  id="negative-soft-label"),
     pytest.param(TRIANGLE, "0 1 0\n1 1 0\n1 0 1\n2 0 1\n", SOFT, "--soft-labels",

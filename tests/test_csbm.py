@@ -13,10 +13,12 @@ from topoinf import (
     generate_csbm,
     score_all_edges,
 )
-from topoinf.csbm import MAX_FEATURE_VALUES, MAX_SBM_NODES, CsbmSample
+from topoinf import csbm
+from topoinf.csbm import MAX_FEATURE_VALUES, MAX_SBM_NODES, CsbmSample, sbm_edges, write_features
 from topoinf.verify import random_labeled_graph
 
 from dense_oracle import expected_edge_count
+from sbm_reference import reference_sbm_edges
 
 
 class TestGeneration:
@@ -196,3 +198,44 @@ def test_random_labeled_graph_pinned(n, degree, classes, seed, edge_count, diges
     assert g.edge_count == edge_count
     got = hashlib.sha256(g.edges.tobytes() + labels.labels.tobytes()).hexdigest()
     assert got == digest
+
+
+@pytest.mark.parametrize("n, c, p, q, block", [
+    pytest.param(50, 3, 0.0, 0.0, None, id="p-q-zero"),
+    pytest.param(30, 3, 1.0, 0.2, None, id="p-one"),
+    pytest.param(60, 3, 0.05, 0.4, None, id="q-over-p"),
+    pytest.param(2, 2, 0.6, 0.6, None, id="n-2"),
+    pytest.param(40, 4, 0.3, 0.1, 1, id="one-pair-blocks"),
+    pytest.param(40, 4, 0.3, 0.1, 7, id="seven-pair-blocks"),
+    pytest.param(2708, 7, None, None, 9973, id="cora-like-small-blocks"),
+])
+def test_sbm_edges_matches_row_loop(monkeypatch, n, c, p, q, block):
+    """Block draws give the row loop's edges, dtype and generator state. The
+    cora-like case (3.7 million pairs in 367 blocks) and the tiny blocks make
+    draws straddle both block and row edges."""
+    if p is None:
+        params = cora_like_params()
+        p, q = params.p, params.q
+    if block is not None:
+        monkeypatch.setattr(csbm, "SBM_BLOCK_PAIRS", block)
+    for seed in range(3):
+        communities = np.arange(n, dtype=np.int64) % c
+        np.random.default_rng([seed, 7]).shuffle(communities)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sbm_edges(rng, communities, p, q)
+        want = reference_sbm_edges(ref_rng, communities, p, q)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.random(4).tobytes() == ref_rng.random(4).tobytes()
+
+
+def test_write_features_matches_per_value_format():
+    x = np.array([[-0.0, 1e-300, 1e300, 3.0],
+                  [2.0, -7.0, 0.1, 1 / 3],
+                  [np.pi, -1e-5, 123456789012345.0, 0.0]])
+    want = "\n".join(" ".join(f"{val:.12g}" for val in row) for row in x) + "\n"
+    assert write_features(x) == want
+    assert write_features(x).splitlines()[0] == "-0 1e-300 1e+300 3"
+    sample = generate_csbm(CsbmParams(n=30, c=3, p=0.2, q=0.05, d=5, sigma=1.0, seed=3))
+    want = "\n".join(" ".join(f"{val:.12g}" for val in row) for row in sample.X) + "\n"
+    assert write_features(sample.X) == want

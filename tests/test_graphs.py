@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from topoinf import (
     Graph,
@@ -10,6 +11,7 @@ from topoinf import (
     node_set,
     normalized_adjacency,
     write_edge_list,
+    write_labels,
 )
 from topoinf.graphs import LabelData
 
@@ -46,6 +48,14 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError):
             load_edge_list("# nodes=2\n0 5")
 
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("# nodes=0\n", 1, id="zero"),
+        pytest.param("0 1\n# nodes=-3\n1 2\n", 2, id="negative"),
+    ])
+    def test_node_header_below_one(self, text, line):
+        with pytest.raises(GraphFormatError, match=f"^line {line}: nodes="):
+            load_edge_list(text)
+
     def test_crlf(self):
         g = load_edge_list("0 1\r\n1 2\r\n")
         assert g.edge_count == 2
@@ -80,6 +90,15 @@ class TestLoadLabels:
     def test_class_over_declared(self):
         with pytest.raises(GraphFormatError):
             load_labels("# classes=2\n0 5", n=3)
+
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("# classes=0\n", 1, id="zero"),
+        pytest.param("# classes=-2\n0 0\n", 1, id="negative"),
+        pytest.param("0 0\n# classes=-1\n", 2, id="after-labels"),
+    ])
+    def test_class_header_below_one(self, text, line):
+        with pytest.raises(GraphFormatError, match=f"^line {line}: classes="):
+            load_labels(text, n=3)
 
     def test_unlisted_nodes_unmasked(self):
         lab = load_labels("1 0", n=3)
@@ -191,6 +210,52 @@ class TestNormalizedAdjacency:
         adj = normalized_adjacency(triangle)
         assert (adj.matrix.data > 0).all()
         assert adj.matrix.nnz == 2 * triangle.edge_count + triangle.n
+
+
+def _insert_self_loops(g):
+    """Self-loop CSR arrays of Â built by splicing each row's diagonal in
+    with `np.insert`."""
+    diag = np.arange(g.n, dtype=np.int64)
+    s = 1.0 / np.sqrt((g.degrees + 1).astype(np.float64))
+    row_of_entry = np.repeat(diag, g.degrees)
+    below = np.bincount(row_of_entry[g.indices < row_of_entry], minlength=g.n)
+    indices = np.insert(g.indices, g.indptr[:-1] + below, diag)
+    indptr = g.indptr + np.arange(g.n + 1, dtype=np.int64)
+    vals = s[np.repeat(diag, g.degrees + 1)] * s[indices]
+    return sp.csr_matrix((vals, indices, indptr), shape=(g.n, g.n))
+
+
+@pytest.mark.parametrize("n, m, seed", [
+    (1, 0, 0), (2, 1, 0), (5, 0, 0), (30, 20, 1), (30, 20, 2), (80, 400, 3), (200, 150, 4),
+])
+def test_normalized_adjacency_matches_insert(n, m, seed):
+    """Â's CSR arrays are byte for byte those of the `np.insert` splice, also
+    with isolated nodes (30 nodes and 20 drawn pairs leave several) and n = 1."""
+    pairs = np.random.default_rng(seed).integers(0, n, size=(m, 2))
+    g = Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    got, want = normalized_adjacency(g).matrix, _insert_self_loops(g)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_writers_match_per_element_format():
+    def edges_text(g, rows):
+        return "\n".join([f"# nodes={g.n}"] + [f"{int(u)} {int(v)}" for u, v in rows]) + "\n"
+
+    g = Graph.from_edges(9, [(0, 5), (8, 1), (2, 3), (3, 7), (1, 2)])
+    assert write_edge_list(g) == edges_text(g, g.edges)
+    ids = np.array([4, 0, 2])
+    assert write_edge_list(g, ids) == edges_text(g, g.edges[ids])
+    assert write_edge_list(g, []) == "# nodes=9\n"
+    empty = Graph.from_edges(4, [])
+    assert write_edge_list(empty) == edges_text(empty, empty.edges) == "# nodes=4\n"
+
+    labels = LabelData(5, [3, -1, 0, -1, 4, 4])
+    want = "\n".join([f"# classes={labels.c}"] + [
+        f"{int(v)} {int(labels.labels[v])}" for v in np.flatnonzero(labels.mask)]) + "\n"
+    assert write_labels(labels) == want == "# classes=5\n0 3\n2 0\n4 4\n5 4\n"
+    assert write_labels(LabelData(2, [-1, -1])) == "# classes=2\n"
 
 
 class TestKhop:
