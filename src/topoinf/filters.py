@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import NormalizedAdjacency
+from .graphs import NormalizedAdjacency, csr_dense_product
 
 __all__ = [
     "PRESETS",
@@ -141,7 +141,7 @@ def apply_filter(pf, adj: NormalizedAdjacency, signal) -> np.ndarray:
     power = m
     out = pf.gamma[0] * m
     for k in range(1, pf.order + 1):
-        power = adj.matrix @ power
+        power = csr_dense_product(adj.csr, power)
         out += pf.gamma[k] * power
     return out[:, 0] if squeeze else out
 
@@ -161,6 +161,15 @@ class SoftLabelMatrix:
     nonnormalizable: np.ndarray
 
 
+def check_finite_rows(filt: np.ndarray):
+    """Raise ValueError naming the first nodes whose filtered [L | 1] row is
+    not finite: the filter coefficients overflow float64 there."""
+    bad = np.flatnonzero(~np.isfinite(filt).all(axis=1))
+    if bad.size:
+        raise ValueError(f"filter coefficients overflow: the filtered rows of nodes "
+                         f"{bad[:5].tolist()} are not finite")
+
+
 def row_normalized_filter(pf, adj: NormalizedAdjacency, m: np.ndarray) -> SoftLabelMatrix:
     """RowNorm(f(A_hat)) m, with f(A_hat) m and its row sums from one pass.
 
@@ -169,7 +178,9 @@ def row_normalized_filter(pf, adj: NormalizedAdjacency, m: np.ndarray) -> SoftLa
     whose sum is <= ROW_SUM_TOL are NaN and listed as non-normalizable.
     """
     stacked = np.hstack([m, np.ones((m.shape[0], 1))])
-    filt = apply_filter(pf, adj, stacked)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        filt = apply_filter(pf, adj, stacked)
+    check_finite_rows(filt)
     sums = filt[:, -1]
     values = filt[:, :-1]
     bad = np.flatnonzero(sums <= ROW_SUM_TOL)

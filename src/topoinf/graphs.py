@@ -5,9 +5,15 @@ one instance can back any number of workspaces, reports and rewired copies.
 Each undirected edge is stored twice in the CSR arrays and once, as a
 (min, max) pair, in the canonical edge list whose row number is the edge's
 stable index.
+
+Every sparse product runs through `csr_dense_product`, `csr_sparse_product`
+or `csr_to_csc`: scipy's compiled CSR kernels on raw (indptr, indices, data,
+shape) arrays, bitwise as scipy.sparse calls them, without importing it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -201,23 +207,24 @@ class NormalizedAdjacency:
     u == v and for every edge {u, v}. The value of a stored entry is computed
     from the same expression in both directions, so the operator is symmetric
     to bit equality. Pattern: adjacency plus full diagonal, all entries > 0.
+    `csr` holds its frozen CSR arrays (indptr, indices, data, shape).
     """
 
-    __slots__ = ("n", "matrix", "inv_sqrt_deg")
+    __slots__ = ("n", "csr", "inv_sqrt_deg")
 
-    def __init__(self, n, matrix, inv_sqrt_deg):
+    def __init__(self, n, csr, inv_sqrt_deg):
         self.n = n
-        self.matrix = matrix
+        self.csr = csr
         self.inv_sqrt_deg = inv_sqrt_deg
-        _freeze(matrix.data, matrix.indices, matrix.indptr, inv_sqrt_deg)
+        _freeze(*csr[:3], inv_sqrt_deg)
 
-
-def csr_matrix(data, indices, indptr, shape):
-    """A scipy CSR matrix over the given arrays. This is the only place topoinf
-    loads scipy, on the first call: importing topoinf, drawing a block model
-    and writing text never pay for it."""
-    import scipy.sparse as sp
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
+    @property
+    def matrix(self):
+        """The operator as a scipy.sparse.csr_matrix over `csr`, built on each
+        read; this imports scipy.sparse, and no scoring path reads it."""
+        import scipy.sparse
+        indptr, indices, data, shape = self.csr
+        return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
@@ -233,7 +240,77 @@ def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     indices[np.arange(g.indices.size) + shift] = g.indices
     indptr = g.indptr + np.arange(n + 1, dtype=np.int64)
     vals = s[src] * s[indices]
-    return NormalizedAdjacency(n, csr_matrix(vals, indices, indptr, (n, n)), s)
+    return NormalizedAdjacency(n, (indptr, indices, vals, (n, n)), s)
+
+
+@functools.cache
+def _kernels():
+    """scipy.sparse._sparsetools, scipy's compiled CSR kernels, loaded once
+    from its extension file, which `find_spec` locates without running any
+    scipy package code; where that fails, imported along with scipy.sparse."""
+    import importlib
+    import os
+    from importlib import machinery, util
+    name = "scipy.sparse._sparsetools"
+    try:
+        path = next(p for root in util.find_spec("scipy").submodule_search_locations
+                    for suffix in machinery.EXTENSION_SUFFIXES
+                    if os.path.isfile(p := os.path.join(root, "sparse", "_sparsetools" + suffix)))
+        spec = util.spec_from_file_location(name, path)
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except (ImportError, AttributeError, StopIteration):   # no scipy directory or file
+        return importlib.import_module(name)
+
+
+def _checked(a):
+    """Shape of the CSR operand a = (indptr, indices, data, shape), after the
+    checks scipy's CSR constructor makes without `full_check` (the kernels
+    check no bounds); raises ValueError."""
+    indptr, indices, data, (rows, cols) = a
+    if not all(isinstance(x, np.ndarray) and x.dtype == t and x.ndim == 1 and x.flags.c_contiguous
+               for x, t in ((indptr, np.int64), (indices, np.int64), (data, np.float64))):
+        raise ValueError("CSR indptr and indices must be C-contiguous 1-D int64 arrays, "
+                         "and data float64")
+    if indptr.size != rows + 1 or indptr[0] != 0 or not indptr[-1] <= indices.size == data.size:
+        raise ValueError(f"CSR indptr of {indptr.size} entries must run from 0 for {rows} rows "
+                         f"to at most its {indices.size} indices and {data.size} values")
+    return int(rows), int(cols)
+
+
+def csr_dense_product(a, x) -> np.ndarray:
+    """A @ X for the CSR operand `a` and a dense 2-D X, summed as scipy sums
+    `csr_matrix @ X`: `csr_matvecs` into zeros."""
+    rows, cols = _checked(a)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != cols:
+        raise ValueError(f"operand shapes disagree: ({rows}, {cols}) @ {x.shape}")
+    out = np.zeros((rows, x.shape[1]))
+    _kernels().csr_matvecs(rows, cols, x.shape[1], *a[:3], x.ravel(), out.ravel())
+    return out
+
+
+def csr_sparse_product(a, b):
+    """A @ B for CSR operands, as CSR arrays (`csr_matmat_maxnnz`, `csr_matmat`)
+    sized by the bound: the first indptr[-1] indices and values are the product's."""
+    (rows, inner), (b_rows, cols) = _checked(a), _checked(b)
+    if inner != b_rows:
+        raise ValueError(f"operand shapes disagree: ({rows}, {inner}) @ ({b_rows}, {cols})")
+    nnz = _kernels().csr_matmat_maxnnz(rows, cols, a[0], a[1], b[0], b[1])
+    out = (np.empty(rows + 1, dtype=np.int64), np.empty(nnz, dtype=np.int64), np.empty(nnz))
+    _kernels().csr_matmat(rows, cols, *a[:3], *b[:3], *out)
+    return out + ((rows, cols),)
+
+
+def csr_to_csc(a):
+    """CSC arrays (indptr by column, row indices, data, shape) of the CSR operand
+    `a`, rows ascending within each column (`csr_tocsc`)."""
+    rows, cols = _checked(a)
+    nnz = int(a[0][-1])
+    out = (np.empty(cols + 1, dtype=np.int64), np.empty(nnz, dtype=np.int64), np.empty(nnz))
+    _kernels().csr_tocsc(rows, cols, *a[:3], *out)
+    return out + ((rows, cols),)
 
 
 class LabelData:

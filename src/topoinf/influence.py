@@ -79,11 +79,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import INF, CompatReport, check_scoring_inputs, compatibility
-from .filters import ROW_SUM_TOL, as_filter
+from .filters import ROW_SUM_TOL, as_filter, check_finite_rows
 from .graphs import (
     Graph,
     LabelData,
-    csr_matrix,
+    csr_dense_product,
+    csr_sparse_product,
+    csr_to_csc,
     khop_set,
     node_set,
     normalized_adjacency,
@@ -241,9 +243,11 @@ class DeltaWorkspace:
         P = np.empty((pf.order + 1,) + stacked.shape)
         P[0] = stacked
         U = gamma[0] * stacked
-        for k in range(1, pf.order + 1):
-            P[k] = adj.matrix @ P[k - 1]
-            U += gamma[k] * P[k]
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            for k in range(1, pf.order + 1):
+                P[k] = csr_dense_product(adj.csr, P[k - 1])
+                U += gamma[k] * P[k]
+        check_finite_rows(U)
         return cls(g, adj, pf, labels, lam, target, P, U)
 
     def score(self, e: int) -> TopoInfScore:
@@ -564,7 +568,7 @@ class _DenseLevels:
         self.H = np.empty((K + 1, ends.shape[0], 2, 2))
         for t in range(K + 1):
             if t:
-                cur = ws.adj.matrix @ cur
+                cur = csr_dense_product(ws.adj.csr, cur)
             self.H[t] = cur[ends[:, :, None], col[:, None, :]]
             self.X[:, t] = (cur if nt == n else np.take(cur, ws.target, axis=0)).T
         self.fill = np.count_nonzero(cur) / cur.size
@@ -603,16 +607,15 @@ class _SparseLevels:
         # column k holds a one in row nodes[k]; `nodes` is ascending and unique
         indptr = np.zeros(n + 1, dtype=np.int64)
         indptr[nodes + 1] = 1
-        cur = csr_matrix(np.ones(nc), np.arange(nc), np.cumsum(indptr), (n, nc))
+        cur = (np.cumsum(indptr), np.arange(nc), np.ones(nc), (n, nc))
         self.keys, self.vals = [], []   # per level: col * n + row, ascending
         for t in range(K + 1):
             if t:
-                cur = ws.adj.matrix @ cur
-            csc = cur.tocsc()           # rows ascending within each column
-            owner = np.repeat(np.arange(nc), np.diff(csc.indptr))
-            rows = csc.indices[:csc.nnz]
+                cur = csr_sparse_product(ws.adj.csr, cur)
+            starts, rows, vals, _ = csr_to_csc(cur)   # rows ascending within each column
+            owner = np.repeat(np.arange(nc), np.diff(starts))
             self.keys.append(owner * n + rows)
-            self.vals.append(csc.data[:csc.nnz])
+            self.vals.append(vals)
         self.H = np.stack([self._get(t, col[:, None, :], ends[:, :, None])
                            for t in range(K + 1)])
         self.fill = rows.size / (n * nc)

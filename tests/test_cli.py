@@ -401,6 +401,13 @@ UNREAD = [
                           ("--k", "3"), ("--alpha", "0.2"), ("--gamma", "0,1"))),
     pytest.param(REWIRE + ["--strategy", "random"], "--labels", id="random--labels"),
 ]
+# a custom filter whose coefficients overflow float64 on every filtered row
+OVERFLOW = [
+    pytest.param(argv + ["--model", "custom", "--k", "2", "--gamma", "1e308,1e308,1e308"],
+                 "filter coefficients overflow", id=f"overflow-{name}")
+    for name, argv in (("analyze", ANALYZE), ("score", SCORE),
+                       ("greedy", TOPOINF + ["--greedy"]), ("dropedge", DROPEDGE))
+]
 # every rewire mode checks --ratio, also before any file is read
 BAD_RATIO = [
     pytest.param(TOPOINF + ["--greedy", "--ratio", "7"], "--ratio", id="greedy-ratio-7"),
@@ -452,7 +459,8 @@ BAD_RATIO = [
                           ("--mu-scheme", "orthogonal_scaled"), ("--mu-scale", "1"))),
     pytest.param(TRIANGLE, FEATURES, GEN + ["--dim", str(MAX_FEATURE_VALUES // 10 + 1)],
                  "--dim", id="oversized-features"),
-    *(pytest.param(TRIANGLE, FEATURES, *p.values, id=p.id) for p in UNREAD + BAD_RATIO),
+    *(pytest.param(TRIANGLE, FEATURES, *p.values, id=p.id)
+      for p in UNREAD + BAD_RATIO + OVERFLOW),
 ])
 def test_input_failures_exit_two(tmp_path, capsys, graph_text, input_text, argv, name):
     """Each bad input exits 2 with a message naming it and writes nothing.

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from topoinf import (
+    DeltaWorkspace,
     FilterSpec,
     Graph,
     LabelData,
     PolynomialFilter,
     apply_filter,
+    compatibility,
     expand_preset,
     normalized_adjacency,
 )
@@ -189,3 +191,23 @@ class TestSoftLabels:
                                          LabelData(20, np.arange(20)).dense_rows())
             assert np.allclose(lbar.values, rn, atol=1e-12)
             assert np.sum(lbar.values ** 2) <= 20 + 1e-9
+
+
+class TestOverflowingCoefficients:
+    """A 4-node path whose custom filter sums to about 3e308 on every row."""
+
+    PATH = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    LABELS = LabelData(2, [0, 0, 1, 1])
+
+    def test_row_normalized_filter_names_the_nodes(self):
+        with pytest.raises(ValueError, match=r"coefficients overflow.*nodes \[0, 1, 2, 3\]"):
+            row_normalized_filter(PolynomialFilter((1e308,) * 3), normalized_adjacency(self.PATH),
+                                  self.LABELS.dense_rows())
+
+    def test_workspace_build_names_the_nodes(self):
+        with pytest.raises(ValueError, match=r"coefficients overflow.*nodes \[0, 1, 2, 3\]"):
+            DeltaWorkspace.build(self.PATH, PolynomialFilter((1e308,) * 3), self.LABELS)
+
+    def test_large_finite_rows_still_score(self):
+        report = compatibility(self.PATH, PolynomialFilter((1e300,) * 3), self.LABELS)
+        assert report.to_json_dict()["C"] == 3.46541461324
