@@ -6,12 +6,11 @@ neighbors', so the lone class-1 node keeps only a third of its own label
 mass while the class-0 pair keeps two thirds each.
 """
 
-from topoinf import (FilterSpec, Graph, LabelData, PolynomialFilter,
-                     compatibility, normalized_adjacency)
+from topoinf import FilterSpec, Graph, LabelData, compatibility, normalized_adjacency
 
 g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 labels = LabelData(2, [0, 0, 1])
-walk = PolynomialFilter((0.0, 1.0))  # f = A_hat
+walk = FilterSpec("sgc", 1)  # f = A_hat
 
 adj = normalized_adjacency(g)
 print("normalized adjacency (every entry 1/3 on a triangle):")
@@ -39,6 +38,7 @@ print(json.dumps(report.to_json_dict(), indent=2))
 
 # isolated nodes have R = +inf; with lambda > 0 the sentinel propagates
 g_iso = Graph.from_edges(3, [(0, 1)])
-rep = compatibility(g_iso, PolynomialFilter((1.0,)), LabelData(2, [0, 1, 0]), lam=0.5)
+identity = FilterSpec("custom", 0, gamma=(1.0,))
+rep = compatibility(g_iso, identity, LabelData(2, [0, 1, 0]), lam=0.5)
 print(f"\nwith an isolated target node and lambda=0.5: C = {rep.C}"
       f"  (isolated: {rep.isolated.tolist()})")

@@ -31,8 +31,7 @@ for preset, k in (("sgc", 2), ("appnp", 2)):
           f"{rep.mean_noise_after:8.1f} over {rep.trials} draws")
 
 # the bound is tight exactly when the filter does nothing
-from topoinf import PolynomialFilter
-identity = PolynomialFilter((1.0,))
+identity = FilterSpec("custom", 0, gamma=(1.0,))
 rep = check_variance_reduction(params, identity, trials=20)
 print(f"\nidentity filter: ||RowNorm(f)||_F^2 = {rep.frobenius_sq:.1f} = n "
       "(no denoising without topology)")

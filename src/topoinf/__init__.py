@@ -21,11 +21,8 @@ from .csbm import (
 from .filters import (
     PRESETS,
     FilterSpec,
-    PolynomialFilter,
     SoftLabelMatrix,
     apply_filter,
-    as_filter,
-    expand_preset,
 )
 from .graphs import (
     Graph,

@@ -128,12 +128,12 @@ def _load_target(args, n):
         except ValueError:
             raise GraphFormatError(
                 f"--target {args.target} line {ln}: not a node id") from None
+        if not 0 <= ids[-1] < n:
+            raise GraphFormatError(
+                f"--target {args.target} line {ln}: node {ids[-1]} outside [0, {n})")
     if not ids:
         raise ValueError(f"--target {args.target}: no node ids")
-    try:
-        return node_set(ids, n)
-    except ValueError as exc:
-        raise ValueError(f"--target {args.target}: {exc}") from None
+    return node_set(ids, n)
 
 
 def _manifest(args, command: str, inputs: dict, seed=None) -> dict:
@@ -326,8 +326,7 @@ def cmd_dropedge(args) -> int:
     dist_lines = ["u\tv\ttopoinf\tprobability"]
     for (u, v), val, prob in zip(dist.edges.tolist(), dist.values.tolist(),
                                  dist.probabilities.tolist()):
-        v_txt = "-inf" if math.isinf(val) else _fmt(val)
-        dist_lines.append(f"{u}\t{v}\t{v_txt}\t{_fmt(prob)}")
+        dist_lines.append(f"{u}\t{v}\t{_fmt(val)}\t{_fmt(prob)}")
     outputs = {args.output_prefix + ".dist.tsv": "\n".join(dist_lines) + "\n"}
 
     for epoch in range(args.emit_epochs):
@@ -407,7 +406,8 @@ def cmd_pseudo(args) -> int:
         raise ValueError(f"--features {args.features}: row {bad[0]} (node {bad[0]}) "
                          "holds NaN or inf")
     if features.shape[0] != g.n:
-        raise ValueError(f"feature file has {features.shape[0]} rows, graph has {g.n} nodes")
+        raise ValueError(f"--features {args.features}: {features.shape[0]} rows, "
+                         f"graph has {g.n} nodes")
     spec = _filter_spec(args)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                       l2_penalty=args.l2, seed=args.seed)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import SoftLabelMatrix, as_filter, row_normalized_filter
+from .filters import FilterSpec, SoftLabelMatrix, row_normalized_filter
 from .graphs import Graph, LabelData, node_set, normalized_adjacency
 
 __all__ = ["CompatReport", "compatibility", "check_scoring_inputs"]
@@ -69,20 +69,18 @@ class CompatReport:
         return {"lambda": enc(self.lam), "C": enc(self.C), "nodes": nodes}
 
 
-def compatibility(g: Graph, spec, labels: LabelData, target=None,
+def compatibility(g: Graph, spec: FilterSpec, labels: LabelData, target=None,
                   lam: float = 0.0) -> CompatReport:
     """Aggregate compatibility over a target node set.
 
-    `spec` is a FilterSpec or an already-expanded PolynomialFilter. The
-    per-node term is the inner product of each target's label row with its
+    The per-node term is the inner product of each target's label row with its
     filtered distribution: the hard-label entry for one-hot rows, or soft
     influence (an extension) when `labels` carry soft labels.
     """
     target = check_scoring_inputs(g, labels, target, lam)
-    pf = as_filter(spec)
     adj = normalized_adjacency(g)
     rows = labels.dense_rows()
-    lbar = row_normalized_filter(pf, adj, rows)
+    lbar = row_normalized_filter(spec, adj, rows)
     bad = np.intersect1d(lbar.nonnormalizable, target)
     if bad.size:
         raise ValueError(

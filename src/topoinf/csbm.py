@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import as_filter, row_normalized_filter
+from .filters import row_normalized_filter
 from .graphs import Graph, LabelData, normalized_adjacency
 
 __all__ = [
@@ -188,20 +188,18 @@ class ContractionReport:
         return self.vacuous or self.violations.size == 0
 
 
-def _require_low_pass(pf):
-    pf = as_filter(pf)
-    if not pf.nonnegative or abs(math.fsum(pf.gamma) - 1.0) > 1e-9:
+def _require_low_pass(spec):
+    gamma = spec.coefficients
+    if min(gamma) < 0.0 or abs(math.fsum(gamma) - 1.0) > 1e-9:
         raise ValueError(
-            "check requires nonnegative coefficients summing to 1 "
-            f"(got {pf.gamma})")
-    return pf
+            f"check requires nonnegative coefficients summing to 1 (got {gamma})")
 
 
-def check_distance_contraction(sample: CsbmSample, pf) -> ContractionReport:
+def check_distance_contraction(sample: CsbmSample, spec) -> ContractionReport:
     """For every node, the distance to its farthest different-community node
     must not grow when the row-normalized filter is applied to the clean
     feature matrix."""
-    pf = _require_low_pass(pf)
+    _require_low_pass(spec)
     adj = normalized_adjacency(sample.graph)
     comm = sample.labels.labels
     diff_mask = comm[:, None] != comm[None, :]
@@ -210,7 +208,7 @@ def check_distance_contraction(sample: CsbmSample, pf) -> ContractionReport:
         return ContractionReport(before=empty, after=empty,
                                  violations=np.empty(0, dtype=np.int64), vacuous=True)
 
-    filtered = row_normalized_filter(pf, adj, sample.F).values
+    filtered = row_normalized_filter(spec, adj, sample.F).values
 
     def farthest(mat):
         sq = np.sum(mat ** 2, axis=1)
@@ -249,19 +247,19 @@ class VarianceReport:
         return self.deterministic_ok and self.empirical_ok
 
 
-def check_variance_reduction(params: CsbmParams, pf, trials: int) -> VarianceReport:
+def check_variance_reduction(params: CsbmParams, spec, trials: int) -> VarianceReport:
     """Checks that filtering cannot inflate noise: the row-normalized
     operator has squared Frobenius norm at most n, and over fresh noise draws
     seeded with params.seed + 1 the mean filtered noise energy stays below
     the raw energy (up to 3/sqrt(trials) Monte Carlo slack)."""
-    pf = _require_low_pass(pf)
+    _require_low_pass(spec)
     if trials < 1:
         raise ValueError("need at least one trial")
     sample = generate_csbm(params)
     adj = normalized_adjacency(sample.graph)
     n = params.n
 
-    operator = row_normalized_filter(pf, adj, np.eye(n)).values
+    operator = row_normalized_filter(spec, adj, np.eye(n)).values
     frob_sq = float(np.sum(operator ** 2))
 
     rng = np.random.default_rng(params.seed + 1)

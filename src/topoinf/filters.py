@@ -2,7 +2,8 @@
 
 A filter is a coefficient vector (g_0 .. g_K) acting as sum_k g_k A_hat^k on
 node signals, where A_hat is the self-loop symmetric normalized adjacency.
-Preset expansions:
+`FilterSpec` is the one filter type: it names a model preset and expands it
+once, at construction, into `FilterSpec.coefficients`:
 
     sgc, gcn      (0, ..., 0, 1)
     s2gc          g_0 = alpha, g_k = (1 - alpha) / K for k >= 1
@@ -17,7 +18,7 @@ the corresponding row sum of f(A_hat); both come from one propagation pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,10 +27,7 @@ from .graphs import NormalizedAdjacency, csr_dense_product
 __all__ = [
     "PRESETS",
     "FilterSpec",
-    "PolynomialFilter",
     "SoftLabelMatrix",
-    "expand_preset",
-    "as_filter",
     "apply_filter",
     "row_normalized_filter",
     "ROW_SUM_TOL",
@@ -47,21 +45,30 @@ MAX_ORDER = 64
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Parsed filter request: model preset, order K, and hyperparameters."""
+    """A filter: model preset, order K, hyperparameters, and the coefficients
+    g_0 .. g_K they expand to, computed once at construction.
+
+    `gamma` is the supplied vector of gprgnn/custom (None for the other
+    presets); `coefficients` is derived and cannot be set. Supplied vectors
+    may have K = 0; the named presets need K >= 1.
+    """
 
     preset: str
     k: int
     alpha: float = 0.1
     gamma: tuple | None = None
+    coefficients: tuple = field(init=False)
 
     def __post_init__(self):
         preset = self.preset.lower()
         object.__setattr__(self, "preset", preset)
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
-        if not 1 <= self.k <= MAX_ORDER:
-            raise ValueError(f"filter order K must lie in [1, {MAX_ORDER}], got {self.k}")
-        if not 0.0 <= self.alpha <= 1.0:
+        k, a = self.k, self.alpha
+        low = 0 if preset in _NEEDS_GAMMA else 1
+        if not low <= k <= MAX_ORDER:
+            raise ValueError(f"filter order K must lie in [{low}, {MAX_ORDER}], got {k}")
+        if not 0.0 <= a <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if preset in _NEEDS_GAMMA:
             if self.gamma is None:
@@ -69,69 +76,29 @@ class FilterSpec:
             gamma = tuple(float(x) for x in self.gamma)
             if not all(math.isfinite(x) for x in gamma):
                 raise ValueError(f"gamma coefficients must be finite, got {gamma}")
-            if len(gamma) != self.k + 1:
-                raise ValueError(f"gamma must have K+1 = {self.k + 1} entries, got {len(gamma)}")
+            if len(gamma) != k + 1:
+                raise ValueError(f"gamma must have K+1 = {k + 1} entries, got {len(gamma)}")
+            if all(x == 0.0 for x in gamma):
+                raise ValueError("filter needs at least one nonzero coefficient")
             object.__setattr__(self, "gamma", gamma)
+            coefficients = gamma
         elif self.gamma is not None:
             raise ValueError(f"preset {preset!r} does not take gamma coefficients")
+        elif preset in ("sgc", "gcn"):
+            coefficients = [0.0] * k + [1.0]
+        elif preset == "s2gc":
+            coefficients = [a] + [(1.0 - a) / k] * k
+        else:  # appnp, gcnii
+            coefficients = [a * (1.0 - a) ** i for i in range(k)] + [(1.0 - a) ** k]
+        object.__setattr__(self, "coefficients", tuple(float(x) for x in coefficients))
 
 
-@dataclass(frozen=True)
-class PolynomialFilter:
-    """Coefficients g_0 .. g_K of the filter polynomial."""
-
-    gamma: tuple
-
-    def __post_init__(self):
-        gamma = tuple(float(x) for x in self.gamma)
-        if not gamma:
-            raise ValueError("empty coefficient vector")
-        if len(gamma) > MAX_ORDER + 1:
-            raise ValueError(f"filter order K = {len(gamma) - 1} exceeds {MAX_ORDER}")
-        if not all(math.isfinite(x) for x in gamma):
-            raise ValueError(f"gamma coefficients must be finite, got {gamma}")
-        if all(x == 0.0 for x in gamma):
-            raise ValueError("filter needs at least one nonzero coefficient")
-        object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def order(self) -> int:
-        return len(self.gamma) - 1
-
-    @property
-    def nonnegative(self) -> bool:
-        return all(x >= 0.0 for x in self.gamma)
-
-
-def expand_preset(spec: FilterSpec) -> PolynomialFilter:
-    """Coefficient vector for a model preset."""
-    k, a = spec.k, spec.alpha
-    if spec.preset in ("sgc", "gcn"):
-        gamma = [0.0] * k + [1.0]
-    elif spec.preset == "s2gc":
-        gamma = [a] + [(1.0 - a) / k] * k
-    elif spec.preset in ("appnp", "gcnii"):
-        gamma = [a * (1.0 - a) ** i for i in range(k)] + [(1.0 - a) ** k]
-    else:  # gprgnn / custom: pass supplied weights through
-        gamma = list(spec.gamma)
-    return PolynomialFilter(tuple(gamma))
-
-
-def as_filter(f) -> PolynomialFilter:
-    if isinstance(f, PolynomialFilter):
-        return f
-    if isinstance(f, FilterSpec):
-        return expand_preset(f)
-    raise TypeError(f"expected FilterSpec or PolynomialFilter, got {type(f).__name__}")
-
-
-def apply_filter(pf, adj: NormalizedAdjacency, signal) -> np.ndarray:
+def apply_filter(spec: FilterSpec, adj: NormalizedAdjacency, signal) -> np.ndarray:
     """Evaluate sum_k g_k A_hat^k @ signal by iterated sparse products.
 
     Accumulation is in fixed order k = 0, 1, ..., K, so results are
     reproducible bit-for-bit across runs.
     """
-    pf = as_filter(pf)
     m = np.asarray(signal, dtype=np.float64)
     squeeze = m.ndim == 1
     if squeeze:
@@ -139,10 +106,10 @@ def apply_filter(pf, adj: NormalizedAdjacency, signal) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != adj.n:
         raise ValueError(f"signal must have {adj.n} rows, got shape {m.shape}")
     power = m
-    out = pf.gamma[0] * m
-    for k in range(1, pf.order + 1):
+    out = spec.coefficients[0] * m
+    for k in range(1, spec.k + 1):
         power = csr_dense_product(adj.csr, power)
-        out += pf.gamma[k] * power
+        out += spec.coefficients[k] * power
     return out[:, 0] if squeeze else out
 
 
@@ -170,7 +137,8 @@ def check_finite_rows(filt: np.ndarray):
                          f"{bad[:5].tolist()} are not finite")
 
 
-def row_normalized_filter(pf, adj: NormalizedAdjacency, m: np.ndarray) -> SoftLabelMatrix:
+def row_normalized_filter(spec: FilterSpec, adj: NormalizedAdjacency,
+                          m: np.ndarray) -> SoftLabelMatrix:
     """RowNorm(f(A_hat)) m, with f(A_hat) m and its row sums from one pass.
 
     Propagates [m | 1]: the filtered ones-column is exactly the row sum of
@@ -179,7 +147,7 @@ def row_normalized_filter(pf, adj: NormalizedAdjacency, m: np.ndarray) -> SoftLa
     """
     stacked = np.hstack([m, np.ones((m.shape[0], 1))])
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        filt = apply_filter(pf, adj, stacked)
+        filt = apply_filter(spec, adj, stacked)
     check_finite_rows(filt)
     sums = filt[:, -1]
     values = filt[:, :-1]

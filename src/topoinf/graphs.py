@@ -379,14 +379,14 @@ def _iter_lines(text: str):
         yield ln, line
 
 
-def _parse_header(line: str, key: str):
+def _parse_header(ln: int, line: str, key: str):
     # comment header of the form "# key=value"
     body = line.lstrip("#").strip()
     if body.startswith(key + "="):
         try:
             return int(body[len(key) + 1:])
         except ValueError:
-            raise GraphFormatError(f"bad {key} header: {line!r}") from None
+            raise GraphFormatError(f"line {ln}: bad {key} header: {line!r}") from None
     return None
 
 
@@ -399,7 +399,7 @@ def load_edge_list(text: str) -> Graph:
     saw_content = False
     for ln, line in _iter_lines(text):
         if line.startswith("#"):
-            got = _parse_header(line, "nodes")
+            got = _parse_header(ln, line, "nodes")
             if got is not None:
                 if got < 1:
                     raise GraphFormatError(f"line {ln}: nodes={got} must be at least 1")
@@ -445,7 +445,7 @@ def load_labels(text: str, n: int) -> LabelData:
     seen = np.zeros(n, dtype=bool)
     for ln, line in _iter_lines(text):
         if line.startswith("#"):
-            got = _parse_header(line, "classes")
+            got = _parse_header(ln, line, "classes")
             if got is not None:
                 if got < 1:
                     raise GraphFormatError(f"line {ln}: classes={got} must be at least 1")

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import INF, CompatReport, check_scoring_inputs, compatibility
-from .filters import ROW_SUM_TOL, as_filter, check_finite_rows
+from .filters import ROW_SUM_TOL, check_finite_rows
 from .graphs import (
     Graph,
     LabelData,
@@ -155,16 +155,15 @@ def topoinf_oracle(g: Graph, spec, labels: LabelData, target=None, lam: float = 
     """Full-recompute score of removing edge `e`."""
     if not 0 <= e < g.edge_count:
         raise IndexError(f"edge index {e} out of range [0, {g.edge_count})")
-    pf = as_filter(spec)
-    base = compatibility(g, pf, labels, target, lam)
-    return removal_step(g, pf, labels, base, e)[0]
+    base = compatibility(g, spec, labels, target, lam)
+    return removal_step(g, spec, labels, base, e)[0]
 
 
-def removal_step(g: Graph, pf, labels: LabelData, base: CompatReport, e: int):
+def removal_step(g: Graph, spec, labels: LabelData, base: CompatReport, e: int):
     """Score of removing edge `e` from `g`, whose report is `base`, by a full
     `compatibility()` recompute; returns the score and the new report."""
     i, j = (int(x) for x in g.edges[e])
-    new = compatibility(g.remove_edge(e), pf, labels, base.target, base.lam)
+    new = compatibility(g.remove_edge(e), spec, labels, base.target, base.lam)
     diffs = new.per_node_I - base.per_node_I
     affected = int(np.count_nonzero(diffs != 0.0))
     dr, excluded = _reg_delta(base.lam, g.degrees, _mask_of(base.target, g.n), i, j)
@@ -203,14 +202,14 @@ class DeltaWorkspace:
     whichever level format, computes it.
     """
 
-    __slots__ = ("g", "adj", "pf", "labels", "lam", "target", "target_mask",
+    __slots__ = ("g", "adj", "spec", "labels", "lam", "target", "target_mask",
                  "target_pos", "cls", "entry", "soft", "P", "base_sums", "base_num",
                  "base_I")
 
-    def __init__(self, g, adj, pf, labels, lam, target, P, U):
+    def __init__(self, g, adj, spec, labels, lam, target, P, U):
         self.g = g
         self.adj = adj
-        self.pf = pf
+        self.spec = spec
         self.labels = labels
         self.lam = lam
         self.target = target
@@ -236,19 +235,18 @@ class DeltaWorkspace:
     def build(cls, g: Graph, spec, labels: LabelData, target=None,
               lam: float = 0.0) -> "DeltaWorkspace":
         target = check_scoring_inputs(g, labels, target, lam)
-        pf = as_filter(spec)
         adj = normalized_adjacency(g)
         stacked = np.hstack([labels.dense_rows(), np.ones((g.n, 1))])
-        gamma = pf.gamma
-        P = np.empty((pf.order + 1,) + stacked.shape)
+        gamma = spec.coefficients
+        P = np.empty((spec.k + 1,) + stacked.shape)
         P[0] = stacked
         U = gamma[0] * stacked
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            for k in range(1, pf.order + 1):
+            for k in range(1, spec.k + 1):
                 P[k] = csr_dense_product(adj.csr, P[k - 1])
                 U += gamma[k] * P[k]
         check_finite_rows(U)
-        return cls(g, adj, pf, labels, lam, target, P, U)
+        return cls(g, adj, spec, labels, lam, target, P, U)
 
     def score(self, e: int) -> TopoInfScore:
         """Exact score of removing edge `e`."""
@@ -276,7 +274,7 @@ class DeltaWorkspace:
         affected = np.frombuffer(buf, dtype=np.int64, count=edges.size, offset=8 * edges.size)
         # the first batch is sized as a sparse one whose balls hold every node
         # (six values per entry of two full columns)
-        full = self._stored_bytes(1, 12 * (self.pf.order + 1) * self.g.n, 0, 1)
+        full = self._stored_bytes(1, 12 * (self.spec.k + 1) * self.g.n, 0, 1)
         lo, cap, budget = self._score_run(edges, np.arange(edges.size), values, affected,
                                           max(1, BATCH_BYTES // full), None, False)
         if lo < edges.size:
@@ -331,7 +329,7 @@ class DeltaWorkspace:
         still charged: sized by the larger of the two phases alone, sgc K=2
         batches on the cora-like input grew by a third and the process's
         peak RSS grew with them, with no gain in time."""
-        K, C, nt = self.pf.order, self.labels.c, self.target.size
+        K, C, nt = self.spec.k, self.labels.c, self.target.size
         values = level_values + 12 * (K + 2) * (C + 1) * nb + 16 * pairs
         if wide:
             values += (3 * (C + 1) + 8) * nt
@@ -341,7 +339,7 @@ class DeltaWorkspace:
         """F with Delta U = sum_{t<=K} Y_t F_t for each edge of `ends`, where
         Y_t = A_hat^t [e_i e_j] and H[t] = Y_t^T Y_t. The recurrence arrays
         are released on return, before the assembly."""
-        g, K, gamma = self.g, self.pf.order, np.asarray(self.pf.gamma)
+        g, K, gamma = self.g, self.spec.k, np.asarray(self.spec.coefficients)
         i, j = ends[:, 0], ends[:, 1]
         nb = ends.shape[0]
         # D_e = Z S Z^T with Z = [e_i, e_j, r_i, r_j] = Y_0 A0 + Y_1 A1, where
@@ -383,7 +381,7 @@ class DeltaWorkspace:
     def _score_batch(self, edges, dense: bool):
         """Score values and affected-node counts of `edges`, the bytes the
         batch stored and the filled fraction of its level-K endpoint columns."""
-        g, K = self.g, self.pf.order
+        g, K = self.g, self.spec.k
         nb, nt, C = edges.size, self.target.size, self.labels.c
         ends = g.edges[edges]
         i, j = ends[:, 0], ends[:, 1]
@@ -561,7 +559,7 @@ class _DenseLevels:
     level; X[col, t] is level t of endpoint column col on the target rows."""
 
     def __init__(self, ws, ends, nodes, col):
-        n, K, nt = ws.g.n, ws.pf.order, ws.target.size
+        n, K, nt = ws.g.n, ws.spec.k, ws.target.size
         cur = np.zeros((n, nodes.size))
         cur[nodes, np.arange(nodes.size)] = 1.0
         self.X = np.empty((nodes.size, K + 1, nt))
@@ -601,7 +599,7 @@ class _SparseLevels:
     stored values are bitwise the dense ones."""
 
     def __init__(self, ws, ends, nodes, col):
-        n, K, nt = ws.g.n, ws.pf.order, ws.target.size
+        n, K, nt = ws.g.n, ws.spec.k, ws.target.size
         nb, nc = ends.shape[0], nodes.size
         self.ws, self.nc = ws, nc
         # column k holds a one in row nodes[k]; `nodes` is ascending and unique
@@ -655,7 +653,7 @@ class _SparseLevels:
         return self._get(t, cols, self.ws.target[er])
 
     def columns(self, cols):
-        ws, K, nt = self.ws, self.ws.pf.order, self.ws.target.size
+        ws, K, nt = self.ws, self.ws.spec.k, self.ws.target.size
         need, idx = np.unique(cols, return_inverse=True)
         slot = np.full(self.nc, -1)
         slot[need] = np.arange(need.size)
@@ -698,13 +696,12 @@ def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float =
     """
     if mode not in ("incremental", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    pf = as_filter(spec)
     if mode == "incremental":
-        ws = DeltaWorkspace.build(g, pf, labels, target, lam)
+        ws = DeltaWorkspace.build(g, spec, labels, target, lam)
         scores = ws.score_edges(np.arange(g.edge_count))
     else:
-        base = compatibility(g, pf, labels, target, lam)
-        scores = [removal_step(g, pf, labels, base, e)[0]
+        base = compatibility(g, spec, labels, target, lam)
+        scores = [removal_step(g, spec, labels, base, e)[0]
                   for e in range(g.edge_count)]
     ranking = sorted(range(g.edge_count), key=lambda e: (-scores[e].value, e))
     by_sign = {"positive": [], "negative": [], "zero": [], "excluded": []}
@@ -755,7 +752,6 @@ def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
         raise ValueError("max_removals must be >= 0")
     if rescore_every < 1:
         raise ValueError("rescore_every must be >= 1")
-    pf = as_filter(spec)
     target_arr = None if target is None else node_set(target, g.n)
     target_mask = np.ones(g.n, dtype=bool) if target_arr is None \
         else _mask_of(target_arr, g.n)
@@ -767,9 +763,9 @@ def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
     since_rescore = rescore_every
     while len(trace) < max_removals:
         if since_rescore >= rescore_every:
-            ws = DeltaWorkspace.build(current, pf, labels, target_arr, lam)
+            ws = DeltaWorkspace.build(current, spec, labels, target_arr, lam)
             fresh = ws.score_edges(np.arange(current.edge_count) if seeds is None else
-                                   _stale_edges(current, seeds, target_mask, pf.order))
+                                   _stale_edges(current, seeds, target_mask, spec.k))
             for s in fresh:
                 values[s.u, s.v] = s.value
                 if s.sign == "positive":
@@ -796,7 +792,7 @@ def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
         current = current.remove_edge(current.edge_id(*pick))
         score = values.pop(pick)
         seeds += pick
-        c_after = compatibility(current, pf, labels, target_arr, lam).C
+        c_after = compatibility(current, spec, labels, target_arr, lam).C
         trace.append(RemovalStep(u=pick[0], v=pick[1], score=score, c_after=c_after))
         since_rescore += 1
     return current, trace

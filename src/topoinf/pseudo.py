@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import apply_filter, as_filter
-from .graphs import Graph, LabelData, normalized_adjacency
+from .filters import apply_filter
+from .graphs import Graph, LabelData, normalized_adjacency, write_labels
 
 __all__ = [
     "TrainConfig",
@@ -89,7 +89,6 @@ def train_linear_sgc(g: Graph, spec, features, labels: LabelData,
     uniform (Glorot); the run aborts on a non-finite loss and rejects runs
     whose final loss exceeds the initial one.
     """
-    pf = as_filter(spec)
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != g.n:
         raise ValueError(f"features must be n x d with n = {g.n}")
@@ -98,7 +97,7 @@ def train_linear_sgc(g: Graph, spec, features, labels: LabelData,
         raise ValueError("no labeled nodes to train on")
 
     adj = normalized_adjacency(g)
-    filtered = apply_filter(pf, adj, feats)
+    filtered = apply_filter(spec, adj, feats)
     z = filtered[train_idx]
     y = labels.labels[train_idx]
 
@@ -148,10 +147,7 @@ class PseudoLabels:
         return LabelData(c, self.hardened, soft=self.soft)
 
     def to_label_text(self) -> str:
-        c = self.soft.shape[1]
-        lines = [f"# classes={c}"]
-        lines.extend(f"{v} {int(cls)}" for v, cls in enumerate(self.hardened))
-        return "\n".join(lines) + "\n"
+        return write_labels(self.as_label_data(self.soft.shape[1]))
 
     def to_soft_tsv(self) -> str:
         lines = []
@@ -164,10 +160,9 @@ class PseudoLabels:
 def predict_pseudo(model: LinearModel, g: Graph, spec, features,
                    labels: LabelData) -> PseudoLabels:
     """Soft predictions for every node; truth overrides where available."""
-    pf = as_filter(spec)
     feats = np.asarray(features, dtype=np.float64)
     adj = normalized_adjacency(g)
-    filtered = apply_filter(pf, adj, feats)
+    filtered = apply_filter(spec, adj, feats)
     soft = softmax_rows(filtered @ model.weights + model.bias)
     known = np.flatnonzero(labels.mask)
     soft[known] = 0.0
@@ -186,12 +181,18 @@ def load_soft_tsv(text: str, n: int, c: int) -> np.ndarray:
         parts = line.split()
         if len(parts) != c + 1:
             raise ValueError(f"line {ln}: expected node + {c} probabilities")
-        v = int(parts[0])
+        try:
+            v = int(parts[0])
+        except ValueError:
+            raise ValueError(f"line {ln}: non-integer node id {parts[0]!r}") from None
         if not 0 <= v < n:
             raise ValueError(f"line {ln}: node {v} outside [0, {n})")
         if not np.isnan(out[v]).all():
             raise ValueError(f"line {ln}: node {v} appears twice")
-        out[v] = [float(x) for x in parts[1:]]
+        try:
+            out[v] = [float(x) for x in parts[1:]]
+        except ValueError:
+            raise ValueError(f"line {ln}: non-numeric probability for node {v}") from None
         if not np.isfinite(out[v]).all():
             raise ValueError(f"line {ln}: non-finite probability for node {v}")
     if np.isnan(out).any():

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from topoinf import Graph, LabelData, PolynomialFilter
+from topoinf import FilterSpec, Graph, LabelData
 
 TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2)]
 TRIANGLE_LABELS = [0, 0, 1]
@@ -22,12 +22,12 @@ def triangle_labels():
 @pytest.fixture
 def walk_filter():
     """Pure one-step propagation: f = A_hat."""
-    return PolynomialFilter((0.0, 1.0))
+    return FilterSpec("sgc", 1)
 
 
 @pytest.fixture
 def identity_filter():
-    return PolynomialFilter((1.0,))
+    return FilterSpec("custom", 0, gamma=(1.0,))
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ import pytest
 from topoinf import (
     CsbmParams,
     FilterSpec,
-    PolynomialFilter,
     compatibility,
     generate_csbm,
     greedy_refine,
@@ -62,7 +61,7 @@ def test_criterion_3_triangle_fixture():
     from topoinf import Graph, LabelData
     g = Graph.from_edges(3, TRIANGLE_EDGES)
     labels = LabelData(2, TRIANGLE_LABELS)
-    pf = PolynomialFilter((0.0, 1.0))
+    spec = FilterSpec("sgc", 1)
 
     # regression constants confirmed against the independent dense recompute
     want_c = dense_compat(3, TRIANGLE_EDGES, TRIANGLE_LABELS, 2, (0, 1), 0.0)
@@ -71,10 +70,10 @@ def test_criterion_3_triangle_fixture():
     assert want_c == pytest.approx(5 / 3, abs=1e-12)
     assert want_gain == pytest.approx(0.528792564828473, abs=1e-12)
 
-    c = compatibility(g, pf, labels, lam=0.0).C
+    c = compatibility(g, spec, labels, lam=0.0).C
     e = g.edge_id(0, 2)
-    gain = topoinf_oracle(g, pf, labels, lam=0.0, e=e).value
-    gain_reg = topoinf_oracle(g, pf, labels, lam=0.1, e=e).value
+    gain = topoinf_oracle(g, spec, labels, lam=0.0, e=e).value
+    gain_reg = topoinf_oracle(g, spec, labels, lam=0.1, e=e).value
     ok = (abs(c - 5 / 3) <= 1e-9
           and abs(gain - 0.52879) <= 1e-4
           and abs(gain_reg - 0.42879) <= 1e-4)

@@ -400,6 +400,8 @@ UNREAD = [
       for flag, value in (("--target", "{tmp}/g.input"), ("--model", "appnp"),
                           ("--k", "3"), ("--alpha", "0.2"), ("--gamma", "0,1"))),
     pytest.param(REWIRE + ["--strategy", "random"], "--labels", id="random--labels"),
+    pytest.param(REWIRE + ["--strategy", "random", "--greedy"], "--greedy",
+                 id="random-greedy"),
 ]
 # a custom filter whose coefficients overflow float64 on every filtered row
 OVERFLOW = [
@@ -426,6 +428,18 @@ BAD_RATIO = [
                  id="non-numeric-gamma"),
     pytest.param(TRIANGLE, "7\n", ANALYZE + ["--target", "{tmp}/g.input"], "--target",
                  id="out-of-range-target"),
+    pytest.param(TRIANGLE, "0\n-1\n", ANALYZE + ["--target", "{tmp}/g.input"],
+                 "g.input line 2: node -1 outside [0, 3)", id="negative-target"),
+    pytest.param(TRIANGLE, "0\nx\n", ANALYZE + ["--target", "{tmp}/g.input"],
+                 "g.input line 2: not a node id", id="non-integer-target"),
+    pytest.param("# nodes=x\n0 1\n", FEATURES, SCORE, "line 1: bad nodes header",
+                 id="non-integer-node-header"),
+    pytest.param(TRIANGLE, "1 0\n0 1\n", PSEUDO, "g.input: 2 rows, graph has 3 nodes",
+                 id="short-features"),
+    pytest.param(TRIANGLE, FEATURES, PRESET + ["--mix", "1,2,3"], "--mix must be",
+                 id="three-value-mix"),
+    pytest.param(TRIANGLE, FEATURES, [a for a in GEN if a not in ("--n", "10")],
+                 "--n is required", id="gen-without-n"),
     pytest.param(TRIANGLE, FEATURES, PRESET + ["--mix", "1,nan"], "--mix", id="nan-mix"),
     pytest.param(TRIANGLE, FEATURES, PSEUDO + ["--lr", "1e6"], "--lr", id="diverging-lr",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
@@ -440,6 +454,16 @@ BAD_RATIO = [
                  id="duplicate-soft-label-node"),
     pytest.param(TRIANGLE, "0 1 0\n1 nan 1\n2 0 1\n", SOFT, "--soft-labels",
                  id="nan-soft-label"),
+    pytest.param(TRIANGLE, "0 1 0\nx 1 0\n2 0 1\n", SOFT,
+                 "g.input: line 2: non-integer node id", id="non-integer-soft-node"),
+    pytest.param(TRIANGLE, "0 1 0\n1 a 0\n2 0 1\n", SOFT,
+                 "g.input: line 2: non-numeric probability", id="non-numeric-soft-label"),
+    pytest.param(TRIANGLE, "0 1 0\n1 1\n2 0 1\n", SOFT,
+                 "g.input: line 2: expected node + 2 probabilities", id="short-soft-row"),
+    pytest.param(TRIANGLE, "0 1 0\n3 1 0\n2 0 1\n", SOFT,
+                 "g.input: line 2: node 3 outside [0, 3)", id="out-of-range-soft-node"),
+    pytest.param(TRIANGLE, "0 1 0\n2 0 1\n", SOFT, "soft label rows missing (first: node 1)",
+                 id="missing-soft-row"),
     pytest.param(TRIANGLE, FEATURES, SCORE + ["--k", str(MAX_ORDER + 1)], "--k",
                  id="oversized-order"),
     pytest.param(TRIANGLE, FEATURES, GEN + ["--sigma", "nan"], "sigma", id="nan-sigma"),

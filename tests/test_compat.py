@@ -8,7 +8,6 @@ from topoinf import (
     FilterSpec,
     Graph,
     LabelData,
-    PolynomialFilter,
     compatibility,
 )
 
@@ -69,7 +68,7 @@ class TestCompatibility:
         g = Graph.from_edges(16, pairs)
         labels = LabelData(3, rng.integers(0, 3, size=16))
         for lam in (0.0, 0.25):
-            got = compatibility(g, PolynomialFilter((0.2, 0.8)), labels, lam=lam).C
+            got = compatibility(g, FilterSpec("custom", 1, gamma=(0.2, 0.8)), labels, lam=lam).C
             want = dense_compat(16, g.edges.tolist(), labels.labels.tolist(), 3,
                                 (0.2, 0.8), lam)
             assert got == pytest.approx(want, abs=1e-12)

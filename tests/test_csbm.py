@@ -6,7 +6,6 @@ import pytest
 from topoinf import (
     CsbmParams,
     FilterSpec,
-    PolynomialFilter,
     check_distance_contraction,
     check_variance_reduction,
     cora_like_params,
@@ -122,7 +121,7 @@ class TestDistanceContraction:
     def test_identity_filter_is_equality(self):
         params = CsbmParams(n=20, c=2, p=0.4, q=0.1, d=4, sigma=1.0, seed=5)
         sample = generate_csbm(params)
-        rep = check_distance_contraction(sample, PolynomialFilter((1.0,)))
+        rep = check_distance_contraction(sample, FilterSpec("custom", 0, gamma=(1.0,)))
         assert rep.ok
         assert np.allclose(rep.before, rep.after)
 
@@ -148,21 +147,21 @@ class TestDistanceContraction:
         params = CsbmParams(n=10, c=2, p=0.5, q=0.1, d=4, sigma=1.0, seed=0)
         sample = generate_csbm(params)
         with pytest.raises(ValueError, match="nonnegative"):
-            check_distance_contraction(sample, PolynomialFilter((0.5, 0.6)))
+            check_distance_contraction(sample, FilterSpec("custom", 1, gamma=(0.5, 0.6)))
         with pytest.raises(ValueError):
-            check_distance_contraction(sample, PolynomialFilter((-0.5, 1.5)))
+            check_distance_contraction(sample, FilterSpec("custom", 1, gamma=(-0.5, 1.5)))
 
 
 class TestVarianceReduction:
     def test_identity_filter_bound_tight(self):
         params = CsbmParams(n=15, c=3, p=0.4, q=0.1, d=4, sigma=1.0, seed=1)
-        rep = check_variance_reduction(params, PolynomialFilter((1.0,)), trials=20)
+        rep = check_variance_reduction(params, FilterSpec("custom", 0, gamma=(1.0,)), trials=20)
         assert rep.frobenius_sq == pytest.approx(15.0, abs=1e-9)
         assert rep.ok
 
     def test_two_node_walk_filter(self):
         params = CsbmParams(n=2, c=2, p=1.0, q=1.0, d=3, sigma=1.0, seed=2)
-        rep = check_variance_reduction(params, PolynomialFilter((0.0, 1.0)), trials=50)
+        rep = check_variance_reduction(params, FilterSpec("sgc", 1), trials=50)
         assert rep.frobenius_sq == pytest.approx(1.0, abs=1e-12)
         assert rep.frobenius_sq <= rep.n
 

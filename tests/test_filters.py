@@ -8,10 +8,8 @@ from topoinf import (
     FilterSpec,
     Graph,
     LabelData,
-    PolynomialFilter,
     apply_filter,
     compatibility,
-    expand_preset,
     normalized_adjacency,
 )
 
@@ -22,26 +20,41 @@ from dense_oracle import dense_rownorm_filter, dense_soft_labels
 
 class TestExpandPreset:
     def test_sgc_is_pure_top_power(self):
-        assert expand_preset(FilterSpec("sgc", 2)).gamma == (0.0, 0.0, 1.0)
-        assert expand_preset(FilterSpec("gcn", 3)).gamma == (0.0, 0.0, 0.0, 1.0)
+        assert FilterSpec("sgc", 2).coefficients == (0.0, 0.0, 1.0)
+        assert FilterSpec("gcn", 3).coefficients == (0.0, 0.0, 0.0, 1.0)
 
     def test_appnp_k2(self):
-        pf = expand_preset(FilterSpec("appnp", 2, alpha=0.1))
-        assert pf.gamma == pytest.approx((0.1, 0.09, 0.81), abs=1e-15)
+        spec = FilterSpec("appnp", 2, alpha=0.1)
+        assert spec.coefficients == pytest.approx((0.1, 0.09, 0.81), abs=1e-15)
 
     def test_gcnii_matches_appnp(self):
-        a = expand_preset(FilterSpec("appnp", 4, alpha=0.2))
-        b = expand_preset(FilterSpec("gcnii", 4, alpha=0.2))
-        assert a.gamma == b.gamma
+        a = FilterSpec("appnp", 4, alpha=0.2)
+        b = FilterSpec("gcnii", 4, alpha=0.2)
+        assert a.coefficients == b.coefficients
 
     def test_s2gc(self):
-        pf = expand_preset(FilterSpec("s2gc", 4, alpha=0.2))
-        assert pf.gamma[0] == pytest.approx(0.2)
-        assert all(g == pytest.approx(0.8 / 4) for g in pf.gamma[1:])
+        gamma = FilterSpec("s2gc", 4, alpha=0.2).coefficients
+        assert gamma[0] == pytest.approx(0.2)
+        assert all(g == pytest.approx(0.8 / 4) for g in gamma[1:])
 
     def test_custom_passthrough_identity(self):
-        pf = expand_preset(FilterSpec("custom", 2, gamma=(1.0, 0.0, 0.0)))
-        assert pf.gamma == (1.0, 0.0, 0.0)
+        spec = FilterSpec("custom", 2, gamma=(1, 0, 0))
+        assert spec.coefficients == spec.gamma == (1.0, 0.0, 0.0)
+        assert all(type(x) is float for x in spec.coefficients)
+
+    def test_supplied_coefficients_allow_order_zero(self):
+        assert FilterSpec("custom", 0, gamma=(1.0,)).coefficients == (1.0,)
+        assert FilterSpec("gprgnn", 0, gamma=(2.0,)).coefficients == (2.0,)
+        with pytest.raises(ValueError, match=r"filter order K must lie in \[1, "):
+            FilterSpec("appnp", 0)
+
+    def test_coefficients_are_derived(self):
+        spec = FilterSpec("sgc", 2)
+        assert spec.gamma is None
+        with pytest.raises(TypeError):
+            FilterSpec("sgc", 2, coefficients=(0.0, 0.0, 1.0))
+        with pytest.raises(AttributeError):
+            spec.coefficients = (1.0, 0.0, 0.0)
 
     def test_gamma_required_for_learned(self):
         with pytest.raises(ValueError, match="gamma"):
@@ -60,28 +73,28 @@ class TestExpandPreset:
         ("appnp", 0.25, 6), ("gcnii", 0.5, 4),
     ])
     def test_coefficient_sums_to_one(self, preset, alpha, k):
-        pf = expand_preset(FilterSpec(preset, k, alpha=alpha))
-        assert abs(math.fsum(pf.gamma) - 1.0) <= 1e-12
+        gamma = FilterSpec(preset, k, alpha=alpha).coefficients
+        assert abs(math.fsum(gamma) - 1.0) <= 1e-12
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             FilterSpec("sgc", 0)
 
     def test_order_bounded(self):
-        assert expand_preset(FilterSpec("sgc", MAX_ORDER)).order == MAX_ORDER
+        assert FilterSpec("sgc", MAX_ORDER).k == MAX_ORDER
         with pytest.raises(ValueError, match="filter order"):
             FilterSpec("sgc", MAX_ORDER + 1)
         with pytest.raises(ValueError, match="filter order"):
-            PolynomialFilter((0.0,) * (MAX_ORDER + 1) + (1.0,))
+            FilterSpec("custom", MAX_ORDER + 1, gamma=(0.0,) * (MAX_ORDER + 1) + (1.0,))
 
     def test_all_zero_coefficients_rejected(self):
         with pytest.raises(ValueError):
-            PolynomialFilter((0.0, 0.0))
+            FilterSpec("custom", 1, gamma=(0.0, 0.0))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(ValueError, match="gamma"):
-            PolynomialFilter((bad, 1.0))
+            FilterSpec("gprgnn", 1, gamma=(bad, 1.0))
         with pytest.raises(ValueError, match="gamma"):
             FilterSpec("custom", 1, gamma=(bad, 1.0))
 
@@ -101,7 +114,7 @@ class TestApplyFilter:
     def test_isolated_single_node(self):
         g = Graph.from_edges(1, np.empty((0, 2), dtype=np.int64))
         adj = normalized_adjacency(g)
-        out = apply_filter(PolynomialFilter((0.5, 0.5)), adj, np.array([[3.0]]))
+        out = apply_filter(FilterSpec("custom", 1, gamma=(0.5, 0.5)), adj, np.array([[3.0]]))
         assert out.tolist() == [[3.0]]
 
     def test_dimension_mismatch(self, triangle, walk_filter):
@@ -114,11 +127,11 @@ class TestApplyFilter:
         pairs = rng.integers(0, 12, size=(30, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         adj = normalized_adjacency(Graph.from_edges(12, pairs))
-        pf = PolynomialFilter((0.3, 0.5, 0.2))
+        spec = FilterSpec("custom", 2, gamma=(0.3, 0.5, 0.2))
         m1 = rng.normal(size=(12, 3))
         m2 = rng.normal(size=(12, 3))
-        lhs = apply_filter(pf, adj, m1 + m2)
-        rhs = apply_filter(pf, adj, m1) + apply_filter(pf, adj, m2)
+        lhs = apply_filter(spec, adj, m1 + m2)
+        rhs = apply_filter(spec, adj, m1) + apply_filter(spec, adj, m2)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_vector_signal(self, triangle, walk_filter):
@@ -153,8 +166,8 @@ class TestSoftLabels:
         g = Graph.from_edges(14, pairs)
         labels = LabelData(3, rng.integers(0, 3, size=14))
         gamma = (0.1, 0.3, 0.6)
-        lbar = row_normalized_filter(PolynomialFilter(gamma), normalized_adjacency(g),
-                                     labels.dense_rows())
+        lbar = row_normalized_filter(FilterSpec("custom", 2, gamma=gamma),
+                                     normalized_adjacency(g), labels.dense_rows())
         ref = dense_soft_labels(14, g.edges.tolist(), labels.labels.tolist(), 3, gamma)
         assert np.allclose(lbar.values, ref, atol=1e-12)
 
@@ -175,8 +188,8 @@ class TestSoftLabels:
     def test_negative_gamma_flags_rows(self):
         g = Graph.from_edges(2, [(0, 1)])
         # row sums of A_hat are exactly 1, so f = A_hat - I has zero row sums
-        lbar = row_normalized_filter(PolynomialFilter((-1.0, 1.0)), normalized_adjacency(g),
-                                     LabelData(2, [0, 1]).dense_rows())
+        lbar = row_normalized_filter(FilterSpec("custom", 1, gamma=(-1.0, 1.0)),
+                                     normalized_adjacency(g), LabelData(2, [0, 1]).dense_rows())
         assert lbar.nonnormalizable.tolist() == [0, 1]
         assert np.isnan(lbar.values).all()
 
@@ -186,7 +199,7 @@ class TestSoftLabels:
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         g = Graph.from_edges(20, pairs)
         for spec in (FilterSpec("sgc", 2), FilterSpec("appnp", 2, alpha=0.1)):
-            rn = dense_rownorm_filter(expand_preset(spec).gamma, 20, g.edges.tolist())
+            rn = dense_rownorm_filter(spec.coefficients, 20, g.edges.tolist())
             lbar = row_normalized_filter(spec, normalized_adjacency(g),
                                          LabelData(20, np.arange(20)).dense_rows())
             assert np.allclose(lbar.values, rn, atol=1e-12)
@@ -198,16 +211,17 @@ class TestOverflowingCoefficients:
 
     PATH = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     LABELS = LabelData(2, [0, 0, 1, 1])
+    HUGE = FilterSpec("custom", 2, gamma=(1e308,) * 3)
 
     def test_row_normalized_filter_names_the_nodes(self):
         with pytest.raises(ValueError, match=r"coefficients overflow.*nodes \[0, 1, 2, 3\]"):
-            row_normalized_filter(PolynomialFilter((1e308,) * 3), normalized_adjacency(self.PATH),
+            row_normalized_filter(self.HUGE, normalized_adjacency(self.PATH),
                                   self.LABELS.dense_rows())
 
     def test_workspace_build_names_the_nodes(self):
         with pytest.raises(ValueError, match=r"coefficients overflow.*nodes \[0, 1, 2, 3\]"):
-            DeltaWorkspace.build(self.PATH, PolynomialFilter((1e308,) * 3), self.LABELS)
+            DeltaWorkspace.build(self.PATH, self.HUGE, self.LABELS)
 
     def test_large_finite_rows_still_score(self):
-        report = compatibility(self.PATH, PolynomialFilter((1e300,) * 3), self.LABELS)
+        report = compatibility(self.PATH, FilterSpec("custom", 2, gamma=(1e300,) * 3), self.LABELS)
         assert report.to_json_dict()["C"] == 3.46541461324

@@ -56,6 +56,14 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match=f"^line {line}: nodes="):
             load_edge_list(text)
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("0 1\n-1 2\n", "line 2: negative node id", id="negative-id"),
+        pytest.param("# nodes=x\n0 1\n", "line 1: bad nodes header", id="non-integer-header"),
+    ])
+    def test_bad_line_named(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}"):
+            load_edge_list(text)
+
     def test_crlf(self):
         g = load_edge_list("0 1\r\n1 2\r\n")
         assert g.edge_count == 2
@@ -98,6 +106,18 @@ class TestLoadLabels:
     ])
     def test_class_header_below_one(self, text, line):
         with pytest.raises(GraphFormatError, match=f"^line {line}: classes="):
+            load_labels(text, n=3)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("0 0\n1 0 1\n", "line 2: expected 'node class'", id="three-fields"),
+        pytest.param("0 a\n", "line 1: non-integer field", id="non-integer-field"),
+        pytest.param("0 0\n3 1\n", r"line 2: node 3 outside \[0, 3\)", id="node-out-of-range"),
+        pytest.param("0 -1\n", "line 1: negative class id", id="negative-class"),
+        pytest.param("0 0\n# classes=two\n", "line 2: bad classes header",
+                     id="non-integer-header"),
+    ])
+    def test_bad_line_named(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}"):
             load_labels(text, n=3)
 
     def test_unlisted_nodes_unmasked(self):

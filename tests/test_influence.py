@@ -12,8 +12,6 @@ from topoinf import (
     FilterSpec,
     Graph,
     LabelData,
-    PolynomialFilter,
-    as_filter,
     compatibility,
     cora_like_params,
     generate_csbm,
@@ -23,7 +21,7 @@ from topoinf import (
     topoinf_oracle,
 )
 from topoinf import influence
-from topoinf.verify import check_edge_scores, random_labeled_graph
+from topoinf.verify import check_edge_scores, random_labeled_graph, run_oracle_suite
 
 from dense_oracle import dense_rownorm_filter, dense_topoinf, dense_topoinf_rows
 from greedy_reference import reference_greedy
@@ -123,6 +121,25 @@ class TestIncremental:
         res = check_edge_scores(g, labels, spec)
         assert res.mismatches == 0
 
+    @pytest.mark.parametrize("preset, message", [
+        pytest.param("sgc", "planted fault", id="sgc"),
+        pytest.param("sgc", "planted non-normalizable rows", id="sgc-non-normalizable"),
+        pytest.param("gprgnn", "planted fault", id="gprgnn"),
+    ])
+    def test_oracle_suite_raises_planted_failures(self, monkeypatch, preset, message):
+        """The suite redraws only a gprgnn filter whose rows cannot be
+        normalized; every other failure propagates."""
+        build = DeltaWorkspace.build.__func__
+
+        def faulty(cls, g, spec, *args):
+            if spec.preset == preset:
+                raise ValueError(message)
+            return build(cls, g, spec, *args)
+
+        monkeypatch.setattr(DeltaWorkspace, "build", classmethod(faulty))
+        with pytest.raises(ValueError, match=message):
+            run_oracle_suite(quick=True)
+
     def test_restricted_target(self, walk_filter):
         g, labels = random_labeled_graph(40, 5, 3, seed=6)
         target = np.arange(0, 40, 3)
@@ -143,7 +160,8 @@ class TestIncremental:
     def test_non_normalizable_rows_rejected(self):
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError, match="non-normalizable"):
-            DeltaWorkspace.build(g, PolynomialFilter((-1.0, 1.0)), LabelData(2, [0, 1]))
+            DeltaWorkspace.build(g, FilterSpec("custom", 1, gamma=(-1.0, 1.0)),
+                                 LabelData(2, [0, 1]))
 
     def test_soft_influence_mode_matches_oracle(self):
         g, labels = random_labeled_graph(30, 4, 3, seed=13)
@@ -209,7 +227,7 @@ class TestBatchIndependence:
 
     @staticmethod
     def _is_wide(ws, e):
-        ball = khop_set(ws.g, ws.g.edges[e], ws.pf.order)
+        ball = khop_set(ws.g, ws.g.edges[e], ws.spec.k)
         return 2 * np.count_nonzero(ws.target_mask[ball]) > ws.target.size
 
     @pytest.mark.parametrize("case", CASES)
@@ -277,7 +295,7 @@ def _scores_in_pool_worker(case):
     ws = TestBatchIndependence._workspace(case)
     splits, split = [], influence._in_shares
     influence._in_shares = lambda *args: splits.append(len(args[1])) or split(*args)
-    rep = score_all_edges(ws.g, ws.pf, ws.labels, ws.target, ws.lam)
+    rep = score_all_edges(ws.g, ws.spec, ws.labels, ws.target, ws.lam)
     return TestBatchIndependence._bits(rep.scores), splits
 
 
@@ -327,7 +345,7 @@ class TestShares:
         # without (401, 402), node 401 is one more leaf of the hub and its
         # filter row sums to -0.65 + 0.535 < 0
         g = Graph.from_edges(403, [(0, v) for v in range(1, 402)] + [(401, 402)])
-        ws = DeltaWorkspace.build(g, PolynomialFilter((-0.65, 1.0)),
+        ws = DeltaWorkspace.build(g, FilterSpec("custom", 1, gamma=(-0.65, 1.0)),
                                   LabelData(2, np.arange(403) % 2), target=[401])
         edges = np.arange(g.edge_count)
         monkeypatch.setattr(influence, "_workers", lambda: 1)
@@ -370,7 +388,7 @@ class TestShares:
 
         ws = TestBatchIndependence._workspace("appnp10")
         monkeypatch.setattr(influence, "_workers", lambda: 1)
-        serial = TestBatchIndependence._bits(score_all_edges(ws.g, ws.pf, ws.labels).scores)
+        serial = TestBatchIndependence._bits(score_all_edges(ws.g, ws.spec, ws.labels).scores)
         monkeypatch.setattr(influence, "_workers", lambda: 2)
         pool = multiprocessing.get_context("fork").Pool(1)
         try:
@@ -608,7 +626,7 @@ def test_soft_labels_decide_the_influence(path):
     g, hard = random_labeled_graph(16, 4, 3, seed=5)
     soft = np.random.default_rng(1).dirichlet(np.ones(3), size=g.n)
     spec = FilterSpec("appnp", 2, alpha=0.2)
-    gamma = as_filter(spec).gamma
+    gamma = spec.coefficients
     want_soft = _dense_values(path, g, soft, gamma)
     want_hard = _dense_values(path, g, hard.one_hot(), gamma)
     assert not np.allclose(want_soft, want_hard, atol=1e-6)

@@ -25,12 +25,10 @@ from topoinf import (
     FilterSpec,
     Graph,
     LabelData,
-    PolynomialFilter,
     compatibility,
     greedy_refine,
     khop_set,
 )
-from topoinf.filters import as_filter
 from topoinf.influence import _stale_edges
 
 from dense_oracle import dense_row_sums, dense_topoinf_rows
@@ -51,7 +49,7 @@ def scoring_cases(draw):
     k = draw(st.sampled_from(range(5)))
     preset = draw(st.sampled_from(PRESETS))
     if k == 0:
-        spec = PolynomialFilter((draw(st.floats(0.1, 2.0)),))
+        spec = FilterSpec("custom", 0, gamma=(draw(st.floats(0.1, 2.0)),))
     elif preset == "gprgnn":
         # learned weights with at least one negative coefficient
         gamma = draw(st.lists(st.floats(0.0, 1.0), min_size=k + 1, max_size=k + 1))
@@ -74,7 +72,7 @@ def scoring_cases(draw):
 @given(scoring_cases())
 def test_engine_matches_dense_oracle(case):
     n, edges, c, labels, spec, target, lam, soft = case
-    gamma = as_filter(spec).gamma
+    gamma = spec.coefficients
     # keep clear of non-normalizable rows, before and after every removal
     for graph_edges in [edges] + [[f for f in edges if f != e] for e in edges]:
         assume(dense_row_sums(gamma, n, graph_edges)[target].min() > 1e-3)
@@ -104,7 +102,7 @@ def test_scores_add_over_disjoint_targets(case, split):
     edge excluded for either part is excluded for the union (-inf absorbs)."""
     n, edges, c, labels, spec, target, lam, soft = case
     assume(len(target) >= 2)
-    gamma = as_filter(spec).gamma
+    gamma = spec.coefficients
     for graph_edges in [edges] + [[f for f in edges if f != e] for e in edges]:
         assume(dense_row_sums(gamma, n, graph_edges)[target].min() > 1e-3)
     in_first = split.draw(st.lists(st.booleans(), min_size=len(target),
@@ -182,7 +180,7 @@ def test_removals_leave_unlisted_scores_unchanged(case, data):
     removed = g.edges[picked]
     after = Graph.from_edges(g.n, np.delete(g.edges, picked, axis=0))
     mask = np.ones(g.n, dtype=bool) if target is None else np.isin(np.arange(g.n), target)
-    stale = _stale_edges(after, removed.ravel(), mask, as_filter(spec).order)
+    stale = _stale_edges(after, removed.ravel(), mask, spec.k)
     kept = np.setdiff1d(np.arange(after.edge_count), stale)
 
     def scores(graph):

@@ -6,7 +6,6 @@ from topoinf import (
     FilterSpec,
     Graph,
     LabelData,
-    PolynomialFilter,
     TrainConfig,
     generate_csbm,
     predict_pseudo,
@@ -14,6 +13,8 @@ from topoinf import (
     train_linear_sgc,
 )
 from topoinf.pseudo import load_soft_tsv, loss_and_gradients
+
+IDENTITY = FilterSpec("custom", 0, gamma=(1.0,))
 
 
 def two_blob_instance(n_per=10, seed=0):
@@ -33,8 +34,8 @@ class TestTraining:
     def test_separable_blobs_reach_full_accuracy(self):
         g, feats, labels = two_blob_instance()
         cfg = TrainConfig(learning_rate=0.5, epochs=500, l2_penalty=1e-4, seed=0)
-        model = train_linear_sgc(g, PolynomialFilter((1.0,)), feats, labels, cfg)
-        pseudo = predict_pseudo(model, g, PolynomialFilter((1.0,)), feats, labels)
+        model = train_linear_sgc(g, IDENTITY, feats, labels, cfg)
+        pseudo = predict_pseudo(model, g, IDENTITY, feats, labels)
         assert (pseudo.hardened == labels.labels).all()
 
     def test_zero_features_give_uniform_predictions(self):
@@ -42,15 +43,15 @@ class TestTraining:
         labels = LabelData(2, np.tile([0, 1], 4))
         feats = np.zeros((8, 3))
         cfg = TrainConfig(learning_rate=0.5, epochs=400, l2_penalty=0.01, seed=1)
-        model = train_linear_sgc(g, PolynomialFilter((1.0,)), feats, labels, cfg)
+        model = train_linear_sgc(g, IDENTITY, feats, labels, cfg)
         unlabeled = LabelData(2, np.full(8, -1))
-        pseudo = predict_pseudo(model, g, PolynomialFilter((1.0,)), feats, unlabeled)
+        pseudo = predict_pseudo(model, g, IDENTITY, feats, unlabeled)
         assert np.allclose(pseudo.soft, 0.5, atol=1e-3)
 
     def test_loss_trace_final_not_above_initial(self):
         g, feats, labels = two_blob_instance(seed=2)
         cfg = TrainConfig(learning_rate=0.1, epochs=50, seed=2)
-        model = train_linear_sgc(g, PolynomialFilter((1.0,)), feats, labels, cfg)
+        model = train_linear_sgc(g, IDENTITY, feats, labels, cfg)
         assert model.loss_trace[-1] <= model.loss_trace[0]
         assert model.loss_trace.shape == (51,)
 
@@ -58,20 +59,20 @@ class TestTraining:
         g, feats, labels = two_blob_instance(seed=3)
         cfg = TrainConfig(learning_rate=1e6, epochs=40, seed=3)
         with pytest.raises(RuntimeError):
-            train_linear_sgc(g, PolynomialFilter((1.0,)), feats, labels, cfg)
+            train_linear_sgc(g, IDENTITY, feats, labels, cfg)
 
     def test_empty_mask_rejected(self):
         g, feats, _ = two_blob_instance(seed=4)
         none = LabelData(2, np.full(g.n, -1))
         with pytest.raises(ValueError, match="no labeled"):
-            train_linear_sgc(g, PolynomialFilter((1.0,)), feats, none,
+            train_linear_sgc(g, IDENTITY, feats, none,
                              TrainConfig())
 
     def test_deterministic_given_seed(self):
         g, feats, labels = two_blob_instance(seed=5)
         cfg = TrainConfig(learning_rate=0.3, epochs=60, seed=7)
-        m1 = train_linear_sgc(g, PolynomialFilter((1.0,)), feats, labels, cfg)
-        m2 = train_linear_sgc(g, PolynomialFilter((1.0,)), feats, labels, cfg)
+        m1 = train_linear_sgc(g, IDENTITY, feats, labels, cfg)
+        m2 = train_linear_sgc(g, IDENTITY, feats, labels, cfg)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.bias, m2.bias)
 
@@ -111,15 +112,15 @@ class TestPredictions:
         model = LinearModel(weights=np.zeros((2, 2)),
                             bias=np.array([-10.0, 10.0]),
                             loss_trace=np.zeros(1))
-        pseudo = predict_pseudo(model, g, PolynomialFilter((1.0,)), feats, labels)
+        pseudo = predict_pseudo(model, g, IDENTITY, feats, labels)
         assert (pseudo.hardened == labels.labels).all()
         assert pseudo.source_mask.all()
 
     def test_soft_rows_sum_to_one(self):
         g, feats, labels = two_blob_instance(seed=7)
         cfg = TrainConfig(learning_rate=0.2, epochs=30, seed=0)
-        model = train_linear_sgc(g, PolynomialFilter((1.0,)), feats, labels, cfg)
-        pseudo = predict_pseudo(model, g, PolynomialFilter((1.0,)), feats, labels)
+        model = train_linear_sgc(g, IDENTITY, feats, labels, cfg)
+        pseudo = predict_pseudo(model, g, IDENTITY, feats, labels)
         assert np.allclose(pseudo.soft.sum(axis=1), 1.0, atol=1e-9)
 
     def test_argmax_ties_take_lowest_class(self):
@@ -158,8 +159,8 @@ class TestPredictions:
     def test_soft_tsv_roundtrip(self):
         g, feats, labels = two_blob_instance(seed=10)
         cfg = TrainConfig(learning_rate=0.2, epochs=30, seed=0)
-        model = train_linear_sgc(g, PolynomialFilter((1.0,)), feats, labels, cfg)
-        pseudo = predict_pseudo(model, g, PolynomialFilter((1.0,)), feats, labels)
+        model = train_linear_sgc(g, IDENTITY, feats, labels, cfg)
+        pseudo = predict_pseudo(model, g, IDENTITY, feats, labels)
         text = pseudo.to_soft_tsv()
         back = load_soft_tsv(text, g.n, 2)
         assert np.allclose(back, pseudo.soft, atol=1e-11)
