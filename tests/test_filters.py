@@ -81,7 +81,9 @@ class TestExpandPreset:
             FilterSpec("sgc", 0)
 
     def test_order_bounded(self):
-        assert FilterSpec("sgc", MAX_ORDER).k == MAX_ORDER
+        gamma = FilterSpec("sgc", MAX_ORDER).coefficients
+        assert len(gamma) == MAX_ORDER + 1
+        assert gamma[-1] == 1.0
         with pytest.raises(ValueError, match="filter order"):
             FilterSpec("sgc", MAX_ORDER + 1)
         with pytest.raises(ValueError, match="filter order"):
