@@ -28,11 +28,10 @@ from .csbm import (MAX_FEATURE_VALUES, MAX_SBM_NODES, CsbmParams, cora_like_para
                    generate_csbm, write_features)
 from .filters import MAX_ORDER, PRESETS, FilterSpec
 from .graphs import (
-    GraphFormatError,
     LabelData,
     load_edge_list,
     load_labels,
-    node_set,
+    load_target,
     write_edge_list,
     write_labels,
 )
@@ -54,13 +53,16 @@ from .rewire import (
     remove_random,
     sample_dropedge,
 )
-from .verify import run_all_suites, run_gradient_suite, run_oracle_suite, run_theorem2_suite
+from .verify import SUITES
 
 
 # Most epoch files one `dropedge` run may emit. Every epoch's edge list is
 # held until all outputs are computed, so the bound caps that memory at 1000
 # edge lists; DropEdge training schedules run a few hundred epochs.
 MAX_EPOCHS = 1000
+
+# the argument names of the input files a run may read, in manifest order
+INPUTS = ("graph", "labels", "soft_labels", "target", "features")
 
 
 def _fmt(x: float) -> str:
@@ -97,53 +99,55 @@ def _add_filter_flags(p: argparse.ArgumentParser):
                    help="comma-separated K+1 coefficients (gprgnn/custom)")
 
 
-def _load_graph_labels(args):
-    graph_path = Path(args.graph)
-    g = load_edge_list(graph_path.read_text())
-    labels = None
-    label_path = None
+def _read(flag: str, path: str, parse, *args):
+    """parse(text of the file at `path`, *args): the one place an input file
+    is read and parsed. Any error doing so is raised as a ValueError that
+    names the flag and the file."""
+    try:
+        return parse(Path(path).read_text(), *args)
+    except OSError as exc:
+        raise ValueError(f"{flag} {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from None
+
+
+def _with_soft(text: str, labels: LabelData) -> LabelData:
+    return LabelData(labels.c, labels.labels, soft=load_soft_tsv(text, labels.n, labels.c))
+
+
+def _features(text: str, n: int) -> np.ndarray:
+    features = np.loadtxt(text.splitlines(), ndmin=2)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} (node {bad[0]}) holds NaN or inf")
+    if features.shape[0] != n:
+        raise ValueError(f"{features.shape[0]} rows, graph has {n} nodes")
+    return features
+
+
+def _load_inputs(args):
+    """The graph, labels and target node set of a run; None where the run
+    names no such file."""
+    g = _read("--graph", args.graph, load_edge_list)
+    labels = target = None
     if getattr(args, "labels", None):
-        label_path = Path(args.labels)
-        labels = load_labels(label_path.read_text(), g.n)
+        labels = _read("--labels", args.labels, load_labels, g.n)
         if getattr(args, "soft_labels", None) is not None:
-            text = Path(args.soft_labels).read_text()
-            try:
-                soft = load_soft_tsv(text, g.n, labels.c)
-                labels = LabelData(labels.c, labels.labels, soft=soft)
-            except ValueError as exc:
-                raise ValueError(f"--soft-labels {args.soft_labels}: {exc}") from None
-    return g, labels, graph_path, label_path
+            labels = _read("--soft-labels", args.soft_labels, _with_soft, labels)
+    if getattr(args, "target", None):
+        target = _read("--target", args.target, load_target, g.n)
+    return g, labels, target
 
 
-def _load_target(args, n):
-    if not getattr(args, "target", None):
-        return None
-    ids = []
-    for ln, raw in enumerate(Path(args.target).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            ids.append(int(line.split()[0]))
-        except ValueError:
-            raise GraphFormatError(
-                f"--target {args.target} line {ln}: not a node id") from None
-        if not 0 <= ids[-1] < n:
-            raise GraphFormatError(
-                f"--target {args.target} line {ln}: node {ids[-1]} outside [0, {n})")
-    if not ids:
-        raise ValueError(f"--target {args.target}: no node ids")
-    return node_set(ids, n)
-
-
-def _manifest(args, command: str, inputs: dict, seed=None) -> dict:
+def _manifest(args) -> dict:
     flags = {k: v for k, v in sorted(vars(args).items())
              if k not in ("handler",) and v is not None}
     return {
-        "command": command,
+        "command": args.subcommand,
         "flags": flags,
-        "inputs": {name: _sha256(Path(p)) for name, p in inputs.items() if p},
-        "seed": seed,
+        "inputs": {name: _sha256(Path(getattr(args, name))) for name in INPUTS
+                   if getattr(args, name, None)},
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -183,16 +187,14 @@ def _emit(outputs: dict, manifest: dict, manifest_base: str | None,
 
 
 def cmd_analyze(args) -> int:
-    g, labels, gp, lp = _load_graph_labels(args)
-    target = _load_target(args, g.n)
+    g, labels, target = _load_inputs(args)
     spec = _filter_spec(args)
     report = compatibility(g, spec, labels, target, args.lam)
     doc = report.to_json_dict()
     doc["filter"] = {"model": spec.preset, "k": spec.k, "alpha": spec.alpha,
                      "gamma": list(spec.gamma) if spec.gamma else None}
     text = json.dumps(doc, indent=2) + "\n"
-    manifest = _manifest(args, "analyze",
-                         {"graph": gp, "labels": lp, "target": args.target})
+    manifest = _manifest(args)
     if args.output:
         _emit({args.output: text}, manifest, args.output)
     else:
@@ -209,14 +211,11 @@ def _target_hash(target, n) -> str:
 
 
 def cmd_score(args) -> int:
-    g, labels, gp, lp = _load_graph_labels(args)
-    target = _load_target(args, g.n)
+    g, labels, target = _load_inputs(args)
     spec = _filter_spec(args)
     report = score_all_edges(g, spec, labels, target, args.lam, mode=args.mode)
     tsv = report.to_tsv()
-    manifest = _manifest(args, "score",
-                         {"graph": gp, "labels": lp, "target": args.target},
-                         seed=args.seed)
+    manifest = _manifest(args)
     outputs = {}
     if args.json:
         doc = {
@@ -272,8 +271,7 @@ def cmd_rewire(args) -> int:
                           ("lam", 0.0), ("model", "sgc"), ("k", 2), ("alpha", 0.1)):
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-    g, labels, gp, lp = _load_graph_labels(args)
-    target = _load_target(args, g.n)
+    g, labels, target = _load_inputs(args)
     spec = _filter_spec(args)
 
     if args.greedy:
@@ -298,9 +296,7 @@ def cmd_rewire(args) -> int:
     edge_text = write_edge_list(new_graph)
     trace_text = "u\tv\tscore\tc_after\n" + \
         "".join(f"{u}\t{v}\t{s}\t{c}\n" for u, v, s, c in trace_rows)
-    manifest = _manifest(args, "rewire",
-                         {"graph": gp, "labels": lp, "target": args.target},
-                         seed=args.seed)
+    manifest = _manifest(args)
     outputs = {args.output: edge_text,
                (args.trace or args.output + ".trace.tsv"): trace_text}
     _emit(outputs, manifest, args.output)
@@ -317,8 +313,7 @@ def cmd_dropedge(args) -> int:
     check_drop_fraction(args.drop_rate)
     if not 0 <= args.emit_epochs <= MAX_EPOCHS:
         raise ValueError(f"--emit-epochs {args.emit_epochs}: must lie in [0, {MAX_EPOCHS}]")
-    g, labels, gp, lp = _load_graph_labels(args)
-    target = _load_target(args, g.n)
+    g, labels, target = _load_inputs(args)
     spec = _filter_spec(args)
     report = score_all_edges(g, spec, labels, target, args.lam)
     dist = dropedge_weights(report, args.tau)
@@ -334,9 +329,7 @@ def cmd_dropedge(args) -> int:
         keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), dropped)
         outputs[f"{args.output_prefix}.epoch{epoch:04d}.edges"] = write_edge_list(g, keep)
 
-    manifest = _manifest(args, "dropedge",
-                         {"graph": gp, "labels": lp, "target": args.target},
-                         seed=args.seed)
+    manifest = _manifest(args)
     _emit(outputs, manifest, args.output_prefix)
     return 0
 
@@ -387,7 +380,7 @@ def cmd_gen_csbm(args) -> int:
         args.output_prefix + ".features": write_features(sample.X),
         args.output_prefix + ".json": json.dumps(dataset_manifest, indent=2) + "\n",
     }
-    manifest = _manifest(args, "gen-csbm", {}, seed=args.seed)
+    manifest = _manifest(args)
     _emit(outputs, manifest, args.output_prefix)
     return 0
 
@@ -396,18 +389,8 @@ def cmd_gen_csbm(args) -> int:
 
 
 def cmd_pseudo(args) -> int:
-    g, labels, gp, lp = _load_graph_labels(args)
-    try:
-        features = np.loadtxt(args.features, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"--features {args.features}: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise ValueError(f"--features {args.features}: row {bad[0]} (node {bad[0]}) "
-                         "holds NaN or inf")
-    if features.shape[0] != g.n:
-        raise ValueError(f"--features {args.features}: {features.shape[0]} rows, "
-                         f"graph has {g.n} nodes")
+    g, labels, _ = _load_inputs(args)
+    features = _read("--features", args.features, _features, g.n)
     spec = _filter_spec(args)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                       l2_penalty=args.l2, seed=args.seed)
@@ -420,9 +403,7 @@ def cmd_pseudo(args) -> int:
         args.output_prefix + ".labels": pseudo.to_label_text(),
         args.output_prefix + ".soft.tsv": pseudo.to_soft_tsv(),
     }
-    manifest = _manifest(args, "pseudo",
-                         {"graph": gp, "labels": lp, "features": args.features},
-                         seed=args.seed)
+    manifest = _manifest(args)
     manifest["final_loss"] = float(model.loss_trace[-1])
     _emit(outputs, manifest, args.output_prefix)
     return 0
@@ -432,13 +413,8 @@ def cmd_pseudo(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    runners = {
-        "oracle": lambda: [run_oracle_suite(quick=args.quick)],
-        "theorem2": lambda: [run_theorem2_suite(quick=args.quick)],
-        "gradients": lambda: [run_gradient_suite(quick=args.quick)],
-        "all": lambda: run_all_suites(quick=args.quick),
-    }
-    results = runners[args.suite]()
+    names = SUITES if args.suite == "all" else [args.suite]
+    results = [SUITES[name](quick=args.quick) for name in names]
     for res in results:
         print(res.report())
     return 0 if all(r.passed for r in results) else 1
@@ -544,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_pseudo)
 
     p = command("verify", "run self-check suites")
-    p.add_argument("--suite", choices=("oracle", "theorem2", "gradients", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--quick", action="store_true")
     p.set_defaults(handler=cmd_verify)
 
@@ -559,8 +534,10 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed {args.seed}: must be a non-negative integer")
         return args.handler(args)
-    except (GraphFormatError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failures

@@ -25,6 +25,7 @@ __all__ = [
     "node_set",
     "load_edge_list",
     "load_labels",
+    "load_target",
     "normalized_adjacency",
     "khop_set",
     "write_edge_list",
@@ -371,12 +372,14 @@ class LabelData:
         return self.one_hot() if self.soft is None else np.array(self.soft)
 
 
-def _iter_lines(text: str):
+def _iter_lines(text: str, comments: bool = False):
+    """(line number, stripped line) of each non-blank line of every text
+    format; '#' comment lines only with `comments`, for formats whose
+    headers live in them."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        yield ln, line
+        if line and (comments or not line.startswith("#")):
+            yield ln, line
 
 
 def _parse_header(ln: int, line: str, key: str):
@@ -397,7 +400,7 @@ def load_edge_list(text: str) -> Graph:
     edges = []
     declared_n = None
     saw_content = False
-    for ln, line in _iter_lines(text):
+    for ln, line in _iter_lines(text, comments=True):
         if line.startswith("#"):
             got = _parse_header(ln, line, "nodes")
             if got is not None:
@@ -443,7 +446,7 @@ def load_labels(text: str, n: int) -> LabelData:
     declared_c = None
     labels = np.full(n, -1, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
-    for ln, line in _iter_lines(text):
+    for ln, line in _iter_lines(text, comments=True):
         if line.startswith("#"):
             got = _parse_header(ln, line, "classes")
             if got is not None:
@@ -474,6 +477,22 @@ def load_labels(text: str, n: int) -> LabelData:
             raise GraphFormatError("no labels and no '# classes=c' header")
         declared_c = int(labels.max()) + 1
     return LabelData(declared_c, labels)
+
+
+def load_target(text: str, n: int) -> np.ndarray:
+    """Parse a target node set: the first field of each line is a node id in
+    [0, n). Returns the canonical node set."""
+    ids = []
+    for ln, line in _iter_lines(text):
+        try:
+            ids.append(int(line.split()[0]))
+        except ValueError:
+            raise GraphFormatError(f"line {ln}: not a node id") from None
+        if not 0 <= ids[-1] < n:
+            raise GraphFormatError(f"line {ln}: node {ids[-1]} outside [0, {n})")
+    if not ids:
+        raise GraphFormatError("no node ids")
+    return node_set(ids, n)
 
 
 def write_edge_list(g: Graph, edge_ids=None) -> str:

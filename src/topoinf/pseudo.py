@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import apply_filter
-from .graphs import Graph, LabelData, normalized_adjacency, write_labels
+from .graphs import Graph, LabelData, _iter_lines, normalized_adjacency, write_labels
 
 __all__ = [
     "TrainConfig",
@@ -174,10 +174,7 @@ def predict_pseudo(model: LinearModel, g: Graph, spec, features,
 def load_soft_tsv(text: str, n: int, c: int) -> np.ndarray:
     """Parse the soft-label TSV (node id followed by c probabilities)."""
     out = np.full((n, c), np.nan)
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _iter_lines(text):
         parts = line.split()
         if len(parts) != c + 1:
             raise ValueError(f"line {ln}: expected node + {c} probabilities")

@@ -37,7 +37,7 @@ __all__ = [
     "run_oracle_suite",
     "run_theorem2_suite",
     "run_gradient_suite",
-    "run_all_suites",
+    "SUITES",
 ]
 
 ORACLE_TOL = 1e-10
@@ -222,9 +222,9 @@ def _fd_relative_error(weights, bias, feats, y, l2, grad_w, grad_b, h: float = 1
     return worst
 
 
-def run_all_suites(quick: bool = False) -> list[SuiteResult]:
-    return [
-        run_oracle_suite(quick=quick),
-        run_theorem2_suite(quick=quick),
-        run_gradient_suite(quick=quick),
-    ]
+# name -> runner of every `verify` suite, in the order `--suite all` runs them
+SUITES = {
+    "oracle": run_oracle_suite,
+    "theorem2": run_theorem2_suite,
+    "gradients": run_gradient_suite,
+}

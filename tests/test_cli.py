@@ -429,9 +429,9 @@ BAD_RATIO = [
     pytest.param(TRIANGLE, "7\n", ANALYZE + ["--target", "{tmp}/g.input"], "--target",
                  id="out-of-range-target"),
     pytest.param(TRIANGLE, "0\n-1\n", ANALYZE + ["--target", "{tmp}/g.input"],
-                 "g.input line 2: node -1 outside [0, 3)", id="negative-target"),
+                 "g.input: line 2: node -1 outside [0, 3)", id="negative-target"),
     pytest.param(TRIANGLE, "0\nx\n", ANALYZE + ["--target", "{tmp}/g.input"],
-                 "g.input line 2: not a node id", id="non-integer-target"),
+                 "g.input: line 2: not a node id", id="non-integer-target"),
     pytest.param("# nodes=x\n0 1\n", FEATURES, SCORE, "line 1: bad nodes header",
                  id="non-integer-node-header"),
     pytest.param(TRIANGLE, "1 0\n0 1\n", PSEUDO, "g.input: 2 rows, graph has 3 nodes",
@@ -485,6 +485,9 @@ BAD_RATIO = [
                  "--dim", id="oversized-features"),
     *(pytest.param(TRIANGLE, FEATURES, *p.values, id=p.id)
       for p in UNREAD + BAD_RATIO + OVERFLOW),
+    *(pytest.param(TRIANGLE, FEATURES, argv + ["--seed", "-1"],
+                   "--seed -1: must be a non-negative integer", id=f"negative-seed-{argv[0]}")
+      for argv in (GEN, DROPEDGE, REWIRE + ["--strategy", "random"], PSEUDO, SCORE)),
 ])
 def test_input_failures_exit_two(tmp_path, capsys, graph_text, input_text, argv, name):
     """Each bad input exits 2 with a message naming it and writes nothing.
@@ -504,6 +507,42 @@ def test_input_failures_exit_two(tmp_path, capsys, graph_text, input_text, argv,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+    assert not list(tmp_path.glob("out*"))
+
+
+# each input-file flag, a command that reads `{f}` as that file, and a file
+# whose second line is bad
+IO = ["--graph", "{tmp}/g.edges", "--labels", "{tmp}/g.labels"]
+FILE_FLAGS = {
+    "--graph": (ANALYZE + ["--graph", "{f}", "--labels", "{tmp}/g.labels"], "0 1\n1 x\n"),
+    "--labels": (ANALYZE + ["--graph", "{tmp}/g.edges", "--labels", "{f}"], "0 0\n1 -1\n"),
+    "--soft-labels": (ANALYZE + IO + ["--soft-labels", "{f}"], "0 1 0\n1 1\n2 0 1\n"),
+    "--target": (ANALYZE + IO + ["--target", "{f}"], "0\nx\n"),
+    "--features": (["pseudo", *IO, "--features", "{f}", "--output-prefix", "{tmp}/out"],
+                   "1 0\n0 x\n1 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", ["bad-line", "missing", "directory", "undecodable"])
+@pytest.mark.parametrize("flag", FILE_FLAGS)
+def test_input_file_errors_name_flag_and_file(tmp_path, capsys, flag, case):
+    """Every error reading or parsing an input file exits 2 with a message
+    that starts with the file's flag and path, and writes nothing."""
+    (tmp_path / "g.edges").write_text(TRIANGLE)
+    (tmp_path / "g.labels").write_text(TRIANGLE_LABELS)
+    argv, bad_line = FILE_FLAGS[flag]
+    path = tmp_path / "in"
+    if case == "bad-line":
+        path.write_text(bad_line)
+    elif case == "directory":
+        path.mkdir()
+    elif case == "undecodable":
+        path.write_bytes(b"0 1\n\xff\xfe\x80\n")
+    assert run([a.format(tmp=tmp_path, f=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {path}: ")
+    if case == "bad-line":
+        assert "line 2" in err or "row 1" in err   # numpy counts rows from 0
     assert not list(tmp_path.glob("out*"))
 
 

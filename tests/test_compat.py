@@ -121,6 +121,13 @@ class TestCompatibility:
         with pytest.raises(ValueError, match="without labels"):
             compatibility(triangle, walk_filter, labels, target=[2])
 
+    def test_non_normalizable_target_rows_rejected(self):
+        # A_hat has unit row sums on K_2, so f = A_hat - I sums to 0 on every row
+        g = Graph.from_edges(2, [(0, 1)])
+        with pytest.raises(ValueError, match=r"non-normalizable filter rows .*\[1\]"):
+            compatibility(g, FilterSpec("custom", 1, gamma=(-1.0, 1.0)), LabelData(2, [0, 1]),
+                          target=[1])
+
     def test_negative_lambda_rejected(self, triangle, triangle_labels, walk_filter):
         with pytest.raises(ValueError):
             compatibility(triangle, walk_filter, triangle_labels, lam=-0.1)

@@ -81,6 +81,22 @@ class TestGeneration:
         with pytest.raises(ValueError, match="feature values"):
             CsbmParams(n=10, c=3, p=0.3, q=0.1, d=limit + 1, sigma=1.0)
 
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({"c": 1}, "n >= c >= 2", id="one-class"),
+        pytest.param({"n": 2}, "n >= c >= 2", id="fewer-nodes-than-classes"),
+        pytest.param({"p": 1.5}, r"p must lie in \[0, 1\]", id="p-above-one"),
+        pytest.param({"q": -0.1}, r"q must lie in \[0, 1\]", id="negative-q"),
+        pytest.param({"q": float("nan")}, r"q must lie in \[0, 1\]", id="nan-q"),
+        pytest.param({"d": 0}, "feature dimension", id="zero-dim"),
+        pytest.param({"sigma": -1.0}, "sigma", id="negative-sigma"),
+        pytest.param({"mu_scale": float("nan")}, "mu_scale", id="nan-mu-scale"),
+        pytest.param({"mu_scheme": "uniform"}, "mu_scheme", id="unknown-mu-scheme"),
+    ])
+    def test_params_checked(self, changes, message):
+        params = {"n": 9, "c": 3, "p": 0.3, "q": 0.1, "d": 3, "sigma": 1.0, **changes}
+        with pytest.raises(ValueError, match=message):
+            CsbmParams(**params)
+
     def test_gaussian_centers_allowed_in_low_dim(self):
         params = CsbmParams(n=9, c=3, p=0.3, q=0.1, d=2, sigma=1.0,
                             mu_scheme="gaussian_random", seed=0)
@@ -114,6 +130,11 @@ class TestCoraLike:
                                      (1.0, float("inf")), (float("-inf"), 0.1)])
     def test_non_finite_mix_rejected(self, mix):
         with pytest.raises(ValueError, match=r"^mix \(.*(nan|inf).*\) must be finite"):
+            cora_like_params(mix=mix)
+
+    @pytest.mark.parametrize("mix", [(0.0, 0.1), (-0.5, 0.1), (0.9, -0.1)])
+    def test_mix_sign_checked(self, mix):
+        with pytest.raises(ValueError, match="mix must be positive"):
             cora_like_params(mix=mix)
 
 
@@ -164,6 +185,11 @@ class TestVarianceReduction:
         rep = check_variance_reduction(params, FilterSpec("sgc", 1), trials=50)
         assert rep.frobenius_sq == pytest.approx(1.0, abs=1e-12)
         assert rep.frobenius_sq <= rep.n
+
+    def test_needs_a_trial(self):
+        params = CsbmParams(n=6, c=2, p=0.5, q=0.1, d=2, sigma=1.0)
+        with pytest.raises(ValueError, match="at least one trial"):
+            check_variance_reduction(params, FilterSpec("sgc", 1), trials=0)
 
     def test_csbm_empirical(self):
         params = CsbmParams(n=100, c=3, p=0.3, q=0.05, d=6, sigma=1.0, seed=3)

@@ -76,6 +76,16 @@ class TestExpandPreset:
         gamma = FilterSpec(preset, k, alpha=alpha).coefficients
         assert abs(math.fsum(gamma) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("preset, alpha, message", [
+        pytest.param("gat", 0.1, "unknown preset", id="unknown-preset"),
+        pytest.param("appnp", -0.1, "alpha", id="negative-alpha"),
+        pytest.param("s2gc", 1.5, "alpha", id="alpha-above-one"),
+        pytest.param("gcnii", float("nan"), "alpha", id="nan-alpha"),
+    ])
+    def test_preset_and_alpha_checked(self, preset, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            FilterSpec(preset, 2, alpha=alpha)
+
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             FilterSpec("sgc", 0)

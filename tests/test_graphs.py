@@ -13,7 +13,9 @@ from topoinf import (
     write_edge_list,
     write_labels,
 )
-from topoinf.graphs import LabelData
+from topoinf.cli import _features
+from topoinf.graphs import LabelData, load_target
+from topoinf.pseudo import load_soft_tsv
 
 from dense_oracle import dense_norm_adj
 
@@ -151,6 +153,24 @@ class TestGraph:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])
+
+    @pytest.mark.parametrize("n, edges, message", [
+        pytest.param(0, [], "node count must be positive", id="zero-nodes"),
+        pytest.param(-2, [(0, 1)], "node count must be positive", id="negative-nodes"),
+        pytest.param(3, [(0, 1, 2)], r"\(u, v\) pairs", id="triple"),
+        pytest.param(3, np.array([0, 1]), r"\(u, v\) pairs", id="flat"),
+    ])
+    def test_bad_shape_or_count(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(n, edges)
+
+    # (2, 3) sorts after every edge, (0, 2) between two
+    @pytest.mark.parametrize("u, v", [(0, 2), (2, 0), (2, 3)])
+    def test_edge_id_of_missing_edge(self, u, v):
+        g = Graph.from_edges(4, [(0, 1), (1, 2)])
+        with pytest.raises(KeyError, match=f"no edge \\({u}, {v}\\)"):
+            g.edge_id(u, v)
+        assert g.edge_id(2, 1) == 1
 
     def test_neighbors_sorted(self):
         g = Graph.from_edges(5, [(4, 0), (0, 2), (0, 1)])
@@ -330,11 +350,54 @@ class TestLabelData:
         with pytest.raises(ValueError):
             LabelData(2, [0, 5])
 
+    @pytest.mark.parametrize("c, soft, message", [
+        pytest.param(0, None, "class count must be positive", id="zero-classes"),
+        pytest.param(-1, None, "class count must be positive", id="negative-classes"),
+        pytest.param(2, np.full((2, 3), 1 / 3), "n x c", id="soft-too-wide"),
+        pytest.param(2, np.full((3, 2), 0.5), "n x c", id="soft-too-tall"),
+        pytest.param(2, np.full(2, 0.5), "n x c", id="soft-flat"),
+    ])
+    def test_count_and_soft_shape_checked(self, c, soft, message):
+        with pytest.raises(ValueError, match=message):
+            LabelData(c, [0, 1], soft=soft)
+
     def test_mask_follows_known_labels(self):
         lab = LabelData(3, [2, -1, 0, -1])
         assert lab.mask.tolist() == [True, False, True, False]
         assert not lab.all_labeled
         assert LabelData(3, [2, 1, 0]).all_labeled
+
+
+def _plain(parsed):
+    if isinstance(parsed, Graph):
+        return parsed.n, parsed.edges.tolist()
+    if isinstance(parsed, LabelData):
+        return parsed.c, parsed.labels.tolist()
+    return parsed.tolist()
+
+
+@pytest.mark.parametrize("parse, text, args", [
+    pytest.param(load_edge_list, "0 1\n1 2\n", (), id="edge-list"),
+    pytest.param(load_labels, "0 0\n2 1\n", (3,), id="labels"),
+    pytest.param(load_target, "2\n0\n", (3,), id="target"),
+    pytest.param(load_soft_tsv, "0 1 0\n1 0.5 0.5\n2 0 1\n", (3, 2), id="soft-labels"),
+    pytest.param(_features, "1 0\n0 1\n1 1\n", (3,), id="features"),
+])
+def test_blank_and_comment_lines_skipped(parse, text, args):
+    """Every text format skips blank lines, whitespace-only lines and '#'
+    comments, before, between and after its records."""
+    padded = "\n# a comment\n \t\n" + text.replace("\n", "\n\n  # note\n", 1) + "\n#\n"
+    assert _plain(parse(padded, *args)) == _plain(parse(text, *args))
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("0\nx\n", "line 2: not a node id", id="non-integer"),
+    pytest.param("0\n3\n", r"line 2: node 3 outside \[0, 3\)", id="out-of-range"),
+    pytest.param("# only a comment\n", "no node ids", id="empty"),
+])
+def test_load_target_bad_line_named(text, message):
+    with pytest.raises(GraphFormatError, match=f"^{message}"):
+        load_target(text, 3)
 
 
 def test_node_set_validation():

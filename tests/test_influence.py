@@ -83,6 +83,12 @@ class TestIncremental:
             assert inc.value == pytest.approx(orc.value, abs=1e-12)
             assert inc.affected_nodes == orc.affected_nodes == 3
 
+    @pytest.mark.parametrize("edges", [[0, 3], [-1], [[0, 1], [2, 7]]])
+    def test_out_of_range_edge_rejected(self, triangle, triangle_labels, walk_filter, edges):
+        ws = DeltaWorkspace.build(triangle, walk_filter, triangle_labels)
+        with pytest.raises(IndexError, match=r"edge index (3|-1|7) out of range \[0, 3\)"):
+            ws.score_edges(edges)
+
     def test_disjoint_component_scores_exact_zero(self, walk_filter):
         # two triangles; target confined to the second component
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
@@ -578,9 +584,35 @@ class TestGreedyRefine:
         assert [(s.u, s.v, s.score, s.c_after) for s in trace] == want_trace
         assert np.array_equal(got.edges, want.edges)
 
+    def test_stale_candidate_isolating_a_target_skipped(self, monkeypatch):
+        """A candidate scored at the last refresh whose removal would now
+        isolate a target node (true score -inf under lambda > 0) is skipped,
+        as the from-scratch reference skips it."""
+        g, labels = random_labeled_graph(9, 2.5, 2, seed=1)
+        spec, target, lam, every = FilterSpec("sgc", 1), np.arange(1, 9, 2), 0.1, 3
+        want, want_trace = reference_greedy(g, spec, labels, target, lam,
+                                            max_removals=g.edge_count, rescore_every=every)
+        # greedy_refine reads a degree only to test a candidate's target endpoints
+        seen = []
+        degree = Graph.degree
+        monkeypatch.setattr(Graph, "degree",
+                            lambda self, v: seen.append(degree(self, v)) or seen[-1])
+        got, trace = greedy_refine(g, spec, labels, target, lam,
+                                   max_removals=g.edge_count, rescore_every=every)
+        assert 1 in seen
+        assert [(s.u, s.v, s.score, s.c_after) for s in trace] == want_trace
+        assert np.array_equal(got.edges, want.edges)
+        assert (got.degrees[target] > 0).all()
+
     def test_negative_budget_rejected(self, triangle, triangle_labels, walk_filter):
         with pytest.raises(ValueError):
             greedy_refine(triangle, walk_filter, triangle_labels, max_removals=-1)
+
+    @pytest.mark.parametrize("every", [0, -2])
+    def test_rescore_interval_below_one_rejected(self, triangle, triangle_labels,
+                                                 walk_filter, every):
+        with pytest.raises(ValueError, match="rescore_every"):
+            greedy_refine(triangle, walk_filter, triangle_labels, rescore_every=every)
 
 
 def _path_values(path, g, spec, labels):

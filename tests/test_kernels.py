@@ -6,6 +6,7 @@ bitwise those of scipy's public operators, and a malformed operand must fail
 with ValueError before any kernel sees it.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -147,6 +148,26 @@ def test_disagreeing_shapes_fail_before_any_kernel(monkeypatch, call):
     monkeypatch.setattr(graphs, "_kernels", lambda: pytest.fail("a kernel was reached"))
     with pytest.raises(ValueError):
         call(a)
+
+
+def test_loader_falls_back_in_process(monkeypatch):
+    """Where `find_spec` cannot locate scipy, `_kernels` imports scipy's
+    extension module, and every product is bitwise the same."""
+    a = OPERANDS["dense-graph"]()
+    x = np.random.default_rng(5).normal(size=(a[3][1], 3))
+
+    def products():
+        return [csr_dense_product(a, x), *csr_sparse_product(a, a)[:3], *csr_to_csc(a)[:3]]
+
+    want = products()
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    graphs._kernels.cache_clear()
+    try:
+        assert graphs._kernels() is importlib.import_module("scipy.sparse._sparsetools")
+        got = products()
+    finally:
+        graphs._kernels.cache_clear()
+    assert all(w.dtype == g.dtype and w.tobytes() == g.tobytes() for w, g in zip(want, got))
 
 
 ROUTE = """

@@ -61,6 +61,18 @@ class TestTraining:
         with pytest.raises(RuntimeError):
             train_linear_sgc(g, IDENTITY, feats, labels, cfg)
 
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({"learning_rate": 0.0}, "learning_rate", id="zero-lr"),
+        pytest.param({"learning_rate": float("nan")}, "learning_rate", id="nan-lr"),
+        pytest.param({"learning_rate": float("inf")}, "learning_rate", id="inf-lr"),
+        pytest.param({"epochs": 0}, "epochs", id="zero-epochs"),
+        pytest.param({"l2_penalty": -1e-4}, "l2_penalty", id="negative-l2"),
+        pytest.param({"l2_penalty": float("nan")}, "l2_penalty", id="nan-l2"),
+    ])
+    def test_config_checked(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**changes)
+
     def test_empty_mask_rejected(self):
         g, feats, _ = two_blob_instance(seed=4)
         none = LabelData(2, np.full(g.n, -1))

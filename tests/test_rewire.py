@@ -324,6 +324,9 @@ def test_removal_plan_validation(triangle, triangle_labels, triangle_scores):
             remove(1.5, "positive")
         with pytest.raises(ValueError, match="set"):
             remove(0.5, "both")
+    for ratio in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="ratio"):
+            remove_random(triangle, ratio, seed=0)
     g, labels = random_labeled_graph(30, 4, 3, seed=1)
     rep = score_all_edges(g, FilterSpec("sgc", 2), labels)
     assert g.edge_count >= 10 and rep.positive.size >= 2
