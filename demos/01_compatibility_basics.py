@@ -19,7 +19,7 @@ print(adj.matrix.toarray())
 report = compatibility(g, walk, labels, lam=0.0)
 print("\nfiltered label distributions:")
 for v in range(3):
-    print(f"  node {v} (class {labels.labels[v]}): {report.lbar.values[v]}")
+    print(f"  node {v} (class {labels.labels[v]}): {report.lbar[v]}")
 
 print(f"\nC at lambda=0:   {report.C:.6f}   (per-node I: {report.per_node_I})")
 

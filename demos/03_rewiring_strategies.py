@@ -47,12 +47,12 @@ for step in trace:
           f"  ->  C = {step.c_after:.4f}")
 
 # the dropping sampler: high scores are dropped more often
-dist = dropedge_weights(report, tau=0.75)
+probabilities = dropedge_weights(report, tau=0.75)
 counts = np.zeros(g.edge_count)
 for epoch in range(200):
-    counts[sample_dropedge(dist, 0.3, seed=[3, epoch])] += 1
-top = np.argsort(dist.probabilities)[-3:]
-bottom = np.argsort(dist.probabilities)[:3]
+    counts[sample_dropedge(probabilities, 0.3, seed=[3, epoch])] += 1
+top = np.argsort(probabilities)[-3:]
+bottom = np.argsort(probabilities)[:3]
 print(f"\ndropping over 200 sampled epochs (rate 0.3):")
 print(f"  three highest-probability edges dropped {counts[top].mean():.0f} times each")
 print(f"  three lowest-probability edges dropped  {counts[bottom].mean():.0f} times each")

@@ -29,11 +29,11 @@ print(f"training loss: {model.loss_trace[0]:.4f} -> {model.loss_trace[-1]:.4f}")
 
 pseudo = predict_pseudo(model, g, spec, sample.X, partial)
 holdout = ~mask
-acc = np.mean(pseudo.hardened[holdout] == truth.labels[holdout])
+acc = np.mean(pseudo.labels[holdout] == truth.labels[holdout])
 print(f"pseudo-label accuracy on unlabeled nodes: {acc:.3f}")
 
 true_scores = score_all_edges(g, spec, truth, lam=0.0)
-est_scores = score_all_edges(g, spec, LabelData(truth.c, pseudo.hardened), lam=0.0)
+est_scores = score_all_edges(g, spec, LabelData(truth.c, pseudo.labels), lam=0.0)
 
 tv = np.array([s.value for s in true_scores.scores])
 ev = np.array([s.value for s in est_scores.scores])

@@ -21,7 +21,6 @@ from .csbm import (
 from .filters import (
     PRESETS,
     FilterSpec,
-    SoftLabelMatrix,
     apply_filter,
 )
 from .graphs import (
@@ -48,13 +47,11 @@ from .influence import (
 )
 from .pseudo import (
     LinearModel,
-    PseudoLabels,
     TrainConfig,
     predict_pseudo,
     train_linear_sgc,
 )
 from .rewire import (
-    DropEdgeDistribution,
     EdgePartition,
     adaedge_partition,
     dropedge_weights,

@@ -12,12 +12,14 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,7 @@ from .pseudo import (
     load_soft_tsv,
     predict_pseudo,
     train_linear_sgc,
+    write_soft_tsv,
 )
 from .rewire import (
     check_drop_fraction,
@@ -116,7 +119,10 @@ def _with_soft(text: str, labels: LabelData) -> LabelData:
 
 
 def _features(text: str, n: int) -> np.ndarray:
-    features = np.loadtxt(text.splitlines(), ndmin=2)
+    with warnings.catch_warnings():
+        # an input without data rows fails below as "0 rows"
+        warnings.simplefilter("ignore", UserWarning)
+        features = np.loadtxt(text.splitlines(), ndmin=2)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise ValueError(f"row {bad[0]} (node {bad[0]}) holds NaN or inf")
@@ -130,11 +136,11 @@ def _load_inputs(args):
     names no such file."""
     g = _read("--graph", args.graph, load_edge_list)
     labels = target = None
-    if getattr(args, "labels", None):
+    if getattr(args, "labels", None) is not None:
         labels = _read("--labels", args.labels, load_labels, g.n)
         if getattr(args, "soft_labels", None) is not None:
             labels = _read("--soft-labels", args.soft_labels, _with_soft, labels)
-    if getattr(args, "target", None):
+    if getattr(args, "target", None) is not None:
         target = _read("--target", args.target, load_target, g.n)
     return g, labels, target
 
@@ -146,7 +152,7 @@ def _manifest(args) -> dict:
         "command": args.subcommand,
         "flags": flags,
         "inputs": {name: _sha256(Path(getattr(args, name))) for name in INPUTS
-                   if getattr(args, name, None)},
+                   if getattr(args, name, None) is not None},
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -237,7 +243,7 @@ def cmd_score(args) -> int:
         outputs[args.output] = tsv
         _emit(outputs, manifest, args.output)
     else:
-        _emit(outputs, manifest, args.json if args.json else None, stdout_text=tsv)
+        _emit(outputs, manifest, None, stdout_text=tsv)
     return 0
 
 
@@ -250,7 +256,7 @@ def cmd_rewire(args) -> int:
         raise ValueError(f"--ratio {args.ratio}: must lie in [0, 1]")
     if args.greedy and not topoinf:
         raise ValueError("--greedy applies only to --strategy topoinf")
-    if args.strategy != "random" and not args.labels:
+    if args.strategy != "random" and args.labels is None:
         raise ValueError(f"--strategy {args.strategy} requires --labels")
     if topoinf and args.lam is None:
         raise ValueError("--lambda is required for score-based rewiring")
@@ -280,6 +286,7 @@ def cmd_rewire(args) -> int:
                                          max_removals=budget,
                                          rescore_every=args.rescore_every)
         trace_rows = [(s.u, s.v, _fmt(s.score), _fmt(s.c_after)) for s in trace]
+        edge_text = write_edge_list(new_graph)
     else:
         if topoinf:
             report = score_all_edges(g, spec, labels, target, args.lam)
@@ -291,9 +298,7 @@ def cmd_rewire(args) -> int:
                 else remove_adaedge(g, labels, args.ratio, args.set, args.seed)
             trace_rows = [(int(g.edges[e, 0]), int(g.edges[e, 1]), "", "") for e in removed]
         keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), removed)
-        new_graph = type(g).from_edges(g.n, g.edges[keep])
-
-    edge_text = write_edge_list(new_graph)
+        edge_text = write_edge_list(g, keep)
     trace_text = "u\tv\tscore\tc_after\n" + \
         "".join(f"{u}\t{v}\t{s}\t{c}\n" for u, v, s, c in trace_rows)
     manifest = _manifest(args)
@@ -316,16 +321,15 @@ def cmd_dropedge(args) -> int:
     g, labels, target = _load_inputs(args)
     spec = _filter_spec(args)
     report = score_all_edges(g, spec, labels, target, args.lam)
-    dist = dropedge_weights(report, args.tau)
+    probabilities = dropedge_weights(report, args.tau)
 
     dist_lines = ["u\tv\ttopoinf\tprobability"]
-    for (u, v), val, prob in zip(dist.edges.tolist(), dist.values.tolist(),
-                                 dist.probabilities.tolist()):
-        dist_lines.append(f"{u}\t{v}\t{_fmt(val)}\t{_fmt(prob)}")
+    for s, prob in zip(report.scores, probabilities.tolist()):
+        dist_lines.append(f"{s.u}\t{s.v}\t{_fmt(s.value)}\t{_fmt(prob)}")
     outputs = {args.output_prefix + ".dist.tsv": "\n".join(dist_lines) + "\n"}
 
     for epoch in range(args.emit_epochs):
-        dropped = sample_dropedge(dist, args.drop_rate, epoch_seed(args.seed, epoch))
+        dropped = sample_dropedge(probabilities, args.drop_rate, epoch_seed(args.seed, epoch))
         keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), dropped)
         outputs[f"{args.output_prefix}.epoch{epoch:04d}.edges"] = write_edge_list(g, keep)
 
@@ -369,7 +373,7 @@ def cmd_gen_csbm(args) -> int:
     args.mu_scheme, args.mu_scale = params.mu_scheme, params.mu_scale
     sample = generate_csbm(params)
     dataset_manifest = {
-        "params": params.to_dict(),
+        "params": dataclasses.asdict(params),
         "nodes": sample.graph.n,
         "edges": sample.graph.edge_count,
         "version": __version__,
@@ -400,8 +404,8 @@ def cmd_pseudo(args) -> int:
         raise ValueError(f"--lr {args.lr}: {exc}") from None
     pseudo = predict_pseudo(model, g, spec, features, labels)
     outputs = {
-        args.output_prefix + ".labels": pseudo.to_label_text(),
-        args.output_prefix + ".soft.tsv": pseudo.to_soft_tsv(),
+        args.output_prefix + ".labels": write_labels(pseudo),
+        args.output_prefix + ".soft.tsv": write_soft_tsv(pseudo),
     }
     manifest = _manifest(args)
     manifest["final_loss"] = float(model.loss_trace[-1])

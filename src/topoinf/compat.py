@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import FilterSpec, SoftLabelMatrix, row_normalized_filter
+from .filters import FilterSpec, row_normalized_filter
 from .graphs import Graph, LabelData, node_set, normalized_adjacency
 
 __all__ = ["CompatReport", "compatibility", "check_scoring_inputs"]
@@ -53,7 +53,8 @@ class CompatReport:
     per_node_I: np.ndarray         # aligned with target
     per_node_R: np.ndarray         # aligned with target, may contain +inf
     C: float                       # -inf when lam > 0 and some target R is inf
-    lbar: SoftLabelMatrix          # row-normalized filtered labels, all nodes
+    lbar: np.ndarray               # row-normalized filtered labels, all nodes;
+                                   # NaN rows did not normalize
     isolated: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def to_json_dict(self) -> dict:
@@ -81,13 +82,13 @@ def compatibility(g: Graph, spec: FilterSpec, labels: LabelData, target=None,
     adj = normalized_adjacency(g)
     rows = labels.dense_rows()
     lbar = row_normalized_filter(spec, adj, rows)
-    bad = np.intersect1d(lbar.nonnormalizable, target)
+    bad = target[np.isnan(lbar[target, 0])]
     if bad.size:
         raise ValueError(
             f"non-normalizable filter rows for target nodes {bad[:5].tolist()} "
             "(row sum <= tolerance; negative coefficients?)")
 
-    per_i = np.einsum("ij,ij->i", rows[target], lbar.values[target])
+    per_i = np.einsum("ij,ij->i", rows[target], lbar[target])
     deg = g.degrees[target].astype(np.float64)
     per_r = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), INF)
     isolated = target[deg == 0]

@@ -87,13 +87,6 @@ class CsbmParams:
         if self.mu_scheme == "orthogonal_scaled" and self.d < self.c:
             raise ValueError("orthogonal_scaled centers need d >= c")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "c": self.c, "p": self.p, "q": self.q, "d": self.d,
-            "sigma": self.sigma, "mu_scheme": self.mu_scheme,
-            "mu_scale": self.mu_scale, "seed": self.seed,
-        }
-
 
 @dataclass
 class CsbmSample:
@@ -208,7 +201,7 @@ def check_distance_contraction(sample: CsbmSample, spec) -> ContractionReport:
         return ContractionReport(before=empty, after=empty,
                                  violations=np.empty(0, dtype=np.int64), vacuous=True)
 
-    filtered = row_normalized_filter(spec, adj, sample.F).values
+    filtered = row_normalized_filter(spec, adj, sample.F)
 
     def farthest(mat):
         sq = np.sum(mat ** 2, axis=1)
@@ -259,7 +252,7 @@ def check_variance_reduction(params: CsbmParams, spec, trials: int) -> VarianceR
     adj = normalized_adjacency(sample.graph)
     n = params.n
 
-    operator = row_normalized_filter(spec, adj, np.eye(n)).values
+    operator = row_normalized_filter(spec, adj, np.eye(n))
     frob_sq = float(np.sum(operator ** 2))
 
     rng = np.random.default_rng(params.seed + 1)

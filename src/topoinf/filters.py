@@ -27,7 +27,6 @@ from .graphs import NormalizedAdjacency, csr_dense_product
 __all__ = [
     "PRESETS",
     "FilterSpec",
-    "SoftLabelMatrix",
     "apply_filter",
     "row_normalized_filter",
     "ROW_SUM_TOL",
@@ -113,21 +112,6 @@ def apply_filter(spec: FilterSpec, adj: NormalizedAdjacency, signal) -> np.ndarr
     return out[:, 0] if squeeze else out
 
 
-@dataclass
-class SoftLabelMatrix:
-    """Row-normalized filtered labels.
-
-    `values[v]` is the label distribution that the filtered graph assigns to
-    node v. Nodes whose filter row sum is <= ROW_SUM_TOL (possible with
-    negative learned coefficients) cannot be normalized; their rows are NaN
-    and their ids are listed in `nonnormalizable` instead of being silently
-    replaced.
-    """
-
-    values: np.ndarray
-    nonnormalizable: np.ndarray
-
-
 def check_finite_rows(filt: np.ndarray):
     """Raise ValueError naming the first nodes whose filtered [L | 1] row is
     not finite: the filter coefficients overflow float64 there."""
@@ -138,12 +122,14 @@ def check_finite_rows(filt: np.ndarray):
 
 
 def row_normalized_filter(spec: FilterSpec, adj: NormalizedAdjacency,
-                          m: np.ndarray) -> SoftLabelMatrix:
+                          m: np.ndarray) -> np.ndarray:
     """RowNorm(f(A_hat)) m, with f(A_hat) m and its row sums from one pass.
 
     Propagates [m | 1]: the filtered ones-column is exactly the row sum of
-    f(A_hat), and each filtered row of m is divided by it elementwise. Rows
-    whose sum is <= ROW_SUM_TOL are NaN and listed as non-normalizable.
+    f(A_hat), and each filtered row of m is divided by it elementwise. Row v
+    is the label distribution the filtered graph assigns to node v. A row
+    whose sum is <= ROW_SUM_TOL (possible with negative coefficients) cannot
+    be normalized and is NaN, not silently replaced.
     """
     stacked = np.hstack([m, np.ones((m.shape[0], 1))])
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
@@ -151,9 +137,7 @@ def row_normalized_filter(spec: FilterSpec, adj: NormalizedAdjacency,
     check_finite_rows(filt)
     sums = filt[:, -1]
     values = filt[:, :-1]
-    bad = np.flatnonzero(sums <= ROW_SUM_TOL)
     ok = sums > ROW_SUM_TOL
     values[ok] /= sums[ok, None]
-    if bad.size:
-        values[bad] = np.nan
-    return SoftLabelMatrix(values=values, nonnormalizable=bad)
+    values[~ok] = np.nan
+    return values

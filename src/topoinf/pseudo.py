@@ -18,15 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import apply_filter
-from .graphs import Graph, LabelData, _iter_lines, normalized_adjacency, write_labels
+from .graphs import Graph, LabelData, _iter_lines, normalized_adjacency
 
 __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "LinearModel",
-    "PseudoLabels",
     "train_linear_sgc",
     "predict_pseudo",
+    "write_soft_tsv",
     "softmax_rows",
     "loss_and_gradients",
 ]
@@ -131,35 +131,11 @@ def train_linear_sgc(g: Graph, spec, features, labels: LabelData,
     return LinearModel(weights=weights, bias=bias, loss_trace=trace)
 
 
-@dataclass
-class PseudoLabels:
-    """Predictions with true labels kept where known.
-
-    hardened is the argmax of each soft row (ties resolve to the lowest class
-    id); rows of nodes in source_mask are exactly their one-hot truth.
-    """
-
-    soft: np.ndarray
-    hardened: np.ndarray
-    source_mask: np.ndarray
-
-    def as_label_data(self, c: int) -> LabelData:
-        return LabelData(c, self.hardened, soft=self.soft)
-
-    def to_label_text(self) -> str:
-        return write_labels(self.as_label_data(self.soft.shape[1]))
-
-    def to_soft_tsv(self) -> str:
-        lines = []
-        for v, row in enumerate(self.soft):
-            probs = "\t".join(f"{p:.12g}" for p in row)
-            lines.append(f"{v}\t{probs}")
-        return "\n".join(lines) + "\n"
-
-
 def predict_pseudo(model: LinearModel, g: Graph, spec, features,
-                   labels: LabelData) -> PseudoLabels:
-    """Soft predictions for every node; truth overrides where available."""
+                   labels: LabelData) -> LabelData:
+    """Soft predictions for every node, truth overriding where available, as
+    labels whose hard ids are the argmax of each soft row (ties resolve to
+    the lowest class id) and which carry the soft rows."""
     feats = np.asarray(features, dtype=np.float64)
     adj = normalized_adjacency(g)
     filtered = apply_filter(spec, adj, feats)
@@ -167,8 +143,16 @@ def predict_pseudo(model: LinearModel, g: Graph, spec, features,
     known = np.flatnonzero(labels.mask)
     soft[known] = 0.0
     soft[known, labels.labels[known]] = 1.0
-    hardened = np.argmax(soft, axis=1).astype(np.int64)
-    return PseudoLabels(soft=soft, hardened=hardened, source_mask=labels.mask.copy())
+    return LabelData(labels.c, np.argmax(soft, axis=1), soft=soft)
+
+
+def write_soft_tsv(labels: LabelData) -> str:
+    """The soft-label TSV of `labels.soft`, the format `load_soft_tsv` reads."""
+    lines = []
+    for v, row in enumerate(labels.soft):
+        probs = "\t".join(f"{p:.12g}" for p in row)
+        lines.append(f"{v}\t{probs}")
+    return "\n".join(lines) + "\n"
 
 
 def load_soft_tsv(text: str, n: int, c: int) -> np.ndarray:

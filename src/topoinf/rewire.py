@@ -25,7 +25,6 @@ from .graphs import Graph, LabelData
 
 __all__ = [
     "EdgePartition",
-    "DropEdgeDistribution",
     "remove_by_topoinf",
     "remove_random",
     "remove_adaedge",
@@ -105,18 +104,6 @@ def adaedge_partition(g: Graph, labels: LabelData) -> EdgePartition:
     )
 
 
-@dataclass
-class DropEdgeDistribution:
-    """Per-edge dropping probabilities proportional to exp(score / tau)."""
-
-    edges: np.ndarray            # (m, 2) endpoint pairs
-    values: np.ndarray           # scores in edge order (-inf for excluded)
-    probabilities: np.ndarray    # sums to 1; excluded edges get exactly 0
-
-    def __len__(self):
-        return self.edges.shape[0]
-
-
 def check_tau(tau: float):
     """Reject a softmax temperature that is not finite and positive."""
     if not (math.isfinite(tau) and tau > 0):
@@ -129,8 +116,9 @@ def check_drop_fraction(drop_fraction: float):
         raise ValueError(f"drop rate must lie in [0, 1], got {drop_fraction}")
 
 
-def dropedge_weights(report, tau: float) -> DropEdgeDistribution:
-    """Softmax of scores at temperature tau. Excluded edges get weight zero.
+def dropedge_weights(report, tau: float) -> np.ndarray:
+    """Per-edge dropping probabilities in edge order: the softmax of the
+    scores at temperature tau, summing to 1. Excluded edges get exactly 0.
 
     The max finite score is subtracted before exponentiation for numerical
     stability; softmax is invariant to that shift.
@@ -143,12 +131,10 @@ def dropedge_weights(report, tau: float) -> DropEdgeDistribution:
     w = np.zeros_like(values)
     shift = values[finite].max()
     w[finite] = np.exp((values[finite] - shift) / tau)
-    probs = w / w.sum()
-    edges = np.asarray([(s.u, s.v) for s in report.scores], dtype=np.int64)
-    return DropEdgeDistribution(edges=edges, values=values, probabilities=probs)
+    return w / w.sum()
 
 
-def sample_dropedge(dist: DropEdgeDistribution, drop_fraction: float, seed: int) -> np.ndarray:
+def sample_dropedge(probabilities: np.ndarray, drop_fraction: float, seed: int) -> np.ndarray:
     """floor(drop_fraction * |E|) distinct edge ids, sorted, capped at the
     support (excluded and underflowed edges are never dropped).
 
@@ -160,13 +146,13 @@ def sample_dropedge(dist: DropEdgeDistribution, drop_fraction: float, seed: int)
     with another.
     """
     check_drop_fraction(drop_fraction)
-    live = np.flatnonzero(dist.probabilities > 0.0)
-    count = min(int(drop_fraction * len(dist)), live.size)
+    live = np.flatnonzero(probabilities > 0.0)
+    count = min(int(drop_fraction * probabilities.size), live.size)
     if count == 0:
         return np.empty(0, dtype=np.int64)
     rng = np.random.default_rng(seed)
     with np.errstate(divide="ignore"):   # U_e = 1 gives log(0): the top key, +inf
-        keys = np.log(dist.probabilities[live]) - np.log(-np.log1p(-rng.random(live.size)))
+        keys = np.log(probabilities[live]) - np.log(-np.log1p(-rng.random(live.size)))
     top = np.argpartition(keys, live.size - count)[live.size - count:]
     return np.sort(live[top]).astype(np.int64)
 

@@ -90,7 +90,7 @@ def check_edge_scores(g: Graph, labels: LabelData, spec, lam: float = 0.0,
         out.mismatches += int(d > ORACLE_TOL)
 
         # a non-normalizable (NaN) row that stays NaN has not changed
-        a, b = new.lbar.values, base.lbar.values
+        a, b = new.lbar, base.lbar
         changed = np.flatnonzero(np.any((a != b) & ~(np.isnan(a) & np.isnan(b)), axis=1))
         allowed = np.zeros(g.n, dtype=bool)
         allowed[khop_set(g, (oracle.u, oracle.v), spec.k)] = True

@@ -436,6 +436,10 @@ BAD_RATIO = [
                  id="non-integer-node-header"),
     pytest.param(TRIANGLE, "1 0\n0 1\n", PSEUDO, "g.input: 2 rows, graph has 3 nodes",
                  id="short-features"),
+    # numpy's "input contained no data" warning must not reach stderr
+    *(pytest.param(TRIANGLE, text, PSEUDO, "g.input: 0 rows, graph has 3 nodes", id=name,
+                   marks=pytest.mark.filterwarnings("error::UserWarning"))
+      for name, text in (("empty-features", ""), ("comment-only-features", "# none\n"))),
     pytest.param(TRIANGLE, FEATURES, PRESET + ["--mix", "1,2,3"], "--mix must be",
                  id="three-value-mix"),
     pytest.param(TRIANGLE, FEATURES, [a for a in GEN if a not in ("--n", "10")],
@@ -485,6 +489,11 @@ BAD_RATIO = [
                  "--dim", id="oversized-features"),
     *(pytest.param(TRIANGLE, FEATURES, *p.values, id=p.id)
       for p in UNREAD + BAD_RATIO + OVERFLOW),
+    # an empty path is a path, not an absent flag
+    *(pytest.param(TRIANGLE, FEATURES, argv + [flag, ""], f"error: {flag} : Is a directory",
+                   id=f"empty-path{flag}-{argv[0]}")
+      for argv in (ANALYZE, SCORE, DROPEDGE, PSEUDO)
+      for flag in ("--labels", "--target") if argv is not PSEUDO or flag == "--labels"),
     *(pytest.param(TRIANGLE, FEATURES, argv + ["--seed", "-1"],
                    "--seed -1: must be a non-negative integer", id=f"negative-seed-{argv[0]}")
       for argv in (GEN, DROPEDGE, REWIRE + ["--strategy", "random"], PSEUDO, SCORE)),

@@ -128,6 +128,19 @@ class TestCompatibility:
             compatibility(g, FilterSpec("custom", 1, gamma=(-1.0, 1.0)), LabelData(2, [0, 1]),
                           target=[1])
 
+    def test_non_normalizable_rows_outside_target(self):
+        # star, centre 0: under f = A_hat - I a leaf row sums to 1/2 + 1/sqrt(8) - 1 < 0
+        # and the centre row to 1/4 + 3/sqrt(8) - 1 > 0
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        spec = FilterSpec("custom", 1, gamma=(-1.0, 1.0))
+        labels = LabelData(2, [0, 0, 1, 1])
+        report = compatibility(g, spec, labels, target=[0])
+        assert np.isfinite(report.C)
+        assert np.flatnonzero(np.isnan(report.lbar).any(axis=1)).tolist() == [1, 2, 3]
+        assert np.isnan(report.lbar[1:]).all() and np.isfinite(report.lbar[0]).all()
+        with pytest.raises(ValueError, match=r"non-normalizable filter rows .*\[1, 3\] "):
+            compatibility(g, spec, labels, target=[3, 0, 1])
+
     def test_negative_lambda_rejected(self, triangle, triangle_labels, walk_filter):
         with pytest.raises(ValueError):
             compatibility(triangle, walk_filter, triangle_labels, lam=-0.1)

@@ -12,7 +12,7 @@ from topoinf import (
     score_all_edges,
     train_linear_sgc,
 )
-from topoinf.pseudo import load_soft_tsv, loss_and_gradients
+from topoinf.pseudo import load_soft_tsv, loss_and_gradients, write_soft_tsv
 
 IDENTITY = FilterSpec("custom", 0, gamma=(1.0,))
 
@@ -36,7 +36,7 @@ class TestTraining:
         cfg = TrainConfig(learning_rate=0.5, epochs=500, l2_penalty=1e-4, seed=0)
         model = train_linear_sgc(g, IDENTITY, feats, labels, cfg)
         pseudo = predict_pseudo(model, g, IDENTITY, feats, labels)
-        assert (pseudo.hardened == labels.labels).all()
+        assert (pseudo.labels == labels.labels).all()
 
     def test_zero_features_give_uniform_predictions(self):
         g = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
@@ -125,8 +125,9 @@ class TestPredictions:
                             bias=np.array([-10.0, 10.0]),
                             loss_trace=np.zeros(1))
         pseudo = predict_pseudo(model, g, IDENTITY, feats, labels)
-        assert (pseudo.hardened == labels.labels).all()
-        assert pseudo.source_mask.all()
+        assert (pseudo.labels == labels.labels).all()
+        # every node is known, so every soft row is its one-hot truth
+        assert np.array_equal(pseudo.soft, labels.one_hot())
 
     def test_soft_rows_sum_to_one(self):
         g, feats, labels = two_blob_instance(seed=7)
@@ -136,12 +137,25 @@ class TestPredictions:
         assert np.allclose(pseudo.soft.sum(axis=1), 1.0, atol=1e-9)
 
     def test_argmax_ties_take_lowest_class(self):
-        from topoinf.pseudo import PseudoLabels
-        soft = np.array([[0.5, 0.5], [0.25, 0.75]])
-        hardened = np.argmax(soft, axis=1)
-        pl = PseudoLabels(soft=soft, hardened=hardened,
-                          source_mask=np.zeros(2, bool))
-        assert pl.hardened.tolist() == [0, 1]
+        # a zero model predicts 0.5 / 0.5 on every unlabeled node
+        g, feats, _ = two_blob_instance(seed=11)
+        from topoinf.pseudo import LinearModel
+        model = LinearModel(weights=np.zeros((2, 2)), bias=np.zeros(2),
+                            loss_trace=np.zeros(1))
+        pseudo = predict_pseudo(model, g, IDENTITY, feats, LabelData(2, np.full(g.n, -1)))
+        assert np.array_equal(pseudo.soft, np.full((g.n, 2), 0.5))
+        assert pseudo.labels.tolist() == [0] * g.n
+
+    def test_non_finite_prediction_rejected(self):
+        # logits overflow to +inf in both classes, so softmax gives inf - inf = NaN
+        from topoinf.pseudo import LinearModel
+        g = Graph.from_edges(2, [(0, 1)])
+        model = LinearModel(weights=np.full((1, 2), 1e308), bias=np.zeros(2),
+                            loss_trace=np.zeros(1))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            predict_pseudo(model, g, IDENTITY, np.full((2, 1), 1e308),
+                           LabelData(2, [-1, -1]))
 
     def test_easy_regime_holdout_accuracy(self):
         params = CsbmParams(n=90, c=3, p=0.8, q=0.05, d=6, sigma=0.3, seed=8)
@@ -155,7 +169,7 @@ class TestPredictions:
         model = train_linear_sgc(sample.graph, spec, sample.X, train_labels, cfg)
         pseudo = predict_pseudo(model, sample.graph, spec, sample.X, train_labels)
         holdout = ~mask
-        acc = np.mean(pseudo.hardened[holdout] == sample.labels.labels[holdout])
+        acc = np.mean(pseudo.labels[holdout] == sample.labels.labels[holdout])
         assert acc > 0.9
 
     def test_estimated_scores_match_truth_bitwise_when_labels_agree(self):
@@ -173,6 +187,6 @@ class TestPredictions:
         cfg = TrainConfig(learning_rate=0.2, epochs=30, seed=0)
         model = train_linear_sgc(g, IDENTITY, feats, labels, cfg)
         pseudo = predict_pseudo(model, g, IDENTITY, feats, labels)
-        text = pseudo.to_soft_tsv()
+        text = write_soft_tsv(pseudo)
         back = load_soft_tsv(text, g.n, 2)
         assert np.allclose(back, pseudo.soft, atol=1e-11)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from topoinf import (
-    DropEdgeDistribution,
     FilterSpec,
     Graph,
     LabelData,
@@ -23,11 +22,8 @@ from topoinf.verify import random_labeled_graph
 from dense_oracle import softmax
 
 
-def _distribution(probabilities) -> DropEdgeDistribution:
-    p = np.asarray(probabilities, dtype=np.float64)
-    ids = np.arange(p.size, dtype=np.int64)
-    return DropEdgeDistribution(edges=np.column_stack([ids, ids + 1]),
-                                values=np.zeros(p.size), probabilities=p)
+def _distribution(probabilities) -> np.ndarray:
+    return np.asarray(probabilities, dtype=np.float64)
 
 
 def _sequential_law(p, count):
@@ -166,7 +162,7 @@ class TestDropEdgeWeights:
     def test_equal_scores_uniform(self, triangle, triangle_labels, identity_filter):
         rep = score_all_edges(triangle, identity_filter, triangle_labels)
         dist = dropedge_weights(rep, tau=1.0)
-        assert np.allclose(dist.probabilities, 1 / 3)
+        assert np.allclose(dist, 1 / 3)
 
     def test_log_two_scores(self, walk_filter, triangle, triangle_labels):
         rep = score_all_edges(triangle, walk_filter, triangle_labels)
@@ -177,14 +173,14 @@ class TestDropEdgeWeights:
             dataclasses.replace(rep.scores[1], value=0.0),
         ][:2])
         dist = dropedge_weights(rep, tau=1.0)
-        assert dist.probabilities == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
-        assert dist.probabilities == pytest.approx(softmax([np.log(2), 0.0]), abs=1e-12)
+        assert dist == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+        assert dist == pytest.approx(softmax([np.log(2), 0.0]), abs=1e-12)
 
     def test_huge_tau_is_uniform(self):
         g, labels = random_labeled_graph(30, 4, 3, seed=4)
         rep = score_all_edges(g, FilterSpec("sgc", 2), labels)
         dist = dropedge_weights(rep, tau=1e6)
-        assert np.all(np.abs(dist.probabilities - 1 / len(dist)) < 1e-5)
+        assert np.all(np.abs(dist - 1 / len(dist)) < 1e-5)
 
     def test_shift_invariance(self):
         import dataclasses
@@ -192,8 +188,8 @@ class TestDropEdgeWeights:
         rep = score_all_edges(g, FilterSpec("sgc", 2), labels)
         shifted = dataclasses.replace(rep, scores=[
             dataclasses.replace(s, value=s.value + 7.5) for s in rep.scores])
-        p0 = dropedge_weights(rep, tau=0.7).probabilities
-        p1 = dropedge_weights(shifted, tau=0.7).probabilities
+        p0 = dropedge_weights(rep, tau=0.7)
+        p1 = dropedge_weights(shifted, tau=0.7)
         assert np.all(np.abs(p0 - p1) <= 1e-12)
 
     def test_excluded_edges_get_zero(self, walk_filter):
@@ -216,7 +212,7 @@ class TestDropEdgeWeights:
 
     def test_probabilities_sum_to_one(self, triangle_scores):
         dist = dropedge_weights(triangle_scores, tau=0.5)
-        assert abs(dist.probabilities.sum() - 1.0) <= 1e-9
+        assert abs(dist.sum() - 1.0) <= 1e-9
 
 
 class TestSampleDropEdge:
@@ -245,7 +241,7 @@ class TestSampleDropEdge:
             dataclasses.replace(rep.scores[0], value=vals[0]),
             dataclasses.replace(rep.scores[1], value=vals[1])])
         dist = dropedge_weights(rep, tau=1.0)
-        assert dist.probabilities == pytest.approx(target, abs=1e-12)
+        assert dist == pytest.approx(target, abs=1e-12)
         hits = np.zeros(2)
         trials = 10_000
         for t in range(trials):
@@ -262,7 +258,7 @@ class TestSampleDropEdge:
     def test_joint_law_matches_sequential_draws(self, probabilities, drop_fraction):
         dist = _distribution(probabilities)
         count = int(drop_fraction * len(dist))
-        law = _sequential_law(dist.probabilities, count)
+        law = _sequential_law(dist, count)
         trials = 20_000
         seen = {}
         for t in range(trials):
@@ -279,7 +275,7 @@ class TestSampleDropEdge:
             dataclasses.replace(s, value=v)
             for s, v in zip(rep.scores, (0.0, -1e4, 0.5))])
         dist = dropedge_weights(rep, tau=1.0)
-        assert dist.probabilities[1] == 0.0
+        assert dist[1] == 0.0
         for t in range(200):
             assert sample_dropedge(dist, 2 / 3, seed=t).tolist() == [0, 2]
 
@@ -297,7 +293,7 @@ class TestSampleDropEdge:
             assert out.dtype == np.int64
             assert out.size == int(fraction * 60)
             assert np.all(np.diff(out) > 0)
-            assert np.all(dist.probabilities[out] > 0)
+            assert np.all(dist[out] > 0)
 
     def test_subnormal_weights_keep_their_ratio(self):
         # once edge 0 is gone the two subnormal weights are picked 1 : 2
