@@ -18,26 +18,28 @@ spec = FilterSpec("sgc", k=2)
 print(f"graph: {g.n} nodes, {g.edge_count} edges")
 
 report = score_all_edges(g, spec, labels, lam=0.0)
-print(f"partition: +{report.positive.size}  -{report.negative.size}  "
-      f"0:{report.zero.size}  excluded:{report.excluded.size}")
+count = {s: np.count_nonzero(report.signs == s)
+         for s in ("positive", "negative", "zero", "excluded")}
+print(f"partition: +{count['positive']}  -{count['negative']}  "
+      f"0:{count['zero']}  excluded:{count['excluded']}")
 
 ids = labels.labels
-inter = [s.value for s in report.scores if ids[s.u] != ids[s.v]]
-intra = [s.value for s in report.scores if ids[s.u] == ids[s.v]]
-print(f"mean score, cross-community edges: {np.mean(inter):+.5f}")
-print(f"mean score, same-community edges:  {np.mean(intra):+.5f}")
+cross = ids[g.edges[:, 0]] != ids[g.edges[:, 1]]
+print(f"mean score, cross-community edges: {np.mean(report.values[cross]):+.5f}")
+print(f"mean score, same-community edges:  {np.mean(report.values[~cross]):+.5f}")
 
 print("\ntop five removals by score:")
-for s in report.ranked()[:5]:
-    tag = "cross" if ids[s.u] != ids[s.v] else "same"
-    print(f"  ({s.u:3d},{s.v:3d})  {s.value:+.6f}  {tag}-community  "
-          f"affected={s.affected_nodes}")
+for e in report.ranking[:5]:
+    u, v = g.edges[e]
+    tag = "cross" if cross[e] else "same"
+    print(f"  ({u:3d},{v:3d})  {report.values[e]:+.6f}  {tag}-community  "
+          f"affected={report.affected[e]}")
 
 # spot-check the incremental scores against the from-scratch recompute
 worst = 0.0
 for e in range(0, g.edge_count, 37):
     exact = topoinf_oracle(g, spec, labels, lam=0.0, e=e).value
-    worst = max(worst, abs(report.scores[e].value - exact))
+    worst = max(worst, abs(report.values[e] - exact))
 print(f"\nmax |incremental - recompute| on sampled edges: {worst:.2e}")
 
 print("\nfirst lines of the TSV emitted by the score command:")

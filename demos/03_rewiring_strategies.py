@@ -47,7 +47,7 @@ for step in trace:
           f"  ->  C = {step.c_after:.4f}")
 
 # the dropping sampler: high scores are dropped more often
-probabilities = dropedge_weights(report, tau=0.75)
+probabilities = dropedge_weights(report.values, tau=0.75)
 counts = np.zeros(g.edge_count)
 for epoch in range(200):
     counts[sample_dropedge(probabilities, 0.3, seed=[3, epoch])] += 1

@@ -35,8 +35,7 @@ print(f"pseudo-label accuracy on unlabeled nodes: {acc:.3f}")
 true_scores = score_all_edges(g, spec, truth, lam=0.0)
 est_scores = score_all_edges(g, spec, LabelData(truth.c, pseudo.labels), lam=0.0)
 
-tv = np.array([s.value for s in true_scores.scores])
-ev = np.array([s.value for s in est_scores.scores])
+tv, ev = true_scores.values, est_scores.values
 sign_match = np.mean(np.sign(tv) == np.sign(ev))
 corr = np.corrcoef(tv, ev)[0, 1]
 print(f"\nestimated vs true scores over {g.edge_count} edges:")
@@ -46,5 +45,5 @@ print(f"  correlation:    {corr:.3f}")
 both = sorted(range(g.edge_count), key=lambda e: -ev[e])[:5]
 print("\ntop five edges by estimated score (true score alongside):")
 for e in both:
-    s = est_scores.scores[e]
-    print(f"  ({s.u:3d},{s.v:3d})  est {ev[e]:+.5f}   true {tv[e]:+.5f}")
+    u, v = g.edges[e]
+    print(f"  ({u:3d},{v:3d})  est {ev[e]:+.5f}   true {tv[e]:+.5f}")

@@ -224,6 +224,7 @@ def cmd_score(args) -> int:
     manifest = _manifest(args)
     outputs = {}
     if args.json:
+        r = report.ranking
         doc = {
             "metadata": {
                 "model": spec.preset, "k": spec.k, "alpha": spec.alpha,
@@ -232,10 +233,11 @@ def cmd_score(args) -> int:
                 "target_hash": _target_hash(target, g.n), "seed": args.seed,
             },
             "scores": [
-                {"u": s.u, "v": s.v,
-                 "topoinf": "-inf" if math.isinf(s.value) else float(_fmt(s.value)),
-                 "sign": s.sign, "affected_nodes": s.affected_nodes}
-                for s in report.ranked()
+                {"u": u, "v": v, "topoinf": "-inf" if math.isinf(x) else float(_fmt(x)),
+                 "sign": s, "affected_nodes": a}
+                for (u, v), x, s, a in zip(
+                    report.edges[r].tolist(), report.values[r].tolist(),
+                    report.signs[r].tolist(), report.affected[r].tolist())
             ],
         }
         outputs[args.json] = json.dumps(doc, indent=2) + "\n"
@@ -291,8 +293,8 @@ def cmd_rewire(args) -> int:
         if topoinf:
             report = score_all_edges(g, spec, labels, target, args.lam)
             removed = remove_by_topoinf(report, args.ratio, args.set)
-            trace_rows = [(report.scores[e].u, report.scores[e].v,
-                           _fmt(report.scores[e].value), "") for e in removed]
+            trace_rows = [(u, v, _fmt(x), "") for (u, v), x in
+                          zip(report.edges[removed].tolist(), report.values[removed].tolist())]
         else:
             removed = remove_random(g, args.ratio, args.seed) if args.strategy == "random" \
                 else remove_adaedge(g, labels, args.ratio, args.set, args.seed)
@@ -321,11 +323,12 @@ def cmd_dropedge(args) -> int:
     g, labels, target = _load_inputs(args)
     spec = _filter_spec(args)
     report = score_all_edges(g, spec, labels, target, args.lam)
-    probabilities = dropedge_weights(report, args.tau)
+    probabilities = dropedge_weights(report.values, args.tau)
 
     dist_lines = ["u\tv\ttopoinf\tprobability"]
-    for s, prob in zip(report.scores, probabilities.tolist()):
-        dist_lines.append(f"{s.u}\t{s.v}\t{_fmt(s.value)}\t{_fmt(prob)}")
+    for (u, v), x, prob in zip(report.edges.tolist(), report.values.tolist(),
+                               probabilities.tolist()):
+        dist_lines.append(f"{u}\t{v}\t{_fmt(x)}\t{_fmt(prob)}")
     outputs = {args.output_prefix + ".dist.tsv": "\n".join(dist_lines) + "\n"}
 
     for epoch in range(args.emit_epochs):

@@ -77,6 +77,9 @@ def compatibility(g: Graph, spec: FilterSpec, labels: LabelData, target=None,
     The per-node term is the inner product of each target's label row with its
     filtered distribution: the hard-label entry for one-hot rows, or soft
     influence (an extension) when `labels` carry soft labels.
+
+    Raises ValueError when C overflows float64 (a lambda near its maximum);
+    incremental scores never form C and stay finite there.
     """
     target = check_scoring_inputs(g, labels, target, lam)
     adj = normalized_adjacency(g)
@@ -98,6 +101,9 @@ def compatibility(g: Graph, spec: FilterSpec, labels: LabelData, target=None,
     elif isolated.size:
         c = -INF
     else:
-        c = math.fsum(per_i - lam * per_r)
+        try:
+            c = math.fsum(per_i - lam * per_r)
+        except OverflowError:
+            raise ValueError(f"lambda {lam}: C overflows float64") from None
     return CompatReport(lam=lam, target=target, per_node_I=per_i, per_node_R=per_r,
                         C=c, lbar=lbar, isolated=isolated)

@@ -44,6 +44,8 @@ bitwise the same levels, and a score is bitwise the same whatever batch, in
 whatever order, computes it; scores come back in the caller's order.
 Batch scoring treats every edge as a removal from the *original* graph;
 `greedy_refine` is the sequential variant that re-scores as it removes.
+Scores are arrays of values and affected counts; `signs` classifies values by
+one rule at ZERO_TOL, and `score_all_edges` ranks them (see `ScoreReport`).
 
 So dense batches are also scored on every CPU in the process's affinity
 mask (`os.sched_getaffinity`; `taskset` limits it): the walked edges are cut
@@ -70,11 +72,11 @@ keeps the rest, which are bitwise what a full rescore would give.
 from __future__ import annotations
 
 import heapq
-import math
 import mmap
 import os
 import signal
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +96,7 @@ from .graphs import (
 __all__ = [
     "ZERO_TOL",
     "TopoInfScore",
+    "signs",
     "DeltaWorkspace",
     "topoinf_oracle",
     "removal_step",
@@ -104,50 +107,46 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-12
+# A target node is affected when its influence term changes by more than this:
+# rounding leaves a few ulps where the exact change is zero, which vary with the
+# assembly path (real changes on the cora-like input at appnp K=10 reach 4e-13)
+AFFECTED_TOL = 64 * np.finfo(np.float64).eps
 
 
-@dataclass(frozen=True)
-class TopoInfScore:
+class TopoInfScore(NamedTuple):
     """Score of a single edge removal.
 
     value is C(A') - C(A); -inf marks an excluded edge (removing it would
     isolate a target node while lambda > 0). affected_nodes counts target
-    nodes whose influence term actually changed.
+    nodes whose influence term changed by more than AFFECTED_TOL.
     """
 
-    edge: int
-    u: int
-    v: int
     value: float
     affected_nodes: int
-    sign: str
-
-    @staticmethod
-    def classify(value: float) -> str:
-        if math.isnan(value):
-            raise ValueError("score is NaN")
-        if value == -INF:
-            return "excluded"
-        if abs(value) < ZERO_TOL:
-            return "zero"
-        return "positive" if value > 0 else "negative"
 
 
-def _reg_delta(lam: float, degrees: np.ndarray, target_mask: np.ndarray,
-               i: int, j: int):
-    """Regularizer-sum change for the two endpoints; flags new isolation."""
+def signs(values) -> np.ndarray:
+    """Sign class of each score: "excluded" for -inf, "zero" below ZERO_TOL
+    in magnitude, else "positive" or "negative". A NaN score has none."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        raise ValueError("score is NaN")
+    return np.select([values == -INF, np.abs(values) < ZERO_TOL, values > 0],
+                     ["excluded", "zero", "positive"], "negative")
+
+
+def _with_regularizer(totals, lam: float, degrees: np.ndarray, target_mask: np.ndarray,
+                      ends: np.ndarray) -> np.ndarray:
+    """Scores of removing the edges `ends` ((i, j) rows) from their influence
+    changes `totals`: less lambda times the endpoints' regularizer change,
+    and -inf where a removal isolates a target node."""
     if lam == 0.0:
-        return 0.0, False
-    dr = 0.0
-    excluded = False
-    for v in (int(i), int(j)):
-        if target_mask[v]:
-            d = int(degrees[v])
-            if d == 1:
-                excluded = True
-            else:
-                dr += 1.0 / (d - 1) - 1.0 / d
-    return dr, excluded
+        return totals
+    d, on = degrees[ends], target_mask[ends]
+    t = np.where(on & (d > 1), 1.0 / np.maximum(d - 1, 1) - 1.0 / d, 0.0)
+    values = totals - lam * (t[:, 0] + t[:, 1])
+    values[(on & (d == 1)).any(axis=1)] = -INF
+    return values
 
 
 def topoinf_oracle(g: Graph, spec, labels: LabelData, target=None, lam: float = 0.0,
@@ -162,15 +161,11 @@ def topoinf_oracle(g: Graph, spec, labels: LabelData, target=None, lam: float = 
 def removal_step(g: Graph, spec, labels: LabelData, base: CompatReport, e: int):
     """Score of removing edge `e` from `g`, whose report is `base`, by a full
     `compatibility()` recompute; returns the score and the new report."""
-    i, j = (int(x) for x in g.edges[e])
     new = compatibility(g.remove_edge(e), spec, labels, base.target, base.lam)
     diffs = new.per_node_I - base.per_node_I
-    affected = int(np.count_nonzero(diffs != 0.0))
-    dr, excluded = _reg_delta(base.lam, g.degrees, _mask_of(base.target, g.n), i, j)
-    value = -INF if excluded else float(np.sum(diffs)) - base.lam * dr
-    score = TopoInfScore(edge=e, u=i, v=j, value=value, affected_nodes=affected,
-                         sign=TopoInfScore.classify(value))
-    return score, new
+    value = _with_regularizer(np.array([np.sum(diffs)]), base.lam, g.degrees,
+                              _mask_of(base.target, g.n), g.edges[[e]])
+    return TopoInfScore(value.item(), int(np.count_nonzero(np.abs(diffs) > AFFECTED_TOL))), new
 
 
 def _mask_of(target: np.ndarray, n: int) -> np.ndarray:
@@ -250,10 +245,12 @@ class DeltaWorkspace:
 
     def score(self, e: int) -> TopoInfScore:
         """Exact score of removing edge `e`."""
-        return self.score_edges([e])[0]
+        return TopoInfScore(*(a.item() for a in self.score_edges([e])))
 
-    def score_edges(self, edges) -> list:
-        """Exact scores of removing each of `edges` alone, in the given order.
+    def score_edges(self, edges) -> tuple[np.ndarray, np.ndarray]:
+        """Exact scores of removing each of `edges` alone, in the given order:
+        the values (float64, -inf for an excluded edge) and the counts of
+        target nodes whose influence term changed (int64).
 
         Once batches propagate dense columns, the edges left are scored in
         walk order (`_walk_order`): consecutive edges share an endpoint, so a
@@ -268,7 +265,7 @@ class DeltaWorkspace:
         if out_of_range.any():
             raise IndexError(f"edge index {edges[out_of_range][0]} out of range [0, {m})")
         # the results live in one shared mapping, so forked shares write them
-        # in place (a zero-length mapping is invalid)
+        # in place (a zero-length mapping is invalid); the caller gets copies
         buf = mmap.mmap(-1, 16 * max(1, edges.size))
         values = np.frombuffer(buf, count=edges.size)
         affected = np.frombuffer(buf, dtype=np.int64, count=edges.size, offset=8 * edges.size)
@@ -287,11 +284,7 @@ class DeltaWorkspace:
             _in_shares(lambda share: self._score_run(edges, share, values, affected,
                                                      cap, budget, True),
                        shares)
-        ends = self.g.edges[edges].tolist()
-        return [TopoInfScore(edge=e, u=u, v=v, value=x, affected_nodes=a,
-                             sign=TopoInfScore.classify(x))
-                for e, (u, v), x, a in zip(edges.tolist(), ends, values.tolist(),
-                                           affected.tolist())]
+        return values.copy(), affected.copy()
 
     def _score_run(self, edges, order, values, affected, cap, budget, walked):
         """Score edges[order] in batches, in that order, into values[order] and
@@ -384,7 +377,6 @@ class DeltaWorkspace:
         g, K = self.g, self.spec.k
         nb, nt, C = edges.size, self.target.size, self.labels.c
         ends = g.edges[edges]
-        i, j = ends[:, 0], ends[:, 1]
 
         # levels A_hat^t e_v, t <= K, of the batch's distinct endpoints v, with
         # H[t] = [e_i e_j]^T A_hat^t [e_i e_j] and the ball pairs of each edge
@@ -416,7 +408,7 @@ class DeltaWorkspace:
                 b = np.broadcast_to(owner, low.shape)[low].min()
                 bad = self.target[er][low & (owner == b)]
                 raise ValueError(
-                    f"removing edge ({i[b]}, {j[b]}) makes filter rows "
+                    f"removing edge {tuple(ends[b].tolist())} makes filter rows "
                     f"non-normalizable for nodes {bad[:5].tolist()}")
             return (self.base_num[er] + num) / sums - self.base_I[er]
 
@@ -437,7 +429,7 @@ class DeltaWorkspace:
             flat = changes(en, rn, num, sums)
             starts = np.cumsum(size[narrow]) - size[narrow]
             totals[narrow] = np.add.reduceat(flat, starts)
-            affected[narrow] = np.add.reduceat((flat != 0.0).astype(np.int64), starts)
+            affected[narrow] = np.add.reduceat(np.abs(flat) > AFFECTED_TOL, starts, dtype=np.int64)
             pairs = en.size
         wide = np.flatnonzero(2 * size > nt)
         if wide.size:
@@ -450,12 +442,9 @@ class DeltaWorkspace:
                 num = D.ravel()[self.entry] if soft is None else soft_weight(D, slice(None))
                 diffs = changes(b, slice(None), num, D[C])[levels.rows(b)]
                 totals[b] = np.add.reduceat(diffs, [0])[0]
-                affected[b] = np.count_nonzero(diffs)
+                affected[b] = np.count_nonzero(np.abs(diffs) > AFFECTED_TOL)
 
-        values = np.empty(nb)
-        for b in range(nb):
-            dr, excluded = _reg_delta(self.lam, g.degrees, self.target_mask, i[b], j[b])
-            values[b] = -INF if excluded else float(totals[b]) - self.lam * dr
+        values = _with_regularizer(totals, self.lam, g.degrees, self.target_mask, ends)
         stored = self._stored_bytes(nb, levels.stored, pairs, wide.size)
         return values, affected, stored, levels.fill
 
@@ -668,22 +657,23 @@ class _SparseLevels:
 
 @dataclass
 class ScoreReport:
-    """Scores for every edge plus the sign partition and ranking."""
+    """Every edge's score as arrays in edge order, with the sign of each
+    score (`signs`) and the ranking: edge ids by descending value, ties in the
+    exact float64 value by ascending id, excluded edges last. Rows whose
+    printed values are equal can therefore appear out of id order."""
 
-    scores: list                 # TopoInfScore in edge order
-    ranking: list                # edge ids, descending value, ties by id, excluded last
-    positive: np.ndarray
-    negative: np.ndarray
-    zero: np.ndarray
-    excluded: np.ndarray
-
-    def ranked(self) -> list:
-        return [self.scores[e] for e in self.ranking]
+    edges: np.ndarray            # (m, 2) endpoints, the graph's
+    values: np.ndarray           # float64, -inf for an excluded edge
+    affected: np.ndarray         # int64, as TopoInfScore.affected_nodes
+    signs: np.ndarray
+    ranking: np.ndarray          # int64 edge ids
 
     def to_tsv(self) -> str:
+        r = self.ranking
         lines = ["edge_u\tedge_v\ttopoinf\tsign\taffected_nodes"]
-        for s in self.ranked():
-            lines.append(f"{s.u}\t{s.v}\t{s.value:.12g}\t{s.sign}\t{s.affected_nodes}")
+        for (u, v), x, s, a in zip(self.edges[r].tolist(), self.values[r].tolist(),
+                                   self.signs[r].tolist(), self.affected[r].tolist()):
+            lines.append(f"{u}\t{v}\t{x:.12g}\t{s}\t{a}")
         return "\n".join(lines) + "\n"
 
 
@@ -698,21 +688,15 @@ def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float =
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "incremental":
         ws = DeltaWorkspace.build(g, spec, labels, target, lam)
-        scores = ws.score_edges(np.arange(g.edge_count))
+        values, affected = ws.score_edges(np.arange(g.edge_count))
     else:
         base = compatibility(g, spec, labels, target, lam)
-        scores = [removal_step(g, spec, labels, base, e)[0]
-                  for e in range(g.edge_count)]
-    ranking = sorted(range(g.edge_count), key=lambda e: (-scores[e].value, e))
-    by_sign = {"positive": [], "negative": [], "zero": [], "excluded": []}
-    for s in scores:
-        by_sign[s.sign].append(s.edge)
-    return ScoreReport(
-        scores=scores, ranking=ranking,
-        positive=np.asarray(by_sign["positive"], dtype=np.int64),
-        negative=np.asarray(by_sign["negative"], dtype=np.int64),
-        zero=np.asarray(by_sign["zero"], dtype=np.int64),
-        excluded=np.asarray(by_sign["excluded"], dtype=np.int64))
+        steps = [removal_step(g, spec, labels, base, e)[0] for e in range(g.edge_count)]
+        values = np.array([s.value for s in steps], dtype=np.float64)
+        affected = np.array([s.affected_nodes for s in steps], dtype=np.int64)
+    return ScoreReport(edges=g.edges, values=values, affected=affected,
+                       signs=signs(values),
+                       ranking=np.lexsort((np.arange(values.size), -values)))
 
 
 @dataclass(frozen=True)
@@ -764,12 +748,14 @@ def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
     while len(trace) < max_removals:
         if since_rescore >= rescore_every:
             ws = DeltaWorkspace.build(current, spec, labels, target_arr, lam)
-            fresh = ws.score_edges(np.arange(current.edge_count) if seeds is None else
-                                   _stale_edges(current, seeds, target_mask, spec.k))
-            for s in fresh:
-                values[s.u, s.v] = s.value
-                if s.sign == "positive":
-                    heapq.heappush(heap, (-s.value, s.u, s.v))
+            stale = np.arange(current.edge_count) if seeds is None else \
+                _stale_edges(current, seeds, target_mask, spec.k)
+            fresh = ws.score_edges(stale)[0]
+            for (u, v), x, sign in zip(current.edges[stale].tolist(), fresh.tolist(),
+                                       signs(fresh).tolist()):
+                values[u, v] = x
+                if sign == "positive":
+                    heapq.heappush(heap, (-x, u, v))
             seeds = []
             since_rescore = 0
         pick = None

@@ -45,21 +45,20 @@ def _check_removal(ratio: float, which: str):
 
 
 def remove_by_topoinf(report, ratio: float, which: str) -> np.ndarray:
-    """Top floor(ratio * |E|) edges of the `which` sign partition.
+    """Top floor(ratio * |E|) edges of the `which` sign partition of a ScoreReport.
 
     Ordered by absolute score descending, ties broken by ascending edge id.
     Truncates with a warning when the partition is smaller than requested.
     """
     _check_removal(ratio, which)
-    pool = report.positive if which == "positive" else report.negative
-    want = int(ratio * len(report.scores))
+    pool = np.flatnonzero(report.signs == which)
+    want = int(ratio * report.values.size)
     if want > pool.size:
         warnings.warn(
             f"requested {want} edges but the {which} partition has {pool.size}; "
             "truncating", stacklevel=2)
         want = pool.size
-    order = sorted(pool.tolist(), key=lambda e: (-abs(report.scores[e].value), e))
-    return np.asarray(order[:want], dtype=np.int64)
+    return pool[np.lexsort((pool, -np.abs(report.values[pool])))][:want]
 
 
 def remove_random(g: Graph, ratio: float, seed: int) -> np.ndarray:
@@ -116,21 +115,24 @@ def check_drop_fraction(drop_fraction: float):
         raise ValueError(f"drop rate must lie in [0, 1], got {drop_fraction}")
 
 
-def dropedge_weights(report, tau: float) -> np.ndarray:
+def dropedge_weights(values, tau: float) -> np.ndarray:
     """Per-edge dropping probabilities in edge order: the softmax of the
-    scores at temperature tau, summing to 1. Excluded edges get exactly 0.
+    score values at temperature tau, summing to 1. Excluded edges get exactly 0.
 
     The max finite score is subtracted before exponentiation for numerical
     stability; softmax is invariant to that shift.
     """
     check_tau(tau)
-    values = np.asarray([s.value for s in report.scores], dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     finite = values > -np.inf
     if not finite.any():
         raise ValueError("all edges are excluded; dropping distribution is empty")
     w = np.zeros_like(values)
     shift = values[finite].max()
-    w[finite] = np.exp((values[finite] - shift) / tau)
+    # values - shift <= 0 can overflow only to -inf, which exp maps to its limit 0
+    with np.errstate(over="ignore"):
+        z = (values[finite] - shift) / tau
+    w[finite] = np.exp(z)
     return w / w.sum()
 
 

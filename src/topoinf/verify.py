@@ -81,11 +81,11 @@ def check_edge_scores(g: Graph, labels: LabelData, spec, lam: float = 0.0,
     ws = DeltaWorkspace.build(g, spec, labels, target, lam)
     base = compatibility(g, spec, labels, ws.target, lam)
     out = EdgeCheck(edges=g.edge_count)
-    for e, inc in enumerate(ws.score_edges(np.arange(g.edge_count))):
+    for e, value in enumerate(ws.score_edges(np.arange(g.edge_count))[0].tolist()):
         oracle, new = removal_step(g, spec, labels, base, e)
         # equal values (both -inf for an excluded edge) differ by 0, -inf
         # against a finite value by inf
-        d = 0.0 if inc.value == oracle.value else abs(inc.value - oracle.value)
+        d = 0.0 if value == oracle.value else abs(value - oracle.value)
         out.max_abs_diff = max(out.max_abs_diff, d)
         out.mismatches += int(d > ORACLE_TOL)
 
@@ -93,7 +93,7 @@ def check_edge_scores(g: Graph, labels: LabelData, spec, lam: float = 0.0,
         a, b = new.lbar, base.lbar
         changed = np.flatnonzero(np.any((a != b) & ~(np.isnan(a) & np.isnan(b)), axis=1))
         allowed = np.zeros(g.n, dtype=bool)
-        allowed[khop_set(g, (oracle.u, oracle.v), spec.k)] = True
+        allowed[khop_set(g, g.edges[e], spec.k)] = True
         out.locality_violations += int(np.count_nonzero(~allowed[changed]))
     return out
 

@@ -20,14 +20,15 @@ def reference_greedy(g, spec, labels, target=None, lam=0.0, max_removals=1,
     while len(trace) < max_removals:
         if since >= rescore_every:
             report = score_all_edges(current, spec, labels, target, lam)
-            pending = [s for s in report.ranked() if s.sign == "positive"]
+            ranked = report.ranking[report.signs[report.ranking] == "positive"]
+            pending = [(u, v, x) for (u, v), x in zip(report.edges[ranked].tolist(),
+                                                       report.values[ranked].tolist())]
             since = 0
         step = None
         while pending:
             cand = pending.pop(0)
             # a candidate that would now isolate a target node scores -inf
-            if lam > 0 and any(mask[x] and current.degree(x) == 1
-                               for x in (cand.u, cand.v)):
+            if lam > 0 and any(mask[x] and current.degree(x) == 1 for x in cand[:2]):
                 continue
             step = cand
             break
@@ -36,8 +37,9 @@ def reference_greedy(g, spec, labels, target=None, lam=0.0, max_removals=1,
                 break
             since = rescore_every
             continue
-        current = current.remove_edge(current.edge_id(step.u, step.v))
+        u, v, value = step
+        current = current.remove_edge(current.edge_id(u, v))
         c_after = compatibility(current, spec, labels, target, lam).C
-        trace.append((step.u, step.v, step.value, c_after))
+        trace.append((u, v, value, c_after))
         since += 1
     return current, trace

@@ -199,6 +199,17 @@ class TestDropEdge:
         probs = [float(r.split("\t")[3]) for r in rows]
         assert probs == pytest.approx([1 / 3] * 3, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_tau_puts_all_mass_on_top_scores(self, fixture_files, tmp_path, capsys):
+        graph, labels, _ = fixture_files
+        code = run(["dropedge", "--graph", graph, "--labels", labels, "--tau", "1e-320",
+                    "--lambda", "0", "--emit-epochs", "0", "--output-prefix", tmp_path / "t"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "t.dist.tsv").read_text().strip().split("\n")[1:]
+        # (0,2) and (1,2) tie for the top score; (0,1) scores below them
+        assert [r.split("\t")[3] for r in rows] == ["0", "0.5", "0.5"]
+
     def test_epochs_seeded(self, fixture_files, tmp_path):
         graph, labels, _ = fixture_files
         texts = {}
@@ -345,6 +356,40 @@ def test_non_finite_parameter_rejected(fixture_files, capsys, argv, name):
     assert not list(tmp.glob("d*"))
 
 
+# a star whose two target leaves put C past float64 at lambda 1.7e308; the
+# edge (2, 3) touches no target, scores finite and positive, and is removed
+STAR = "# nodes=4\n0 3\n1 3\n2 3\n"
+STAR_LABELS = "# classes=2\n0 0\n1 0\n2 1\n3 0\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["rewire", "--strategy", "topoinf", "--greedy", "--ratio", "1",
+                  "--output", "{tmp}/out.edges"], 2, id="greedy"),
+    pytest.param(["score", "--output", "{tmp}/out.tsv"], 0, id="incremental"),
+    pytest.param(["dropedge", "--tau", "1", "--output-prefix", "{tmp}/out"], 0,
+                 id="dropedge"),
+])
+def test_lambda_overflowing_c(tmp_path, capsys, argv, code):
+    """Greedy rewiring forms C after its first removal and exits 2 naming
+    lambda, as `analyze` and `score --mode exact` do (see
+    test_input_failures_exit_two); incremental scores never form C and stay
+    finite where the edge isolates no target."""
+    (tmp_path / "g.edges").write_text(STAR)
+    (tmp_path / "g.labels").write_text(STAR_LABELS)
+    (tmp_path / "t.txt").write_text("0\n1\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run([argv[0], "--graph", tmp_path / "g.edges", "--labels", tmp_path / "g.labels",
+                "--target", tmp_path / "t.txt", "--lambda", "1.7e308", *argv[1:]]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == "error: lambda 1.7e+308: C overflows float64\n"
+        assert not list(tmp_path.glob("out*"))
+    else:   # the score TSV and the dist TSV both hold the score in column 3
+        out = tmp_path / ("out.tsv" if argv[0] == "score" else "out.dist.tsv")
+        rows = out.read_text().split("\n")[1:-1]
+        assert sorted(r.split("\t")[2] for r in rows) == ["-inf", "-inf", "0.28084679575"]
+
+
 @pytest.mark.parametrize("flags, name", [
     (["--tau", "nan"], "tau"),
     (["--tau", "0"], "tau"),
@@ -489,6 +534,10 @@ BAD_RATIO = [
                  "--dim", id="oversized-features"),
     *(pytest.param(TRIANGLE, FEATURES, *p.values, id=p.id)
       for p in UNREAD + BAD_RATIO + OVERFLOW),
+    # C sums three terms of -0.75e308 on the triangle
+    *(pytest.param(TRIANGLE, FEATURES, argv + ["--lambda", "1.5e308"],
+                   "lambda 1.5e+308: C overflows float64", id=f"overflowing-C-{name}")
+      for name, argv in (("analyze", ANALYZE), ("exact", SCORE + ["--mode", "exact"]))),
     # an empty path is a path, not an absent flag
     *(pytest.param(TRIANGLE, FEATURES, argv + [flag, ""], f"error: {flag} : Is a directory",
                    id=f"empty-path{flag}-{argv[0]}")

@@ -28,6 +28,10 @@ from greedy_reference import reference_greedy
 
 INF = float("inf")
 
+
+def _sign(value):
+    return influence.signs([value])[0]
+
 # frozen from the dense recompute in dense_oracle.dense_topoinf
 TRIANGLE_GAIN_02 = 0.528792564828473       # remove (0, 2), lam = 0
 TRIANGLE_GAIN_02_LAM01 = 0.428792564828473  # same, lam = 0.1
@@ -40,7 +44,7 @@ class TestOracle:
         s = topoinf_oracle(triangle, walk_filter, triangle_labels, lam=0.0,
                            e=triangle.edge_id(0, 2))
         assert s.value == pytest.approx(TRIANGLE_GAIN_02, abs=1e-12)
-        assert s.sign == "positive"
+        assert _sign(s.value) == "positive"
         assert s.affected_nodes == 3
 
     def test_frozen_constant_matches_dense_oracle(self):
@@ -57,17 +61,17 @@ class TestOracle:
         for e in range(3):
             s = topoinf_oracle(triangle, identity_filter, triangle_labels, lam=0.0, e=e)
             assert s.value == 0.0
-            assert s.sign == "zero"
+            assert _sign(s.value) == "zero"
 
     def test_same_class_pair_excluded_under_lambda(self, walk_filter):
         g = Graph.from_edges(2, [(0, 1)])
         labels = LabelData(2, [0, 0])
         s = topoinf_oracle(g, walk_filter, labels, lam=0.1, e=0)
         assert s.value == -INF
-        assert s.sign == "excluded"
+        assert _sign(s.value) == "excluded"
         # with lambda = 0 the same removal is merely neutral
         s0 = topoinf_oracle(g, walk_filter, labels, lam=0.0, e=0)
-        assert s0.sign == "zero"
+        assert _sign(s0.value) == "zero"
 
     def test_bad_edge_index(self, triangle, triangle_labels, walk_filter):
         with pytest.raises(IndexError):
@@ -97,6 +101,22 @@ class TestIncremental:
         s = ws.score(g.edge_id(0, 1))
         assert s.value == 0.0
         assert s.affected_nodes == 0
+
+    def test_rounding_is_not_a_change(self):
+        """A uniform soft label's term cannot change. Rounding leaves it a few
+        ulps that depend on the assembly path, which the target set picks, so
+        such a node counts as unaffected on every path, and counts add over a
+        split of the target set."""
+        g = Graph.from_edges(5, [(0, 1), (0, 4), (1, 4)])
+        soft = np.array([[0.5, 0.5]] * 4 + [[2 / 3, 1 / 3]])
+        labels = LabelData(2, np.zeros(5, dtype=np.int64), soft=soft)
+        spec = FilterSpec("sgc", 1)
+        whole, part, rest = (
+            DeltaWorkspace.build(g, spec, labels, target=t).score_edges(range(3))[1].tolist()
+            for t in (range(5), range(4), [4]))
+        assert part == [0, 0, 0]
+        assert whole == rest == [1, 1, 1]
+        assert [topoinf_oracle(g, spec, labels, e=e).affected_nodes for e in range(3)] == whole
 
     def test_sweep_against_oracle(self):
         for seed, k in ((0, 1), (1, 2), (2, 3)):
@@ -190,7 +210,7 @@ class TestIncremental:
         for e in sampled:
             exact = topoinf_oracle(g, FilterSpec("sgc", 2), labels, lam=0.0,
                                    e=int(e)).value
-            assert rep.scores[e].value == pytest.approx(exact, abs=1e-10)
+            assert rep.values[e] == pytest.approx(exact, abs=1e-10)
 
 
 class TestBatchIndependence:
@@ -200,9 +220,8 @@ class TestBatchIndependence:
     CASES = ["appnp10", "sgc2_target_lambda", "sgc2_hundreds", "block_and_tail"]
 
     @staticmethod
-    def _bits(scores):
-        values = np.array([s.value for s in scores])
-        return values.tobytes(), [s.affected_nodes for s in scores]
+    def _bits(values, affected):
+        return np.asarray(values, dtype=np.float64).tobytes(), [int(a) for a in affected]
 
     @staticmethod
     def _workspace(case):
@@ -214,7 +233,7 @@ class TestBatchIndependence:
             target = np.arange(0, g.n, 3)
             ws = DeltaWorkspace.build(g, FilterSpec("sgc", 2), labels, target=target,
                                       lam=0.3)
-            assert any(s.sign == "excluded" for s in ws.score_edges(range(g.edge_count)))
+            assert "excluded" in influence.signs(ws.score_edges(range(g.edge_count))[0])
             return ws
         if case == "sgc2_hundreds":
             g, labels = random_labeled_graph(1000, 3, 4, seed=22)
@@ -250,20 +269,20 @@ class TestBatchIndependence:
             return batch(ws_, edges, dense)
 
         monkeypatch.setattr(DeltaWorkspace, "_score_batch", recording)
-        default = self._bits(ws.score_edges(np.arange(m)))
+        default = self._bits(*ws.score_edges(np.arange(m)))
         default_size = sizes[0]
         assert default_size > 4
         if case == "sgc2_hundreds":
             assert max(sizes) >= 200
         if case == "block_and_tail":
             assert any(len({self._is_wide(ws, e) for e in b}) == 2 for b in batches)
-        singles = self._bits([ws.score(e) for e in range(m)])
+        singles = self._bits(*zip(*[ws.score(e) for e in range(m)]))
         perm = np.random.default_rng(3).permutation(m)
-        shuffled = ws.score_edges(perm)
-        unshuffled = self._bits([shuffled[k] for k in np.argsort(perm)])
+        back = np.argsort(perm)
+        unshuffled = self._bits(*(a[back] for a in ws.score_edges(perm)))
         sizes.clear()
         monkeypatch.setattr(influence, "BATCH_BYTES", influence.BATCH_BYTES // 3)
-        smaller = self._bits(ws.score_edges(np.arange(m)))
+        smaller = self._bits(*ws.score_edges(np.arange(m)))
         assert 1 < sizes[0] < default_size
         assert singles == default
         assert unshuffled == default
@@ -279,7 +298,7 @@ class TestBatchIndependence:
         for dense in (False, True):
             monkeypatch.setattr(DeltaWorkspace, "_score_batch",
                                 lambda ws_, e, _, dense=dense: batch(ws_, e, dense))
-            got[dense] = self._bits(ws.score_edges(edges))
+            got[dense] = self._bits(*ws.score_edges(edges))
         assert got[False] == got[True]
 
     @pytest.mark.parametrize("case", CASES)
@@ -290,9 +309,9 @@ class TestBatchIndependence:
         some = rng.choice(m, size=min(m, 150), replace=False)
         edges = rng.permutation(np.concatenate([some, some[:40], some[:10]]))
         got = ws.score_edges(edges)
-        assert [s.edge for s in got] == edges.tolist()
-        single = {e: ws.score_edges([e])[0] for e in some.tolist()}
-        assert self._bits(got) == self._bits([single[e] for e in edges.tolist()])
+        assert got[0].shape == got[1].shape == edges.shape
+        single = {e: ws.score(e) for e in some.tolist()}
+        assert self._bits(*got) == self._bits(*zip(*[single[e] for e in edges.tolist()]))
 
 
 def _scores_in_pool_worker(case):
@@ -302,7 +321,7 @@ def _scores_in_pool_worker(case):
     splits, split = [], influence._in_shares
     influence._in_shares = lambda *args: splits.append(len(args[1])) or split(*args)
     rep = score_all_edges(ws.g, ws.spec, ws.labels, ws.target, ws.lam)
-    return TestBatchIndependence._bits(rep.scores), splits
+    return TestBatchIndependence._bits(rep.values, rep.affected), splits
 
 
 class TestShares:
@@ -341,9 +360,9 @@ class TestShares:
         ws = self._workspace(case)
         edges = np.arange(ws.g.edge_count)
         monkeypatch.setattr(influence, "_workers", lambda: 1)
-        serial = TestBatchIndependence._bits(ws.score_edges(edges))
+        serial = TestBatchIndependence._bits(*ws.score_edges(edges))
         shares = self._split(monkeypatch, workers)
-        assert TestBatchIndependence._bits(ws.score_edges(edges)) == serial
+        assert TestBatchIndependence._bits(*ws.score_edges(edges)) == serial
         assert [len(parts) for parts in shares] == [workers]
 
     def test_child_error_reaches_caller(self, monkeypatch):
@@ -370,7 +389,7 @@ class TestShares:
         ws = self._workspace("appnp10")
         edges = np.arange(ws.g.edge_count)
         monkeypatch.setattr(influence, "_workers", lambda: 1)
-        serial = TestBatchIndependence._bits(ws.score_edges(edges))
+        serial = TestBatchIndependence._bits(*ws.score_edges(edges))
         shares = self._split(monkeypatch, 2)
         parent, run = os.getpid(), DeltaWorkspace._score_run
 
@@ -386,7 +405,7 @@ class TestShares:
             monkeypatch.setattr(os, "fork", fork)
         else:
             monkeypatch.setattr(DeltaWorkspace, "_score_run", dying)
-        assert TestBatchIndependence._bits(ws.score_edges(edges)) == serial
+        assert TestBatchIndependence._bits(*ws.score_edges(edges)) == serial
         assert [len(parts) for parts in shares] == [2]
 
     def test_inside_a_pool_worker(self, monkeypatch):
@@ -394,7 +413,8 @@ class TestShares:
 
         ws = TestBatchIndependence._workspace("appnp10")
         monkeypatch.setattr(influence, "_workers", lambda: 1)
-        serial = TestBatchIndependence._bits(score_all_edges(ws.g, ws.spec, ws.labels).scores)
+        rep = score_all_edges(ws.g, ws.spec, ws.labels)
+        serial = TestBatchIndependence._bits(rep.values, rep.affected)
         monkeypatch.setattr(influence, "_workers", lambda: 2)
         pool = multiprocessing.get_context("fork").Pool(1)
         try:
@@ -445,38 +465,37 @@ class TestWalkOrder:
 class TestScoreAllEdges:
     def test_triangle_partition(self, triangle, triangle_labels, walk_filter):
         rep = score_all_edges(triangle, walk_filter, triangle_labels, lam=0.0)
-        assert rep.positive.tolist() == [1, 2]   # (0,2) and (1,2)
-        assert rep.negative.tolist() == [0]      # (0,1)
-        assert rep.zero.size == 0 and rep.excluded.size == 0
+        # (0,1) negative; (0,2) and (1,2) positive; none zero or excluded
+        assert rep.signs.tolist() == ["negative", "positive", "positive"]
 
     def test_ranking_descending_with_index_tiebreak(self, triangle, triangle_labels,
                                                     walk_filter):
         rep = score_all_edges(triangle, walk_filter, triangle_labels, lam=0.0)
         # the two positive edges tie exactly by symmetry; ascending id breaks it
-        assert rep.ranking == [1, 2, 0]
-        vals = [s.value for s in rep.ranked()]
+        assert rep.ranking.tolist() == [1, 2, 0]
+        vals = rep.values[rep.ranking].tolist()
         assert vals == sorted(vals, reverse=True)
 
     def test_k22_all_positive(self, walk_filter):
         g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         labels = LabelData(2, [0, 0, 1, 1])
         rep = score_all_edges(g, walk_filter, labels, lam=0.0)
-        assert rep.positive.size == 4
-        for s in rep.scores:
-            assert s.value == pytest.approx(K22_GAIN, abs=1e-12)
+        assert rep.signs.tolist() == ["positive"] * 4
+        for value in rep.values:
+            assert value == pytest.approx(K22_GAIN, abs=1e-12)
 
     def test_partition_exhaustive(self):
         g, labels = random_labeled_graph(50, 3, 3, seed=8)
         rep = score_all_edges(g, FilterSpec("sgc", 2), labels, lam=0.2)
-        total = rep.positive.size + rep.negative.size + rep.zero.size + rep.excluded.size
-        assert total == g.edge_count
+        assert rep.signs.size == g.edge_count
+        assert set(rep.signs.tolist()) <= {"positive", "negative", "zero", "excluded"}
 
     def test_modes_agree(self, triangle, triangle_labels, walk_filter):
         inc = score_all_edges(triangle, walk_filter, triangle_labels, mode="incremental")
         exact = score_all_edges(triangle, walk_filter, triangle_labels, mode="exact")
-        for a, b in zip(inc.scores, exact.scores):
-            assert a.value == pytest.approx(b.value, abs=1e-10)
-        assert inc.ranking == exact.ranking
+        for a, b in zip(inc.values, exact.values):
+            assert a == pytest.approx(b, abs=1e-10)
+        assert inc.ranking.tolist() == exact.ranking.tolist()
 
     def test_tsv_shape(self, triangle, triangle_labels, walk_filter):
         rep = score_all_edges(triangle, walk_filter, triangle_labels)
@@ -498,9 +517,22 @@ class TestScoreAllEdges:
             DeltaWorkspace.build(triangle, walk_filter, triangle_labels,
                                  lam=float("nan"))
 
-    def test_nan_score_has_no_sign(self):
-        with pytest.raises(ValueError, match="NaN"):
-            influence.TopoInfScore.classify(float("nan"))
+    @pytest.mark.parametrize("values, want", [
+        pytest.param([-INF], ["excluded"], id="minus-inf"),
+        pytest.param([influence.ZERO_TOL / 2, -influence.ZERO_TOL / 2, -0.0], ["zero"] * 3,
+                     id="below-tolerance"),
+        pytest.param([influence.ZERO_TOL], ["positive"], id="tolerance"),
+        pytest.param([-influence.ZERO_TOL], ["negative"], id="minus-tolerance"),
+        pytest.param([float("nan")], None, id="nan"),
+        pytest.param([0.5, -INF, float("nan"), 0.0], None, id="nan-anywhere"),
+    ])
+    def test_sign_rule(self, values, want):
+        """One rule signs every score; a NaN anywhere has no sign."""
+        if want is None:
+            with pytest.raises(ValueError, match="NaN"):
+                influence.signs(values)
+        else:
+            assert influence.signs(values).tolist() == want
 
 
 class TestGreedyRefine:
@@ -624,12 +656,12 @@ def _path_values(path, g, spec, labels):
         return [topoinf_oracle(g, spec, labels, e=e).value for e in range(g.edge_count)]
     if path == "DeltaWorkspace":
         ws = DeltaWorkspace.build(g, spec, labels)
-        return [s.value for s in ws.score_edges(np.arange(g.edge_count))]
+        return ws.score_edges(np.arange(g.edge_count))[0].tolist()
     if path == "greedy_refine":
         _, trace = greedy_refine(g, spec, labels, max_removals=1)
         return [trace[0].score, trace[0].c_after]
     mode = path.removeprefix("score_all_edges-")
-    return [s.value for s in score_all_edges(g, spec, labels, mode=mode).scores]
+    return score_all_edges(g, spec, labels, mode=mode).values.tolist()
 
 
 def _dense_values(path, g, rows, gamma):

@@ -182,8 +182,8 @@ g = Graph.from_edges(60, pairs[pairs[:, 0] != pairs[:, 1]])
 labels = LabelData(3, rng.integers(0, 3, size=60))
 digest = hashlib.sha256()
 for spec in (FilterSpec("sgc", 2), FilterSpec("appnp", 10)):
-    for s in score_all_edges(g, spec, labels).scores:
-        digest.update(np.float64(s.value).tobytes() + np.int64(s.affected_nodes).tobytes())
+    rep = score_all_edges(g, spec, labels)
+    digest.update(rep.values.tobytes() + rep.affected.tobytes())
 print(digest.hexdigest(), "scipy.sparse" in sys.modules)
 """
 

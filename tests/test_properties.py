@@ -29,7 +29,7 @@ from topoinf import (
     greedy_refine,
     khop_set,
 )
-from topoinf.influence import _stale_edges
+from topoinf.influence import _stale_edges, signs
 
 from dense_oracle import dense_row_sums, dense_topoinf_rows
 from greedy_reference import reference_greedy
@@ -82,15 +82,16 @@ def test_engine_matches_dense_oracle(case):
     data = LabelData(c, hard, soft=soft)
     rows = soft if soft is not None else np.eye(c)[hard]
     ws = DeltaWorkspace.build(g, spec, data, target, lam)
-    for s in ws.score_edges(np.arange(g.edge_count)):
-        edge = (s.u, s.v)
-        want = dense_topoinf_rows(n, edges, rows, gamma, lam, edge, target)
+    values, affected = ws.score_edges(np.arange(g.edge_count))
+    for edge, value, sign, count in zip(g.edges.tolist(), values.tolist(),
+                                        signs(values).tolist(), affected.tolist()):
+        want = dense_topoinf_rows(n, edges, rows, gamma, lam, tuple(edge), target)
         if math.isinf(want):
-            assert s.value == want and s.sign == "excluded"
+            assert value == want and sign == "excluded"
         else:
-            assert abs(s.value - want) <= TOL
+            assert abs(value - want) <= TOL
         ball = np.intersect1d(khop_set(g, edge, len(gamma) - 1), target)
-        assert s.affected_nodes <= ball.size
+        assert count <= ball.size
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -118,12 +119,14 @@ def test_scores_add_over_disjoint_targets(case, split):
         ws = DeltaWorkspace.build(g, spec, label_data, part, lam)
         return ws.score_edges(np.arange(g.edge_count))
 
-    for whole, a, b in zip(scores(target), scores(first), scores(second)):
-        assert whole.affected_nodes == a.affected_nodes + b.affected_nodes
-        if math.isinf(a.value) or math.isinf(b.value):
-            assert whole.value == -math.inf
+    (whole, whole_count), (one, one_count), (two, two_count) = \
+        scores(target), scores(first), scores(second)
+    assert whole_count.tolist() == (one_count + two_count).tolist()
+    for w, a, b in zip(whole.tolist(), one.tolist(), two.tolist()):
+        if math.isinf(a) or math.isinf(b):
+            assert w == -math.inf
         else:
-            assert abs(whole.value - (a.value + b.value)) <= TOL
+            assert abs(w - (a + b)) <= TOL
 
 
 @st.composite
@@ -185,8 +188,9 @@ def test_removals_leave_unlisted_scores_unchanged(case, data):
 
     def scores(graph):
         ws = DeltaWorkspace.build(graph, spec, labels, target, lam)
-        return {(s.u, s.v): (s.value, s.affected_nodes)
-                for s in ws.score_edges(np.arange(graph.edge_count))}
+        values, affected = ws.score_edges(np.arange(graph.edge_count))
+        return {(u, v): (x, a) for (u, v), x, a in
+                zip(graph.edges.tolist(), values.tolist(), affected.tolist())}
 
     before, now = scores(g), scores(after)
     for u, v in after.edges[kept].tolist():
