@@ -40,11 +40,10 @@ print(f"label-based   : C = {compatibility(apply_removal(ada), spec, labels).C:.
 rand = remove_random(g, ratio, seed=0)
 print(f"uniform random: C = {compatibility(apply_removal(rand), spec, labels).C:.4f}")
 
-g_greedy, trace = greedy_refine(g, spec, labels, max_removals=5)
+removed, scores, c_after = greedy_refine(g, spec, labels, max_removals=5)
 print("\ngreedy removal, one fresh re-scoring per step:")
-for step in trace:
-    print(f"  removed ({step.u:3d},{step.v:3d})  score {step.score:+.5f}"
-          f"  ->  C = {step.c_after:.4f}")
+for (u, v), score, c in zip(g.edges[removed].tolist(), scores, c_after):
+    print(f"  removed ({u:3d},{v:3d})  score {score:+.5f}  ->  C = {c:.4f}")
 
 # the dropping sampler: high scores are dropped more often
 probabilities = dropedge_weights(report.values, tau=0.75)

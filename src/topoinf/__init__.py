@@ -38,7 +38,6 @@ from .graphs import (
 )
 from .influence import (
     DeltaWorkspace,
-    RemovalStep,
     ScoreReport,
     TopoInfScore,
     greedy_refine,

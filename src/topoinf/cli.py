@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compat import compatibility
+from .compat import compatibility, json_number
 from .csbm import (MAX_FEATURE_VALUES, MAX_SBM_NODES, CsbmParams, cora_like_params,
                    generate_csbm, write_features)
 from .filters import MAX_ORDER, PRESETS, FilterSpec
@@ -90,6 +90,10 @@ def _floats(flag: str, text: str) -> tuple:
 def _filter_spec(args) -> FilterSpec:
     if not 1 <= args.k <= MAX_ORDER:
         raise ValueError(f"--k {args.k}: the filter order must lie in [1, {MAX_ORDER}]")
+    if args.alpha is None:
+        args.alpha = 0.1   # the manifest records the default
+    elif args.model not in ("s2gc", "appnp", "gcnii"):
+        raise ValueError("--alpha: only --model s2gc, appnp and gcnii read it; drop the flag")
     gamma = _floats("--gamma", args.gamma) if args.gamma else None
     return FilterSpec(args.model, args.k, alpha=args.alpha, gamma=gamma)
 
@@ -97,7 +101,7 @@ def _filter_spec(args) -> FilterSpec:
 def _add_filter_flags(p: argparse.ArgumentParser):
     p.add_argument("--model", choices=PRESETS, default="sgc")
     p.add_argument("--k", type=int, default=2, help="filter order K")
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, help="s2gc, appnp and gcnii only; default 0.1")
     p.add_argument("--gamma", default=None,
                    help="comma-separated K+1 coefficients (gprgnn/custom)")
 
@@ -159,24 +163,30 @@ def _manifest(args) -> dict:
     }
 
 
-def _emit(outputs: dict, manifest: dict, manifest_base: str | None,
+def _emit(outputs: list, manifest: dict, manifest_base: str | None,
           stdout_text: str | None = None):
-    """Write every output, the manifest sidecar included, or none of them.
+    """Write every (path, text) output and the manifest sidecar, or none.
 
     Each file is first written next to its destination under a temporary
     name, and the files are moved into place only once all are written; a
-    destination that is a directory fails before anything is written."""
-    files = {Path(path): text for path, text in outputs.items()}
+    destination that is a directory, or two outputs that resolve to one file,
+    fail before anything is written."""
+    files = [(Path(path), text) for path, text in outputs]
     if stdout_text is None and manifest_base is not None:
-        files[Path(manifest_base + ".manifest.json")] = json.dumps(manifest, indent=2) + "\n"
-    for path in files:
+        files.append((Path(manifest_base + ".manifest.json"),
+                      json.dumps(manifest, indent=2) + "\n"))
+    resolved = set()
+    for path, _ in files:
         if path.is_dir():
             raise ValueError(f"{path}: is a directory")
-    staged = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+        if path.resolve() in resolved:
+            raise ValueError(f"{path}: two outputs name this file")
+        resolved.add(path.resolve())
+    staged = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files}
     try:
-        for path, tmp in staged.items():
+        for path, text in files:
             try:
-                tmp.write_text(files[path])
+                staged[path].write_text(text)
             except OSError as exc:
                 raise ValueError(f"{path}: cannot write: {exc.strerror}") from None
         for path, tmp in staged.items():
@@ -192,19 +202,24 @@ def _emit(outputs: dict, manifest: dict, manifest_base: str | None,
 # ---------------------------------------------------------------- analyze
 
 
+def _filter_doc(spec: FilterSpec) -> dict:
+    """The filter of a run, as the analyze and score JSON record it."""
+    return {"model": spec.preset, "k": spec.k, "alpha": spec.alpha,
+            "gamma": list(spec.gamma) if spec.gamma else None}
+
+
 def cmd_analyze(args) -> int:
-    g, labels, target = _load_inputs(args)
     spec = _filter_spec(args)
+    g, labels, target = _load_inputs(args)
     report = compatibility(g, spec, labels, target, args.lam)
     doc = report.to_json_dict()
-    doc["filter"] = {"model": spec.preset, "k": spec.k, "alpha": spec.alpha,
-                     "gamma": list(spec.gamma) if spec.gamma else None}
+    doc["filter"] = _filter_doc(spec)
     text = json.dumps(doc, indent=2) + "\n"
     manifest = _manifest(args)
     if args.output:
-        _emit({args.output: text}, manifest, args.output)
+        _emit([(args.output, text)], manifest, args.output)
     else:
-        _emit({}, manifest, None, stdout_text=text)
+        _emit([], manifest, None, stdout_text=text)
     return 0
 
 
@@ -217,32 +232,30 @@ def _target_hash(target, n) -> str:
 
 
 def cmd_score(args) -> int:
-    g, labels, target = _load_inputs(args)
     spec = _filter_spec(args)
+    g, labels, target = _load_inputs(args)
     report = score_all_edges(g, spec, labels, target, args.lam, mode=args.mode)
     tsv = report.to_tsv()
     manifest = _manifest(args)
-    outputs = {}
+    outputs = []
     if args.json:
         r = report.ranking
         doc = {
             "metadata": {
-                "model": spec.preset, "k": spec.k, "alpha": spec.alpha,
-                "gamma": list(spec.gamma) if spec.gamma else None,
-                "lambda": args.lam, "mode": args.mode,
+                **_filter_doc(spec), "lambda": args.lam, "mode": args.mode,
                 "target_hash": _target_hash(target, g.n), "seed": args.seed,
             },
             "scores": [
-                {"u": u, "v": v, "topoinf": "-inf" if math.isinf(x) else float(_fmt(x)),
+                {"u": u, "v": v, "topoinf": json_number(x),
                  "sign": s, "affected_nodes": a}
                 for (u, v), x, s, a in zip(
                     report.edges[r].tolist(), report.values[r].tolist(),
                     report.signs[r].tolist(), report.affected[r].tolist())
             ],
         }
-        outputs[args.json] = json.dumps(doc, indent=2) + "\n"
+        outputs.append((args.json, json.dumps(doc, indent=2) + "\n"))
     if args.output:
-        outputs[args.output] = tsv
+        outputs.append((args.output, tsv))
         _emit(outputs, manifest, args.output)
     else:
         _emit(outputs, manifest, None, stdout_text=tsv)
@@ -276,36 +289,33 @@ def cmd_rewire(args) -> int:
             raise ValueError(f"{flag}: only {readers} it; drop the flag")
     # the manifest records the defaults of the flags a run omits
     for dest, default in (("seed", 0), ("set", "positive"), ("rescore_every", 1),
-                          ("lam", 0.0), ("model", "sgc"), ("k", 2), ("alpha", 0.1)):
+                          ("lam", 0.0), ("model", "sgc"), ("k", 2)):
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-    g, labels, target = _load_inputs(args)
     spec = _filter_spec(args)
+    g, labels, target = _load_inputs(args)
 
+    # the removed edge ids of g, with the score and C-after columns where known
+    score = c_after = None
     if args.greedy:
-        budget = int(args.ratio * g.edge_count)
-        new_graph, trace = greedy_refine(g, spec, labels, target, args.lam,
-                                         max_removals=budget,
-                                         rescore_every=args.rescore_every)
-        trace_rows = [(s.u, s.v, _fmt(s.score), _fmt(s.c_after)) for s in trace]
-        edge_text = write_edge_list(new_graph)
+        removed, score, c_after = greedy_refine(g, spec, labels, target, args.lam,
+                                                max_removals=int(args.ratio * g.edge_count),
+                                                rescore_every=args.rescore_every)
+    elif topoinf:
+        report = score_all_edges(g, spec, labels, target, args.lam)
+        removed = remove_by_topoinf(report, args.ratio, args.set)
+        score = report.values[removed]
     else:
-        if topoinf:
-            report = score_all_edges(g, spec, labels, target, args.lam)
-            removed = remove_by_topoinf(report, args.ratio, args.set)
-            trace_rows = [(u, v, _fmt(x), "") for (u, v), x in
-                          zip(report.edges[removed].tolist(), report.values[removed].tolist())]
-        else:
-            removed = remove_random(g, args.ratio, args.seed) if args.strategy == "random" \
-                else remove_adaedge(g, labels, args.ratio, args.set, args.seed)
-            trace_rows = [(int(g.edges[e, 0]), int(g.edges[e, 1]), "", "") for e in removed]
-        keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), removed)
-        edge_text = write_edge_list(g, keep)
-    trace_text = "u\tv\tscore\tc_after\n" + \
-        "".join(f"{u}\t{v}\t{s}\t{c}\n" for u, v, s, c in trace_rows)
+        removed = remove_random(g, args.ratio, args.seed) if args.strategy == "random" \
+            else remove_adaedge(g, labels, args.ratio, args.set, args.seed)
+    columns = [[""] * len(removed) if x is None else [_fmt(v) for v in x.tolist()]
+               for x in (score, c_after)]
+    trace_text = "u\tv\tscore\tc_after\n" + "".join(
+        f"{u}\t{v}\t{s}\t{c}\n" for (u, v), s, c in zip(g.edges[removed].tolist(), *columns))
+    keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), removed)
     manifest = _manifest(args)
-    outputs = {args.output: edge_text,
-               (args.trace or args.output + ".trace.tsv"): trace_text}
+    outputs = [(args.output, write_edge_list(g, keep)),
+               (args.trace or args.output + ".trace.tsv", trace_text)]
     _emit(outputs, manifest, args.output)
     return 0
 
@@ -320,8 +330,8 @@ def cmd_dropedge(args) -> int:
     check_drop_fraction(args.drop_rate)
     if not 0 <= args.emit_epochs <= MAX_EPOCHS:
         raise ValueError(f"--emit-epochs {args.emit_epochs}: must lie in [0, {MAX_EPOCHS}]")
-    g, labels, target = _load_inputs(args)
     spec = _filter_spec(args)
+    g, labels, target = _load_inputs(args)
     report = score_all_edges(g, spec, labels, target, args.lam)
     probabilities = dropedge_weights(report.values, args.tau)
 
@@ -329,12 +339,13 @@ def cmd_dropedge(args) -> int:
     for (u, v), x, prob in zip(report.edges.tolist(), report.values.tolist(),
                                probabilities.tolist()):
         dist_lines.append(f"{u}\t{v}\t{_fmt(x)}\t{_fmt(prob)}")
-    outputs = {args.output_prefix + ".dist.tsv": "\n".join(dist_lines) + "\n"}
+    outputs = [(args.output_prefix + ".dist.tsv", "\n".join(dist_lines) + "\n")]
 
     for epoch in range(args.emit_epochs):
         dropped = sample_dropedge(probabilities, args.drop_rate, epoch_seed(args.seed, epoch))
         keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), dropped)
-        outputs[f"{args.output_prefix}.epoch{epoch:04d}.edges"] = write_edge_list(g, keep)
+        outputs.append((f"{args.output_prefix}.epoch{epoch:04d}.edges",
+                        write_edge_list(g, keep)))
 
     manifest = _manifest(args)
     _emit(outputs, manifest, args.output_prefix)
@@ -381,12 +392,12 @@ def cmd_gen_csbm(args) -> int:
         "edges": sample.graph.edge_count,
         "version": __version__,
     }
-    outputs = {
-        args.output_prefix + ".edges": write_edge_list(sample.graph),
-        args.output_prefix + ".labels": write_labels(sample.labels),
-        args.output_prefix + ".features": write_features(sample.X),
-        args.output_prefix + ".json": json.dumps(dataset_manifest, indent=2) + "\n",
-    }
+    outputs = [
+        (args.output_prefix + ".edges", write_edge_list(sample.graph)),
+        (args.output_prefix + ".labels", write_labels(sample.labels)),
+        (args.output_prefix + ".features", write_features(sample.X)),
+        (args.output_prefix + ".json", json.dumps(dataset_manifest, indent=2) + "\n"),
+    ]
     manifest = _manifest(args)
     _emit(outputs, manifest, args.output_prefix)
     return 0
@@ -396,9 +407,9 @@ def cmd_gen_csbm(args) -> int:
 
 
 def cmd_pseudo(args) -> int:
+    spec = _filter_spec(args)
     g, labels, _ = _load_inputs(args)
     features = _read("--features", args.features, _features, g.n)
-    spec = _filter_spec(args)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                       l2_penalty=args.l2, seed=args.seed)
     try:
@@ -406,10 +417,10 @@ def cmd_pseudo(args) -> int:
     except TrainingDiverged as exc:
         raise ValueError(f"--lr {args.lr}: {exc}") from None
     pseudo = predict_pseudo(model, g, spec, features, labels)
-    outputs = {
-        args.output_prefix + ".labels": write_labels(pseudo),
-        args.output_prefix + ".soft.tsv": write_soft_tsv(pseudo),
-    }
+    outputs = [
+        (args.output_prefix + ".labels", write_labels(pseudo)),
+        (args.output_prefix + ".soft.tsv", write_soft_tsv(pseudo)),
+    ]
     manifest = _manifest(args)
     manifest["final_loss"] = float(model.loss_trace[-1])
     _emit(outputs, manifest, args.output_prefix)
@@ -471,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("rewire", "remove edges by strategy; emit new edge list")
     common_io(p, labels_required=False, lam_required=True)
     # topoinf only; cmd_rewire writes the defaults back for the manifest
-    p.set_defaults(model=None, k=None, alpha=None)
+    p.set_defaults(model=None, k=None)
     p.add_argument("--strategy", choices=("topoinf", "random", "adaedge"), required=True)
     p.add_argument("--set", choices=("positive", "negative"), default=None,
                    help="edge set to draw from (adaedge, batch topoinf); default positive")

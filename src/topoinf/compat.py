@@ -58,16 +58,18 @@ class CompatReport:
     isolated: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def to_json_dict(self) -> dict:
-        def enc(x):
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return float(f"{x:.12g}")
-
         nodes = [
-            {"id": int(v), "I": enc(i), "R": enc(r)}
+            {"id": int(v), "I": json_number(i), "R": json_number(r)}
             for v, i, r in zip(self.target, self.per_node_I, self.per_node_R)
         ]
-        return {"lambda": enc(self.lam), "C": enc(self.C), "nodes": nodes}
+        return {"lambda": json_number(self.lam), "C": json_number(self.C), "nodes": nodes}
+
+
+def json_number(x: float):
+    """`x` as JSON outputs write it: 12 significant digits, or "inf"/"-inf"."""
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return float(f"{x:.12g}")
 
 
 def compatibility(g: Graph, spec: FilterSpec, labels: LabelData, target=None,

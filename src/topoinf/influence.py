@@ -66,7 +66,8 @@ removal. An edge's score reads its endpoints' degrees, levels and P rows and
 the base terms of the target rows in its K-hop ball, so after a removal only
 edges with an endpoint within K hops of {i, j} or of a target node within K
 hops of {i, j} can change score. `greedy_refine` rescores just those and
-keeps the rest, which are bitwise what a full rescore would give.
+keeps the rest, which are bitwise what a full rescore would give. Like every
+removal strategy, it returns removed edge ids of its input graph.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ __all__ = [
     "removal_step",
     "score_all_edges",
     "ScoreReport",
-    "RemovalStep",
     "greedy_refine",
 ]
 
@@ -699,14 +699,6 @@ def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float =
                        ranking=np.lexsort((np.arange(values.size), -values)))
 
 
-@dataclass(frozen=True)
-class RemovalStep:
-    u: int
-    v: int
-    score: float
-    c_after: float
-
-
 def _stale_edges(g: Graph, seeds, target_mask: np.ndarray, k: int) -> np.ndarray:
     """Ids of the edges of `g`, the graph after removing edges between
     `seeds`, whose score those removals can have changed: the edges with an
@@ -723,62 +715,53 @@ def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
     """Repeatedly remove the highest positive-score edge.
 
     Scores are refreshed every `rescore_every` removals (1 = fully greedy,
-    every step sees fresh scores). Stops early once no positive edge remains.
-    A budget of zero is a no-op. Returns (new_graph, trace).
+    every step sees fresh scores). Stops early once a fresh refresh leaves no
+    positive edge. A budget of zero is a no-op. Returns (removed, scores,
+    c_after): the removed edge ids of `g` in removal order, each one's score
+    at the refresh that picked it and C after its removal.
 
     Every edge is scored once; a refresh rescores, on a workspace of the
     current graph, only the edges `_stale_edges` names for the removals since
     the last refresh and keeps every other score, which is bitwise the score
     a full rescore would give. Candidates come from a heap ordered by
-    (-value, u, v), the (-value, edge id) order of a full ranking.
+    (-value, id in `g`), the order of a full ranking, as ids follow (u, v).
     """
     if max_removals < 0:
         raise ValueError("max_removals must be >= 0")
     if rescore_every < 1:
         raise ValueError("rescore_every must be >= 1")
     target_arr = None if target is None else node_set(target, g.n)
-    target_mask = np.ones(g.n, dtype=bool) if target_arr is None \
-        else _mask_of(target_arr, g.n)
+    target_mask = _mask_of(np.arange(g.n) if target is None else target_arr, g.n)
     current = g
-    trace: list[RemovalStep] = []
-    values: dict[tuple[int, int], float] = {}  # (u, v) -> score at the last refresh
-    heap: list[tuple[float, int, int]] = []    # (-value, u, v) of positive scores
-    seeds = None  # endpoints removed since the last refresh; None: score every edge
-    since_rescore = rescore_every
-    while len(trace) < max_removals:
-        if since_rescore >= rescore_every:
-            ws = DeltaWorkspace.build(current, spec, labels, target_arr, lam)
-            stale = np.arange(current.edge_count) if seeds is None else \
-                _stale_edges(current, seeds, target_mask, spec.k)
-            fresh = ws.score_edges(stale)[0]
-            for (u, v), x, sign in zip(current.edges[stale].tolist(), fresh.tolist(),
-                                       signs(fresh).tolist()):
-                values[u, v] = x
-                if sign == "positive":
-                    heapq.heappush(heap, (-x, u, v))
-            seeds = []
-            since_rescore = 0
-        pick = None
-        while heap:
-            neg, u, v = heapq.heappop(heap)
-            if values.get((u, v)) != -neg:
-                continue  # removed, or rescored since this entry was pushed
-            # stale candidate may have become unsafe: skip anything that would
-            # now isolate a target node (its true score is -inf)
-            if lam > 0 and ((target_mask[u] and current.degree(u) == 1) or
-                            (target_mask[v] and current.degree(v) == 1)):
+    alive = np.arange(g.edge_count)     # position in `current` -> id in `g`
+    values = np.full(g.edge_count, np.nan)  # score at the last refresh; NaN once removed
+    heap: list[tuple[float, int]] = []      # (-value, id) of positive scores
+    removed, scores, c_after = [], [], []
+    start = None  # removals before the last refresh; None: score every edge
+    while len(removed) < max_removals:
+        ws = DeltaWorkspace.build(current, spec, labels, target_arr, lam)
+        stale = np.arange(current.edge_count) if start is None else \
+            _stale_edges(current, g.edges[removed[start:]].ravel(), target_mask, spec.k)
+        fresh = ws.score_edges(stale)[0]
+        values[alive[stale]] = fresh
+        positive = signs(fresh) == "positive"
+        for x, e in zip(fresh[positive].tolist(), alive[stale[positive]].tolist()):
+            heapq.heappush(heap, (-x, e))
+        start = len(removed)
+        while heap and len(removed) < min(start + rescore_every, max_removals):
+            neg, e = heapq.heappop(heap)
+            # skip an edge removed or rescored since this entry was pushed, and
+            # one that would now isolate a target node (its true score is -inf)
+            if values[e] != -neg or lam > 0 and any(
+                    target_mask[x] and current.degree(x) == 1 for x in g.edges[e].tolist()):
                 continue
-            pick = u, v
-            break
-        if pick is None:
-            if since_rescore == 0:
-                break  # fresh scores and nothing positive left
-            since_rescore = rescore_every
-            continue
-        current = current.remove_edge(current.edge_id(*pick))
-        score = values.pop(pick)
-        seeds += pick
-        c_after = compatibility(current, spec, labels, target_arr, lam).C
-        trace.append(RemovalStep(u=pick[0], v=pick[1], score=score, c_after=c_after))
-        since_rescore += 1
-    return current, trace
+            pos = int(np.searchsorted(alive, e))
+            current = current.remove_edge(pos)
+            alive = np.delete(alive, pos)
+            values[e] = np.nan
+            removed.append(e)
+            scores.append(-neg)
+            c_after.append(compatibility(current, spec, labels, target_arr, lam).C)
+        if len(removed) == start:
+            break  # fresh scores and nothing positive left
+    return np.array(removed, dtype=np.int64), np.array(scores), np.array(c_after)

@@ -103,10 +103,10 @@ def test_criterion_5_directional_behavior():
         if np.mean(rep.values[cross]) > np.mean(rep.values[~cross]):
             directional_hits += 1
         c0 = compatibility(sample.graph, spec, labels, lam=0.0).C
-        _, trace = greedy_refine(sample.graph, spec, labels, lam=0.0,
-                                 max_removals=2, rescore_every=1)
-        c_vals = [c0] + [step.c_after for step in trace]
-        if trace and all(b > a for a, b in zip(c_vals, c_vals[1:])):
+        removed, _, c_after = greedy_refine(sample.graph, spec, labels, lam=0.0,
+                                            max_removals=2, rescore_every=1)
+        c_vals = [c0] + c_after.tolist()
+        if removed.size and all(b > a for a, b in zip(c_vals, c_vals[1:])):
             monotone_runs += 1
     ok = directional_hits >= 19 and monotone_runs == len(list(seeds))
     _report(5, ok,

@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from topoinf import FilterSpec, LabelData, compatibility, load_edge_list, load_labels, \
-    score_all_edges
+from topoinf import FilterSpec, LabelData, compatibility, greedy_refine, load_edge_list, \
+    load_labels, score_all_edges, write_edge_list, write_labels
 from topoinf.cli import MAX_EPOCHS, main
 from topoinf.csbm import MAX_FEATURE_VALUES, MAX_SBM_NODES
 from topoinf.filters import MAX_ORDER
 from topoinf.graphs import MAX_NODES
+from topoinf.verify import random_labeled_graph
 
 TRIANGLE = "# nodes=3\n0 1\n0 2\n1 2\n"
 TRIANGLE_LABELS = "# classes=2\n0 0\n1 0\n2 1\n"
@@ -66,6 +67,21 @@ class TestAnalyze:
         manifest = json.loads((tmp / "report.json.manifest.json").read_text())
         assert manifest["command"] == "analyze"
         assert "graph" in manifest["inputs"]
+
+    @pytest.mark.parametrize("flags, alpha", [
+        pytest.param([], 0.1, id="default"),
+        pytest.param(["--model", "appnp", "--alpha", "0.3"], 0.3, id="appnp"),
+    ])
+    def test_alpha_recorded(self, fixture_files, flags, alpha):
+        """The JSON and the manifest record the alpha of the run, the default
+        one when the flag is omitted."""
+        graph, labels, tmp = fixture_files
+        out = tmp / "a.json"
+        assert run(["analyze", "--graph", graph, "--labels", labels, *flags,
+                    "--output", out]) == 0
+        assert json.loads(out.read_text())["filter"]["alpha"] == alpha
+        manifest = json.loads((tmp / "a.json.manifest.json").read_text())
+        assert manifest["flags"]["alpha"] == alpha
 
 
 class TestScore:
@@ -172,6 +188,44 @@ class TestRewire:
         assert code == 0
         kept = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(kept) == 2  # one edge removed
+
+
+@pytest.mark.parametrize("mode", ["random", "adaedge", "topoinf", "greedy"])
+def test_rewire_writes_input_minus_trace(tmp_path, mode):
+    """Every mode writes the input edges less the trace's (u, v) rows; the
+    score column holds the scores the library gives, and greedy's c_after
+    column the C after each removal, both at 12 significant digits."""
+    g, labels = random_labeled_graph(40, 4, 3, seed=3)
+    (tmp_path / "g.edges").write_text(write_edge_list(g))
+    (tmp_path / "g.labels").write_text(write_labels(labels))
+    argv = ["rewire", "--graph", tmp_path / "g.edges", "--ratio", "0.1",
+            "--output", tmp_path / "out.edges"]
+    if mode != "random":
+        argv += ["--labels", tmp_path / "g.labels"]
+    scored = ["--strategy", "topoinf", "--lambda", "0.1", "--model", "appnp", "--k", "2"]
+    argv += {"random": ["--strategy", "random"], "adaedge": ["--strategy", "adaedge"],
+             "topoinf": scored, "greedy": scored + ["--greedy"]}[mode]
+    assert run(argv) == 0
+    rows = [r.split("\t") for r in
+            (tmp_path / "out.edges.trace.tsv").read_text().splitlines()[1:]]
+    gone = [(int(u), int(v)) for u, v, _, _ in rows]
+    written = load_edge_list((tmp_path / "out.edges").read_text())
+    assert written.n == g.n and len(gone) == int(0.1 * g.edge_count)
+    assert [tuple(e) for e in written.edges.tolist()] == \
+        [tuple(e) for e in g.edges.tolist() if tuple(e) not in gone]
+    spec = FilterSpec("appnp", 2)
+    if mode == "greedy":
+        removed, scores, c_after = greedy_refine(g, spec, labels, lam=0.1,
+                                                 max_removals=len(gone))
+        assert gone == [tuple(e) for e in g.edges[removed].tolist()]
+        assert [r[2:] for r in rows] == [[f"{x:.12g}", f"{c:.12g}"]
+                                         for x, c in zip(scores, c_after)]
+    elif mode == "topoinf":
+        values = score_all_edges(g, spec, labels, lam=0.1).values
+        assert [r[2:] for r in rows] == [[f"{values[g.edge_id(u, v)]:.12g}", ""]
+                                         for u, v in gone]
+    else:
+        assert all(r[2:] == ["", ""] for r in rows)
 
 
 class TestDropEdge:
@@ -447,6 +501,17 @@ UNREAD = [
     pytest.param(REWIRE + ["--strategy", "random"], "--labels", id="random--labels"),
     pytest.param(REWIRE + ["--strategy", "random", "--greedy"], "--greedy",
                  id="random-greedy"),
+    # --alpha is read only by the s2gc, appnp and gcnii coefficients
+    pytest.param(ANALYZE + ["--alpha", "0.2"], "--alpha", id="analyze-sgc-alpha"),
+    pytest.param(SCORE + ["--model", "gcn", "--alpha", "0.2"], "--alpha",
+                 id="score-gcn-alpha"),
+    pytest.param(TOPOINF + ["--model", "custom", "--gamma", "0,1,1", "--alpha", "0.2"],
+                 "--alpha", id="rewire-custom-alpha"),
+    pytest.param(TOPOINF + ["--greedy", "--alpha", "0.2"], "--alpha",
+                 id="greedy-sgc-alpha"),
+    pytest.param(DROPEDGE + ["--model", "gprgnn", "--gamma", "1,0.5,0.5", "--alpha", "0.2"],
+                 "--alpha", id="dropedge-gprgnn-alpha"),
+    pytest.param(PSEUDO + ["--alpha", "0.1"], "--alpha", id="pseudo-sgc-alpha"),
 ]
 # a custom filter whose coefficients overflow float64 on every filtered row
 OVERFLOW = [
@@ -624,6 +689,23 @@ class TestValidationBeforeWrite:
         assert code == 2
         assert sorted(p.name for p in tmp.iterdir()) == ["adir", "g.edges", "g.labels"]
         assert not list((tmp / "adir").iterdir())
+
+    @pytest.mark.parametrize("argv, path", [
+        pytest.param(["rewire", "--strategy", "adaedge", "--ratio", "0.5",
+                      "--output", "{tmp}/p", "--trace", "{tmp}/p"], "p", id="rewire-trace"),
+        pytest.param(["score", "--json", "{tmp}/p", "--output", "{tmp}/./p"], "p",
+                     id="score-json"),
+        pytest.param(["score", "--json", "{tmp}/x.manifest.json", "--output", "{tmp}/x"],
+                     "x.manifest.json", id="score-json-manifest"),
+    ])
+    def test_colliding_outputs_write_nothing(self, fixture_files, capsys, argv, path):
+        """Two outputs that name one file, the manifest sidecar included,
+        exit 2 naming it, where one would silently overwrite the other."""
+        graph, labels, tmp = fixture_files
+        argv = [a.format(tmp=tmp) for a in argv]
+        assert run([argv[0], "--graph", graph, "--labels", labels, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {tmp / path}: two outputs name this file\n"
+        assert sorted(p.name for p in tmp.iterdir()) == ["g.edges", "g.labels"]
 
     def test_unwritable_destination_writes_nothing(self, fixture_files):
         graph, labels, tmp = fixture_files

@@ -537,46 +537,47 @@ class TestScoreAllEdges:
 
 class TestGreedyRefine:
     def test_triangle_budget_two(self, triangle, triangle_labels, walk_filter):
-        g2, trace = greedy_refine(triangle, walk_filter, triangle_labels, lam=0.0,
-                                  max_removals=2)
-        assert [(s.u, s.v) for s in trace] == [(0, 2), (1, 2)]
-        assert trace[-1].c_after == pytest.approx(3.0, abs=1e-12)
-        assert g2.edges.tolist() == [[0, 1]]
+        removed, scores, c_after = greedy_refine(triangle, walk_filter, triangle_labels,
+                                                 lam=0.0, max_removals=2)
+        assert triangle.edges[removed].tolist() == [[0, 2], [1, 2]]
+        assert c_after[-1] == pytest.approx(3.0, abs=1e-12)
+        assert np.delete(triangle.edges, removed, axis=0).tolist() == [[0, 1]]
 
     def test_triangle_with_lambda_stops_after_one(self, triangle, triangle_labels,
                                                   walk_filter):
-        g2, trace = greedy_refine(triangle, walk_filter, triangle_labels, lam=0.1,
-                                  max_removals=2)
-        assert len(trace) == 1
-        assert (trace[0].u, trace[0].v) == (0, 2)
+        removed, scores, c_after = greedy_refine(triangle, walk_filter, triangle_labels,
+                                                 lam=0.1, max_removals=2)
+        assert len(removed) == len(scores) == len(c_after) == 1
+        assert triangle.edges[removed].tolist() == [[0, 2]]
 
     def test_no_positive_edges_means_no_removals(self, identity_filter,
                                                  triangle, triangle_labels):
-        g2, trace = greedy_refine(triangle, identity_filter, triangle_labels,
-                                  lam=0.0, max_removals=5)
-        assert trace == []
-        assert g2.edge_count == 3
+        removed, scores, c_after = greedy_refine(triangle, identity_filter, triangle_labels,
+                                                 lam=0.0, max_removals=5)
+        assert removed.size == scores.size == c_after.size == 0
+        assert np.delete(triangle.edges, removed, axis=0).shape == (3, 2)
 
     def test_budget_zero_is_noop(self, triangle, triangle_labels, walk_filter):
-        g2, trace = greedy_refine(triangle, walk_filter, triangle_labels,
-                                  max_removals=0)
-        assert trace == [] and g2.edge_count == 3
+        removed, scores, c_after = greedy_refine(triangle, walk_filter, triangle_labels,
+                                                 max_removals=0)
+        assert removed.size == scores.size == c_after.size == 0
+        assert np.delete(triangle.edges, removed, axis=0).shape == (3, 2)
 
     def test_each_step_gains_its_score(self, walk_filter):
         g, labels = random_labeled_graph(40, 4, 3, seed=9)
         c0 = compatibility(g, walk_filter, labels, lam=0.0).C
-        _, trace = greedy_refine(g, walk_filter, labels, lam=0.0, max_removals=4)
+        _, scores, c_after = greedy_refine(g, walk_filter, labels, lam=0.0, max_removals=4)
         prev = c0
-        for step in trace:
-            assert step.c_after - prev == pytest.approx(step.score, abs=1e-10)
-            assert step.c_after > prev
-            prev = step.c_after
+        for score, c in zip(scores, c_after):
+            assert c - prev == pytest.approx(score, abs=1e-10)
+            assert c > prev
+            prev = c
 
     def test_rescore_every_two(self, walk_filter):
         g, labels = random_labeled_graph(40, 4, 3, seed=10)
-        _, trace = greedy_refine(g, walk_filter, labels, lam=0.0, max_removals=4,
-                                 rescore_every=2)
-        assert len(trace) <= 4
+        removed, _, _ = greedy_refine(g, walk_filter, labels, lam=0.0, max_removals=4,
+                                      rescore_every=2)
+        assert len(removed) <= 4
 
     @staticmethod
     def _cora_like_target():
@@ -608,13 +609,13 @@ class TestGreedyRefine:
                 spec = FilterSpec("appnp", 4, alpha=0.1)
             elif case.startswith("rescore_every"):
                 target, lam, every = np.arange(0, g.n, 4), 0.1, int(case[-1])
-        got, trace = greedy_refine(g, spec, labels, target, lam, max_removals=budget,
-                                   rescore_every=every)
+        removed, scores, c_after = greedy_refine(g, spec, labels, target, lam,
+                                                 max_removals=budget, rescore_every=every)
         want, want_trace = reference_greedy(g, spec, labels, target, lam,
                                             max_removals=budget, rescore_every=every)
-        assert len(trace) == budget
-        assert [(s.u, s.v, s.score, s.c_after) for s in trace] == want_trace
-        assert np.array_equal(got.edges, want.edges)
+        assert len(removed) == budget
+        assert list(zip(*g.edges[removed].T, scores, c_after)) == want_trace
+        assert np.array_equal(np.delete(g.edges, removed, axis=0), want.edges)
 
     def test_stale_candidate_isolating_a_target_skipped(self, monkeypatch):
         """A candidate scored at the last refresh whose removal would now
@@ -629,10 +630,12 @@ class TestGreedyRefine:
         degree = Graph.degree
         monkeypatch.setattr(Graph, "degree",
                             lambda self, v: seen.append(degree(self, v)) or seen[-1])
-        got, trace = greedy_refine(g, spec, labels, target, lam,
-                                   max_removals=g.edge_count, rescore_every=every)
+        removed, scores, c_after = greedy_refine(g, spec, labels, target, lam,
+                                                 max_removals=g.edge_count,
+                                                 rescore_every=every)
         assert 1 in seen
-        assert [(s.u, s.v, s.score, s.c_after) for s in trace] == want_trace
+        assert list(zip(*g.edges[removed].T, scores, c_after)) == want_trace
+        got = Graph.from_edges(g.n, np.delete(g.edges, removed, axis=0))
         assert np.array_equal(got.edges, want.edges)
         assert (got.degrees[target] > 0).all()
 
@@ -658,8 +661,8 @@ def _path_values(path, g, spec, labels):
         ws = DeltaWorkspace.build(g, spec, labels)
         return ws.score_edges(np.arange(g.edge_count))[0].tolist()
     if path == "greedy_refine":
-        _, trace = greedy_refine(g, spec, labels, max_removals=1)
-        return [trace[0].score, trace[0].c_after]
+        _, scores, c_after = greedy_refine(g, spec, labels, max_removals=1)
+        return [scores[0], c_after[0]]
     mode = path.removeprefix("score_all_edges-")
     return score_all_edges(g, spec, labels, mode=mode).values.tolist()
 

@@ -11,13 +11,14 @@ that `influence._stale_edges` names after each removal, must give the same
 trace as the from-scratch loop in `greedy_reference`, each fully greedy step
 must raise C by the removed edge's score, and every edge it leaves out must
 keep its score bit for bit. The seeded sweeps in the other test modules
-stay as they are; these draws are derandomized so a run is reproducible.
+stay as they are. Each test here draws from the fixed `@seed(0)`, so a run
+is reproducible and an edit to a test's source does not redraw its examples.
 """
 
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from topoinf import (
@@ -67,6 +68,7 @@ def scoring_cases(draw):
     return n, edges, c, labels, spec, target, lam, soft
 
 
+@seed(0)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(scoring_cases())
@@ -94,6 +96,7 @@ def test_engine_matches_dense_oracle(case):
         assert count <= ball.size
 
 
+@seed(0)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(scoring_cases(), st.data())
@@ -155,25 +158,28 @@ def greedy_cases(draw):
     return Graph.from_edges(n, edges), LabelData(c, labels, soft=soft), spec, target, lam
 
 
+@seed(0)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(greedy_cases(), st.integers(1, 6), st.integers(1, 3))
 def test_greedy_matches_full_rescoring(case, budget, rescore_every):
     g, labels, spec, target, lam = case
-    got, trace = greedy_refine(g, spec, labels, target, lam, max_removals=budget,
-                               rescore_every=rescore_every)
+    removed, scores, c_after = greedy_refine(g, spec, labels, target, lam,
+                                             max_removals=budget,
+                                             rescore_every=rescore_every)
     want, want_trace = reference_greedy(g, spec, labels, target, lam,
                                         max_removals=budget,
                                         rescore_every=rescore_every)
-    assert [(s.u, s.v, s.score, s.c_after) for s in trace] == want_trace
-    assert np.array_equal(got.edges, want.edges)
+    assert list(zip(*g.edges[removed].T, scores, c_after)) == want_trace
+    assert np.array_equal(np.delete(g.edges, removed, axis=0), want.edges)
     # with fresh scores at every step, C rises by exactly the removed edge's score
     c_before = compatibility(g, spec, labels, target, lam).C
     if rescore_every == 1 and math.isfinite(c_before):
-        for s in trace:
-            assert abs((s.c_after - c_before) - s.score) <= TOL
-            c_before = s.c_after
+        for score, c in zip(scores, c_after):
+            assert abs((c - c_before) - score) <= TOL
+            c_before = c
 
 
+@seed(0)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(greedy_cases(), st.data())
 def test_removals_leave_unlisted_scores_unchanged(case, data):
