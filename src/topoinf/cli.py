@@ -6,7 +6,7 @@ computes its outputs fully before writing any file, and writes all of them or
 none, so no partial artifacts are left behind. Data outputs are deterministic
 for a fixed seed; the run manifest (which carries a wall-clock timestamp) goes
 to a `.manifest.json` sidecar, or to stderr when the primary output goes to
-stdout.
+stdout. No output may name an input file of the run.
 """
 
 from __future__ import annotations
@@ -87,23 +87,37 @@ def _floats(flag: str, text: str) -> tuple:
     raise ValueError(f"{flag} {text}: expected comma-separated finite numbers")
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and add the flag to `args.given`, the one record
+    of which flags a run gave."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {option_string}
+
+
+def _reject_unread(args, flag: str, read: bool, readers: str):
+    """Fail on `flag` when the run gave it but its mode does not read it;
+    `readers` names the modes that do."""
+    if flag in args.given and not read:
+        raise ValueError(f"{flag}: only {readers} it; drop the flag")
+
+
 def _filter_spec(args) -> FilterSpec:
     if not 1 <= args.k <= MAX_ORDER:
         raise ValueError(f"--k {args.k}: the filter order must lie in [1, {MAX_ORDER}]")
-    if args.alpha is None:
-        args.alpha = 0.1   # the manifest records the default
-    elif args.model not in ("s2gc", "appnp", "gcnii"):
-        raise ValueError("--alpha: only --model s2gc, appnp and gcnii read it; drop the flag")
+    _reject_unread(args, "--alpha", args.model in ("s2gc", "appnp", "gcnii"),
+                   "--model s2gc, appnp and gcnii read")
     gamma = _floats("--gamma", args.gamma) if args.gamma else None
     return FilterSpec(args.model, args.k, alpha=args.alpha, gamma=gamma)
 
 
 def _add_filter_flags(p: argparse.ArgumentParser):
-    p.add_argument("--model", choices=PRESETS, default="sgc")
-    p.add_argument("--k", type=int, default=2, help="filter order K")
-    p.add_argument("--alpha", type=float, help="s2gc, appnp and gcnii only; default 0.1")
-    p.add_argument("--gamma", default=None,
-                   help="comma-separated K+1 coefficients (gprgnn/custom)")
+    p.add_argument("--model", choices=PRESETS, default="sgc", help="default %(default)s")
+    p.add_argument("--k", type=int, default=2, help="filter order K, default %(default)s")
+    p.add_argument("--alpha", type=float, default=0.1,
+                   help="s2gc, appnp and gcnii only; default %(default)s")
+    p.add_argument("--gamma", help="comma-separated K+1 coefficients (gprgnn/custom)")
 
 
 def _read(flag: str, path: str, parse, *args):
@@ -151,7 +165,7 @@ def _load_inputs(args):
 
 def _manifest(args) -> dict:
     flags = {k: v for k, v in sorted(vars(args).items())
-             if k not in ("handler",) and v is not None}
+             if k not in ("handler", "given") and v is not None}
     return {
         "command": args.subcommand,
         "flags": flags,
@@ -163,22 +177,30 @@ def _manifest(args) -> dict:
     }
 
 
-def _emit(outputs: list, manifest: dict, manifest_base: str | None,
-          stdout_text: str | None = None):
-    """Write every (path, text) output and the manifest sidecar, or none.
+def _emit(args, outputs: list, base: str | None, **notes) -> int:
+    """Write every (path, text) output and the run manifest, or none, and
+    return the exit code 0.
 
-    Each file is first written next to its destination under a temporary
-    name, and the files are moved into place only once all are written; a
-    destination that is a directory, or two outputs that resolve to one file,
-    fail before anything is written."""
-    files = [(Path(path), text) for path, text in outputs]
-    if stdout_text is None and manifest_base is not None:
-        files.append((Path(manifest_base + ".manifest.json"),
-                      json.dumps(manifest, indent=2) + "\n"))
+    The manifest records the run and its `notes`. An output whose path is
+    None goes to stdout, and the manifest then to stderr; otherwise the
+    manifest goes to the sidecar `<base>.manifest.json`. Each file is first
+    written next to its destination under a temporary name, and the files are
+    moved into place only once all are written; a destination that is a
+    directory or an input file of the run, or two outputs that resolve to one
+    file, fail before anything is written."""
+    manifest = {**_manifest(args), **notes}
+    stdout = [text for path, text in outputs if path is None]
+    files = [(Path(path), text) for path, text in outputs if path is not None]
+    if not stdout:
+        files.append((Path(base + ".manifest.json"), json.dumps(manifest, indent=2) + "\n"))
+    inputs = {Path(getattr(args, name)).resolve(): "--" + name.replace("_", "-")
+              for name in INPUTS if getattr(args, name, None) is not None}
     resolved = set()
     for path, _ in files:
         if path.is_dir():
             raise ValueError(f"{path}: is a directory")
+        if path.resolve() in inputs:
+            raise ValueError(f"{path}: is the {inputs[path.resolve()]} input of this run")
         if path.resolve() in resolved:
             raise ValueError(f"{path}: two outputs name this file")
         resolved.add(path.resolve())
@@ -194,9 +216,10 @@ def _emit(outputs: list, manifest: dict, manifest_base: str | None,
     finally:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
-    if stdout_text is not None:
-        sys.stdout.write(stdout_text)
+    if stdout:
+        sys.stdout.write("".join(stdout))
         sys.stderr.write(json.dumps(manifest) + "\n")
+    return 0
 
 
 # ---------------------------------------------------------------- analyze
@@ -214,13 +237,7 @@ def cmd_analyze(args) -> int:
     report = compatibility(g, spec, labels, target, args.lam)
     doc = report.to_json_dict()
     doc["filter"] = _filter_doc(spec)
-    text = json.dumps(doc, indent=2) + "\n"
-    manifest = _manifest(args)
-    if args.output:
-        _emit([(args.output, text)], manifest, args.output)
-    else:
-        _emit([], manifest, None, stdout_text=text)
-    return 0
+    return _emit(args, [(args.output, json.dumps(doc, indent=2) + "\n")], args.output)
 
 
 # ---------------------------------------------------------------- score
@@ -235,10 +252,8 @@ def cmd_score(args) -> int:
     spec = _filter_spec(args)
     g, labels, target = _load_inputs(args)
     report = score_all_edges(g, spec, labels, target, args.lam, mode=args.mode)
-    tsv = report.to_tsv()
-    manifest = _manifest(args)
     outputs = []
-    if args.json:
+    if args.json is not None:
         r = report.ranking
         doc = {
             "metadata": {
@@ -254,12 +269,7 @@ def cmd_score(args) -> int:
             ],
         }
         outputs.append((args.json, json.dumps(doc, indent=2) + "\n"))
-    if args.output:
-        outputs.append((args.output, tsv))
-        _emit(outputs, manifest, args.output)
-    else:
-        _emit(outputs, manifest, None, stdout_text=tsv)
-    return 0
+    return _emit(args, [*outputs, (args.output, report.to_tsv())], args.output)
 
 
 # ---------------------------------------------------------------- rewire
@@ -273,25 +283,17 @@ def cmd_rewire(args) -> int:
         raise ValueError("--greedy applies only to --strategy topoinf")
     if args.strategy != "random" and args.labels is None:
         raise ValueError(f"--strategy {args.strategy} requires --labels")
-    if topoinf and args.lam is None:
+    if topoinf and "--lambda" not in args.given:
         raise ValueError("--lambda is required for score-based rewiring")
-    for flag, dest, read, readers in (
-            ("--seed", "seed", not topoinf, "--strategy random and adaedge read"),
-            ("--set", "set", args.strategy == "adaedge" or topoinf and not args.greedy,
+    for flag, read, readers in (
+            ("--seed", not topoinf, "--strategy random and adaedge read"),
+            ("--set", args.strategy == "adaedge" or topoinf and not args.greedy,
              "--strategy adaedge and topoinf without --greedy read"),
-            ("--rescore-every", "rescore_every", args.greedy, "--greedy reads"),
-            *((flag, dest, topoinf, "--strategy topoinf reads") for flag, dest in
-              (("--lambda", "lam"), ("--target", "target"), ("--model", "model"),
-               ("--k", "k"), ("--alpha", "alpha"), ("--gamma", "gamma"))),
-            ("--labels", "labels", args.strategy != "random",
-             "--strategy topoinf and adaedge read")):
-        if not read and getattr(args, dest) is not None:
-            raise ValueError(f"{flag}: only {readers} it; drop the flag")
-    # the manifest records the defaults of the flags a run omits
-    for dest, default in (("seed", 0), ("set", "positive"), ("rescore_every", 1),
-                          ("lam", 0.0), ("model", "sgc"), ("k", 2)):
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
+            ("--rescore-every", args.greedy, "--greedy reads"),
+            *((flag, topoinf, "--strategy topoinf reads") for flag in
+              ("--lambda", "--target", "--model", "--k", "--alpha", "--gamma")),
+            ("--labels", args.strategy != "random", "--strategy topoinf and adaedge read")):
+        _reject_unread(args, flag, read, readers)
     spec = _filter_spec(args)
     g, labels, target = _load_inputs(args)
 
@@ -313,18 +315,16 @@ def cmd_rewire(args) -> int:
     trace_text = "u\tv\tscore\tc_after\n" + "".join(
         f"{u}\t{v}\t{s}\t{c}\n" for (u, v), s, c in zip(g.edges[removed].tolist(), *columns))
     keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), removed)
-    manifest = _manifest(args)
     outputs = [(args.output, write_edge_list(g, keep)),
                (args.trace or args.output + ".trace.tsv", trace_text)]
-    _emit(outputs, manifest, args.output)
-    return 0
+    return _emit(args, outputs, args.output)
 
 
 # ---------------------------------------------------------------- dropedge
 
 
 def cmd_dropedge(args) -> int:
-    if args.lam is None:
+    if "--lambda" not in args.given:
         raise ValueError("--lambda is required for score-based rewiring")
     check_tau(args.tau)
     check_drop_fraction(args.drop_rate)
@@ -346,45 +346,36 @@ def cmd_dropedge(args) -> int:
         keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), dropped)
         outputs.append((f"{args.output_prefix}.epoch{epoch:04d}.edges",
                         write_edge_list(g, keep)))
-
-    manifest = _manifest(args)
-    _emit(outputs, manifest, args.output_prefix)
-    return 0
+    return _emit(args, outputs, args.output_prefix)
 
 
 # ---------------------------------------------------------------- gen-csbm
 
 
 def cmd_gen_csbm(args) -> int:
-    if args.preset is None and args.mix is not None:
-        raise ValueError("--mix: only --preset reads it; drop the flag")
-    # the manifest records the mix default as well
-    if args.mix is None:
-        args.mix = "0.9,0.1"
+    _reject_unread(args, "--mix", args.preset is not None, "--preset reads")
+    sizes = ("--n", "--classes", "--p", "--q", "--dim")
     if args.preset == "cora-like":
-        for name in ("n", "classes", "p", "q", "dim", "mu_scheme", "mu_scale"):
-            if getattr(args, name) is not None:
-                raise ValueError(f"--{name.replace('_', '-')}: --preset cora-like "
-                                 "fixes it; drop the flag or the preset")
+        for flag in (*sizes, "--mu-scheme", "--mu-scale"):
+            if flag in args.given:
+                raise ValueError(f"{flag}: --preset cora-like fixes it; "
+                                 "drop the flag or the preset")
         mix = _floats("--mix", args.mix)
         if len(mix) != 2:
             raise ValueError("--mix must be 'intra,inter'")
         params = cora_like_params(mix=mix, sigma=args.sigma, seed=args.seed)
     else:
-        for name in ("n", "classes", "p", "q", "dim"):
-            if getattr(args, name) is None:
-                raise ValueError(f"--{name} is required without --preset")
+        for flag in sizes:
+            if flag not in args.given:
+                raise ValueError(f"{flag} is required without --preset")
         if args.n > MAX_SBM_NODES:
             raise ValueError(f"--n {args.n}: at most {MAX_SBM_NODES} nodes")
         if args.n * args.dim > MAX_FEATURE_VALUES:
             raise ValueError(f"--dim {args.dim}: n * d = {args.n * args.dim} exceeds "
                              f"{MAX_FEATURE_VALUES} feature values")
-        centers = {name: getattr(args, name) for name in ("mu_scheme", "mu_scale")
-                   if getattr(args, name) is not None}
-        params = CsbmParams(n=args.n, c=args.classes, p=args.p, q=args.q,
-                            d=args.dim, sigma=args.sigma, seed=args.seed, **centers)
-    # the manifest records the centers the run used
-    args.mu_scheme, args.mu_scale = params.mu_scheme, params.mu_scale
+        params = CsbmParams(n=args.n, c=args.classes, p=args.p, q=args.q, d=args.dim,
+                            sigma=args.sigma, seed=args.seed, mu_scheme=args.mu_scheme,
+                            mu_scale=args.mu_scale)
     sample = generate_csbm(params)
     dataset_manifest = {
         "params": dataclasses.asdict(params),
@@ -398,9 +389,7 @@ def cmd_gen_csbm(args) -> int:
         (args.output_prefix + ".features", write_features(sample.X)),
         (args.output_prefix + ".json", json.dumps(dataset_manifest, indent=2) + "\n"),
     ]
-    manifest = _manifest(args)
-    _emit(outputs, manifest, args.output_prefix)
-    return 0
+    return _emit(args, outputs, args.output_prefix)
 
 
 # ---------------------------------------------------------------- pseudo
@@ -421,10 +410,7 @@ def cmd_pseudo(args) -> int:
         (args.output_prefix + ".labels", write_labels(pseudo)),
         (args.output_prefix + ".soft.tsv", write_soft_tsv(pseudo)),
     ]
-    manifest = _manifest(args)
-    manifest["final_loss"] = float(model.loss_trace[-1])
-    _emit(outputs, manifest, args.output_prefix)
-    return 0
+    return _emit(args, outputs, args.output_prefix, final_loss=float(model.loss_trace[-1]))
 
 
 # ---------------------------------------------------------------- verify
@@ -448,99 +434,94 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def command(name, help):
+    def command(name, help, handler):
         # no prefix matching, so a removed flag cannot parse as a kept one
-        return sub.add_parser(name, help=help, allow_abbrev=False)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        # every flag that stores a value adds itself to args.given
+        p.register("action", None, _Given)
+        p.set_defaults(handler=handler, given=frozenset())
+        return p
 
-    def common_io(p, labels_required=True, lam_required=False, soft_labels=False):
+    def common_io(p, labels_required=True, soft_labels=False):
         p.add_argument("--graph", required=True, help="edge-list file")
         p.add_argument("--labels", required=labels_required, help="label file")
-        p.add_argument("--target", default=None, help="file of target node ids")
-        # analysis commands default lambda to 0; rewiring commands must state it
-        p.add_argument("--lambda", dest="lam", type=float,
-                       default=None if lam_required else 0.0,
-                       help="regularizer weight" + (" (required by score-based rewiring)"
-                                                  if lam_required else ""))
+        p.add_argument("--target", help="file of target node ids")
+        p.add_argument("--lambda", dest="lam", type=float, default=0.0,
+                       help="regularizer weight, default %(default)s; score-based rewiring "
+                            "(rewire --strategy topoinf, dropedge) requires the flag")
         if soft_labels:
-            p.add_argument("--soft-labels", default=None, help="soft-label TSV: use "
+            p.add_argument("--soft-labels", help="soft-label TSV: use "
                            "soft inner-product influence (extension, non-default)")
         _add_filter_flags(p)
 
-    p = command("analyze", "compatibility report (JSON)")
+    p = command("analyze", "compatibility report (JSON)", cmd_analyze)
     common_io(p, soft_labels=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(handler=cmd_analyze)
+    p.add_argument("--output", help="JSON path (default stdout)")
 
-    p = command("score", "per-edge influence scores (TSV/JSON)")
+    p = command("score", "per-edge influence scores (TSV/JSON)", cmd_score)
     common_io(p, soft_labels=True)
-    p.add_argument("--mode", choices=("exact", "incremental"), default="incremental")
-    p.add_argument("--output", default=None, help="TSV path (default stdout)")
-    p.add_argument("--json", default=None, help="also write JSON with run metadata")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_score)
+    p.add_argument("--mode", choices=("exact", "incremental"), default="incremental",
+                   help="default %(default)s")
+    p.add_argument("--output", help="TSV path (default stdout)")
+    p.add_argument("--json", help="also write JSON with run metadata")
+    p.add_argument("--seed", type=int, default=0, help="default %(default)s")
 
-    p = command("rewire", "remove edges by strategy; emit new edge list")
-    common_io(p, labels_required=False, lam_required=True)
-    # topoinf only; cmd_rewire writes the defaults back for the manifest
-    p.set_defaults(model=None, k=None)
+    p = command("rewire", "remove edges by strategy; emit new edge list", cmd_rewire)
+    common_io(p, labels_required=False)
     p.add_argument("--strategy", choices=("topoinf", "random", "adaedge"), required=True)
-    p.add_argument("--set", choices=("positive", "negative"), default=None,
-                   help="edge set to draw from (adaedge, batch topoinf); default positive")
+    p.add_argument("--set", choices=("positive", "negative"), default="positive",
+                   help="edge set to draw from (adaedge, batch topoinf); default %(default)s")
     p.add_argument("--ratio", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None, help="random and adaedge; default 0")
+    p.add_argument("--seed", type=int, default=0,
+                   help="random and adaedge; default %(default)s")
     p.add_argument("--greedy", action="store_true",
                    help="sequential re-scored removal (topoinf only; default: score once)")
-    p.add_argument("--rescore-every", type=int, default=None,
-                   help="removals between rescorings (--greedy only); default 1")
+    p.add_argument("--rescore-every", type=int, default=1,
+                   help="removals between rescorings (--greedy only); default %(default)s")
     p.add_argument("--output", required=True)
-    p.add_argument("--trace", default=None, help="trace TSV (default <output>.trace.tsv)")
-    p.set_defaults(handler=cmd_rewire)
+    p.add_argument("--trace", help="trace TSV (default <output>.trace.tsv)")
 
-    p = command("dropedge", "influence-biased edge-dropping distribution")
-    common_io(p, lam_required=True)
+    p = command("dropedge", "influence-biased edge-dropping distribution", cmd_dropedge)
+    common_io(p)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--drop-rate", type=float, default=0.5)
+    p.add_argument("--drop-rate", type=float, default=0.5, help="default %(default)s")
     p.add_argument("--emit-epochs", type=int, default=0,
-                   help=f"epoch files to sample, at most {MAX_EPOCHS}")
-    p.add_argument("--seed", type=int, default=0)
+                   help=f"epoch files to sample, at most {MAX_EPOCHS}; default %(default)s")
+    p.add_argument("--seed", type=int, default=0, help="default %(default)s")
     p.add_argument("--output-prefix", required=True)
-    p.set_defaults(handler=cmd_dropedge)
 
-    p = command("gen-csbm", "generate a block-model dataset")
-    p.add_argument("--preset", choices=("cora-like",), default=None)
-    p.add_argument("--mix", default=None,
-                   help="intra,inter mix (--preset only); default 0.9,0.1")
-    p.add_argument("--n", type=int, default=None,
-                   help=f"node count, at most {MAX_SBM_NODES}")
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None,
+    p = command("gen-csbm", "generate a block-model dataset", cmd_gen_csbm)
+    p.add_argument("--preset", choices=("cora-like",))
+    p.add_argument("--mix", default="0.9,0.1",
+                   help="intra,inter mix (--preset only); default %(default)s")
+    p.add_argument("--n", type=int, help=f"node count, at most {MAX_SBM_NODES}")
+    p.add_argument("--classes", type=int)
+    p.add_argument("--p", type=float)
+    p.add_argument("--q", type=float)
+    p.add_argument("--dim", type=int,
                    help=f"feature dimension d, n * d at most {MAX_FEATURE_VALUES}")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, default=1.0, help="default %(default)s")
     p.add_argument("--mu-scheme", choices=("orthogonal_scaled", "gaussian_random"),
-                   default=None, help="default orthogonal_scaled")
-    p.add_argument("--mu-scale", type=float, default=None, help="default 1.0")
-    p.add_argument("--seed", type=int, default=0)
+                   default="orthogonal_scaled", help="default %(default)s")
+    p.add_argument("--mu-scale", type=float, default=1.0, help="default %(default)s")
+    p.add_argument("--seed", type=int, default=0, help="default %(default)s")
     p.add_argument("--output-prefix", required=True)
-    p.set_defaults(handler=cmd_gen_csbm)
 
-    p = command("pseudo", "train pseudo labels from features")
+    p = command("pseudo", "train pseudo labels from features", cmd_pseudo)
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=0.5, help="default %(default)s")
+    p.add_argument("--epochs", type=int, default=200, help="default %(default)s")
+    p.add_argument("--l2", type=float, default=1e-4, help="default %(default)s")
+    p.add_argument("--seed", type=int, default=0, help="default %(default)s")
     p.add_argument("--output-prefix", required=True)
     _add_filter_flags(p)
-    p.set_defaults(handler=cmd_pseudo)
 
-    p = command("verify", "run self-check suites")
-    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
+    p = command("verify", "run self-check suites", cmd_verify)
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all",
+                   help="default %(default)s")
     p.add_argument("--quick", action="store_true")
-    p.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -552,7 +533,7 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed {args.seed}: must be a non-negative integer")
         return args.handler(args)
     except (ValueError, KeyError, OSError) as exc:

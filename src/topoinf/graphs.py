@@ -94,7 +94,7 @@ class Graph:
         index is the edge id used everywhere else.
     """
 
-    __slots__ = ("n", "indptr", "indices", "edges", "degrees", "_edge_keys")
+    __slots__ = ("n", "indptr", "indices", "edges", "degrees")
 
     def __init__(self, n, indptr, indices, edges):
         self.n = int(n)
@@ -102,8 +102,7 @@ class Graph:
         self.indices = indices
         self.edges = edges
         self.degrees = np.diff(indptr)
-        self._edge_keys = edges[:, 0] * self.n + edges[:, 1]  # ascending
-        _freeze(indptr, indices, edges, self.degrees, self._edge_keys)
+        _freeze(indptr, indices, edges, self.degrees)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -144,9 +143,10 @@ class Graph:
     def edge_id(self, u: int, v: int) -> int:
         """Canonical edge index of (u, v); KeyError if absent."""
         a, b = (u, v) if u < v else (v, u)
-        key = a * self.n + b
-        pos = int(np.searchsorted(self._edge_keys, key))
-        if pos == self.edge_count or self._edge_keys[pos] != key:
+        # the rows of `a` form one block of the sorted edges; find `b` in it
+        start, stop = np.searchsorted(self.edges[:, 0], [a, a + 1])
+        pos = int(start + np.searchsorted(self.edges[start:stop, 1], b))
+        if pos == stop or self.edges[pos, 1] != b:
             raise KeyError(f"no edge ({u}, {v})")
         return pos
 

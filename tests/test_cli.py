@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 from topoinf import FilterSpec, LabelData, compatibility, greedy_refine, load_edge_list, \
     load_labels, score_all_edges, write_edge_list, write_labels
-from topoinf.cli import MAX_EPOCHS, main
+from topoinf.cli import MAX_EPOCHS, build_parser, main
 from topoinf.csbm import MAX_FEATURE_VALUES, MAX_SBM_NODES
 from topoinf.filters import MAX_ORDER
 from topoinf.graphs import MAX_NODES
@@ -374,18 +375,20 @@ class TestVerifyCommand:
 
 
 class TestLambdaRequiredForRewiring:
-    def test_rewire_topoinf_needs_lambda(self, fixture_files, tmp_path):
+    def test_rewire_topoinf_needs_lambda(self, fixture_files, tmp_path, capsys):
         graph, labels, _ = fixture_files
         code = run(["rewire", "--graph", graph, "--labels", labels,
                     "--strategy", "topoinf", "--ratio", "0.3",
                     "--output", tmp_path / "x.edges"])
         assert code == 2
+        assert capsys.readouterr().err == "error: --lambda is required for score-based rewiring\n"
 
-    def test_dropedge_needs_lambda(self, fixture_files, tmp_path):
+    def test_dropedge_needs_lambda(self, fixture_files, tmp_path, capsys):
         graph, labels, _ = fixture_files
         code = run(["dropedge", "--graph", graph, "--labels", labels,
                     "--tau", "1.0", "--output-prefix", tmp_path / "d"])
         assert code == 2
+        assert capsys.readouterr().err == "error: --lambda is required for score-based rewiring\n"
 
     def test_random_strategy_does_not(self, fixture_files, tmp_path):
         graph, _, _ = fixture_files
@@ -707,12 +710,103 @@ class TestValidationBeforeWrite:
         assert capsys.readouterr().err == f"error: {tmp / path}: two outputs name this file\n"
         assert sorted(p.name for p in tmp.iterdir()) == ["g.edges", "g.labels"]
 
+    @pytest.mark.parametrize("argv, path, flag", [
+        pytest.param(["analyze", *IO, "--output", "{tmp}/g.labels"], "g.labels", "--labels",
+                     id="analyze-output-labels"),
+        pytest.param(["rewire", "--graph", "{tmp}/g.edges", "--strategy", "random",
+                      "--ratio", "0.34", "--output", "{tmp}/g.edges"], "g.edges", "--graph",
+                     id="rewire-output-graph"),
+        pytest.param(["rewire", *IO, "--strategy", "topoinf", "--lambda", "0", "--ratio", "0.34",
+                      "--target", "{tmp}/t.txt", "--output", "{tmp}/out.edges",
+                      "--trace", "{tmp}/t.txt"], "t.txt", "--target", id="rewire-trace-target"),
+        pytest.param(["score", *IO, "--target", "{tmp}/out.manifest.json", "--output", "{tmp}/out"],
+                     "out.manifest.json", "--target", id="score-manifest-target"),
+    ])
+    def test_output_naming_an_input_writes_nothing(self, fixture_files, capsys, argv, path, flag):
+        """An output that resolves to an input file of the run, the manifest
+        sidecar included, exits 2 naming it, and every input keeps its bytes."""
+        _, _, tmp = fixture_files
+        (tmp / "t.txt").write_text("0\n1\n")
+        (tmp / "out.manifest.json").write_text("0\n")
+        before = {p.name: p.read_bytes() for p in tmp.iterdir()}
+        assert run([a.format(tmp=tmp) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {tmp / path}: is the {flag} input of this run\n"
+        assert {p.name: p.read_bytes() for p in tmp.iterdir()} == before
+
     def test_unwritable_destination_writes_nothing(self, fixture_files):
         graph, labels, tmp = fixture_files
         code = run(["score", "--graph", graph, "--labels", labels,
                     "--json", tmp / "s.json", "--output", tmp / "absent" / "s.tsv"])
         assert code == 2
         assert sorted(p.name for p in tmp.iterdir()) == ["g.edges", "g.labels"]
+
+
+# the flags a run with no optional flag records: every default the parser
+# holds, and the paths as given
+FILTER_FLAGS = {"alpha": 0.1, "k": 2, "lam": 0.0, "model": "sgc"}
+IO_FLAGS = {"graph": "{tmp}/g.edges", "labels": "{tmp}/g.labels", **FILTER_FLAGS}
+REWIRE_FLAGS = {**IO_FLAGS, "greedy": False, "output": "{tmp}/out.edges", "ratio": 0.5,
+                "rescore_every": 1, "seed": 0, "set": "positive", "subcommand": "rewire"}
+GEN_FLAGS = {"mix": "0.9,0.1", "mu_scale": 1.0, "mu_scheme": "orthogonal_scaled",
+             "output_prefix": "{tmp}/out", "seed": 0, "sigma": 1.0, "subcommand": "gen-csbm"}
+
+
+@pytest.mark.parametrize("argv, flags", [
+    pytest.param(["analyze", *IO], {**IO_FLAGS, "subcommand": "analyze"}, id="analyze"),
+    pytest.param(["score", *IO], {**IO_FLAGS, "mode": "incremental", "seed": 0,
+                                  "subcommand": "score"}, id="score"),
+    pytest.param(["rewire", "--graph", "{tmp}/g.edges", "--strategy", "random", "--ratio", "0.5",
+                  "--output", "{tmp}/out.edges"],
+                 {**{k: v for k, v in REWIRE_FLAGS.items() if k != "labels"},
+                  "strategy": "random"}, id="rewire-random"),
+    pytest.param(["rewire", *IO, "--strategy", "adaedge", "--ratio", "0.5",
+                  "--output", "{tmp}/out.edges"], {**REWIRE_FLAGS, "strategy": "adaedge"},
+                 id="rewire-adaedge"),
+    pytest.param(TOPOINF + IO, {**REWIRE_FLAGS, "strategy": "topoinf"}, id="rewire-topoinf"),
+    pytest.param(TOPOINF + IO + ["--greedy"], {**REWIRE_FLAGS, "strategy": "topoinf",
+                                               "greedy": True}, id="rewire-greedy"),
+    pytest.param(DROPEDGE + IO, {**IO_FLAGS, "drop_rate": 0.5, "emit_epochs": 0, "seed": 0,
+                                 "tau": 1.0, "output_prefix": "{tmp}/out",
+                                 "subcommand": "dropedge"}, id="dropedge"),
+    pytest.param(GEN, {**GEN_FLAGS, "n": 10, "classes": 2, "p": 0.5, "q": 0.1, "dim": 2},
+                 id="gen-csbm"),
+    pytest.param(PRESET, {**GEN_FLAGS, "preset": "cora-like"}, id="gen-csbm-preset"),
+    pytest.param(PSEUDO + IO, {**{k: v for k, v in IO_FLAGS.items() if k != "lam"},
+                               "epochs": 200, "features": "{tmp}/g.input", "l2": 1e-4,
+                               "lr": 0.5, "output_prefix": "{tmp}/out", "seed": 0,
+                               "subcommand": "pseudo"}, id="pseudo"),
+])
+def test_manifest_records_the_defaults(tmp_path, capsys, argv, flags):
+    """A run that gives no optional flag records the default of every flag it
+    has; a run that writes to stdout writes its manifest to stderr."""
+    (tmp_path / "g.edges").write_text(TRIANGLE)
+    (tmp_path / "g.labels").write_text(TRIANGLE_LABELS)
+    (tmp_path / "g.input").write_text(FEATURES)
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 0
+    sidecars = list(tmp_path.glob("out*.manifest.json"))
+    err = capsys.readouterr().err
+    assert len(sidecars) == (argv[0] not in ("analyze", "score"))
+    manifest = json.loads(sidecars[0].read_text() if sidecars else err)
+    assert manifest["flags"] == {k: v.format(tmp=tmp_path) if isinstance(v, str) else v
+                                 for k, v in flags.items()}
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "score", "rewire", "dropedge", "gen-csbm",
+                                 "pseudo", "verify"])
+def test_help_shows_every_default(capsys, cmd):
+    """`topoinf <cmd> --help` exits 0 and shows the default of every flag that
+    has one, as the parser holds it."""
+    with pytest.raises(SystemExit) as exc:
+        run([cmd, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    for action in commands.choices[cmd]._actions:
+        if action.default in (None, argparse.SUPPRESS) or isinstance(action.default, bool):
+            continue
+        assert "%(default)s" in action.help, action.option_strings
+        assert f"default {action.default}" in text, action.option_strings
 
 
 def test_version_flag(capsys):
