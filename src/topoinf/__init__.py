@@ -51,8 +51,6 @@ from .pseudo import (
     train_linear_sgc,
 )
 from .rewire import (
-    EdgePartition,
-    adaedge_partition,
     dropedge_weights,
     remove_adaedge,
     remove_by_topoinf,

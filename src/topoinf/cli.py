@@ -108,7 +108,7 @@ def _filter_spec(args) -> FilterSpec:
         raise ValueError(f"--k {args.k}: the filter order must lie in [1, {MAX_ORDER}]")
     _reject_unread(args, "--alpha", args.model in ("s2gc", "appnp", "gcnii"),
                    "--model s2gc, appnp and gcnii read")
-    gamma = _floats("--gamma", args.gamma) if args.gamma else None
+    gamma = None if args.gamma is None else _floats("--gamma", args.gamma)
     return FilterSpec(args.model, args.k, alpha=args.alpha, gamma=gamma)
 
 
@@ -314,9 +314,8 @@ def cmd_rewire(args) -> int:
                for x in (score, c_after)]
     trace_text = "u\tv\tscore\tc_after\n" + "".join(
         f"{u}\t{v}\t{s}\t{c}\n" for (u, v), s, c in zip(g.edges[removed].tolist(), *columns))
-    keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), removed)
-    outputs = [(args.output, write_edge_list(g, keep)),
-               (args.trace or args.output + ".trace.tsv", trace_text)]
+    outputs = [(args.output, write_edge_list(g, drop=removed)),
+               (args.output + ".trace.tsv" if args.trace is None else args.trace, trace_text)]
     return _emit(args, outputs, args.output)
 
 
@@ -343,9 +342,8 @@ def cmd_dropedge(args) -> int:
 
     for epoch in range(args.emit_epochs):
         dropped = sample_dropedge(probabilities, args.drop_rate, epoch_seed(args.seed, epoch))
-        keep = np.setdiff1d(np.arange(g.edge_count, dtype=np.int64), dropped)
         outputs.append((f"{args.output_prefix}.epoch{epoch:04d}.edges",
-                        write_edge_list(g, keep)))
+                        write_edge_list(g, drop=dropped)))
     return _emit(args, outputs, args.output_prefix)
 
 

@@ -4,8 +4,8 @@ Nodes split into c balanced communities (round-robin assignment, then a
 seeded shuffle). Each unordered pair is an edge independently with
 probability p inside a community and q across communities (q > p, the
 heterophilic regime, is allowed). Features are X = F + N where row v of F is
-its community's center vector and N is i.i.d. Gaussian noise with standard
-deviation sigma.
+its community's center vector, mu[labels[v]], and N is i.i.d. Gaussian noise
+with standard deviation sigma.
 
 The two runnable checks cover what a nonnegative, sum-one filter does to
 such data after row normalization: the largest distance from a node to any
@@ -44,11 +44,11 @@ MU_SCHEMES = ("orthogonal_scaled", "gaussian_random")
 MAX_SBM_NODES = 100_000
 # Most node pairs `sbm_edges` draws at once: 8 MiB of uniforms.
 SBM_BLOCK_PAIRS = 2 ** 20
-# Largest n * d `CsbmParams` accepts. `generate_csbm` holds the n x d centers
-# F and X = F + sigma * noise (formed in place in the noise) as float64 arrays,
-# 256 MiB each at this bound, and `write_features` formats every value as
-# text, one row at a time. The cora-like preset uses 2708 x 1433, about 3.9
-# million values.
+# Largest n * d `CsbmParams` accepts. `generate_csbm` forms the n x d float64
+# X = F + sigma * noise in place in the noise, 256 MiB at this bound, with the
+# gathered centers F a temporary of the same size, and `write_features`
+# formats every value as text, one row at a time. The cora-like preset uses
+# 2708 x 1433, about 3.9 million values.
 MAX_FEATURE_VALUES = 2 ** 25
 
 
@@ -93,8 +93,7 @@ class CsbmSample:
     graph: Graph
     labels: LabelData
     mu: np.ndarray        # c x d community centers
-    F: np.ndarray         # n x d, row v equals its community center
-    X: np.ndarray         # F + noise
+    X: np.ndarray         # mu[labels] + noise
 
 
 def _community_centers(params: CsbmParams, rng) -> np.ndarray:
@@ -139,13 +138,12 @@ def generate_csbm(params: CsbmParams) -> CsbmSample:
     graph = Graph.from_edges(n, sbm_edges(rng, communities, params.p, params.q))
 
     mu = _community_centers(params, rng)
-    F = mu[communities]
     X = rng.normal(size=(n, params.d))   # the noise; rounds as F + sigma * noise
     X *= params.sigma
-    X += F
+    X += mu[communities]
 
     labels = LabelData(c, communities)
-    return CsbmSample(graph=graph, labels=labels, mu=mu, F=F, X=X)
+    return CsbmSample(graph=graph, labels=labels, mu=mu, X=X)
 
 
 def cora_like_params(mix=(0.9, 0.1), sigma: float = 1.0, seed: int = 0) -> CsbmParams:
@@ -176,10 +174,6 @@ class ContractionReport:
     violations: np.ndarray     # node ids where after > before + 1e-9
     vacuous: bool = False
 
-    @property
-    def ok(self) -> bool:
-        return self.vacuous or self.violations.size == 0
-
 
 def _require_low_pass(spec):
     gamma = spec.coefficients
@@ -201,7 +195,8 @@ def check_distance_contraction(sample: CsbmSample, spec) -> ContractionReport:
         return ContractionReport(before=empty, after=empty,
                                  violations=np.empty(0, dtype=np.int64), vacuous=True)
 
-    filtered = row_normalized_filter(spec, adj, sample.F)
+    centers = sample.mu[comm]
+    filtered = row_normalized_filter(spec, adj, centers)
 
     def farthest(mat):
         sq = np.sum(mat ** 2, axis=1)
@@ -210,7 +205,7 @@ def check_distance_contraction(sample: CsbmSample, spec) -> ContractionReport:
         d2[~diff_mask] = -1.0
         return np.sqrt(np.max(d2, axis=1))
 
-    before = farthest(sample.F)
+    before = farthest(centers)
     after = farthest(filtered)
     violations = np.flatnonzero(after > before + 1e-9)
     return ContractionReport(before=before, after=after, violations=violations)
@@ -234,10 +229,6 @@ class VarianceReport:
     @property
     def empirical_ok(self) -> bool:
         return self.mean_noise_after <= self.mean_noise_before * (1.0 + self.slack)
-
-    @property
-    def ok(self) -> bool:
-        return self.deterministic_ok and self.empirical_ok
 
 
 def check_variance_reduction(params: CsbmParams, spec, trials: int) -> VarianceReport:

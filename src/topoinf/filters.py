@@ -99,9 +99,6 @@ def apply_filter(spec: FilterSpec, adj: NormalizedAdjacency, signal) -> np.ndarr
     reproducible bit-for-bit across runs.
     """
     m = np.asarray(signal, dtype=np.float64)
-    squeeze = m.ndim == 1
-    if squeeze:
-        m = m[:, None]
     if m.ndim != 2 or m.shape[0] != adj.n:
         raise ValueError(f"signal must have {adj.n} rows, got shape {m.shape}")
     power = m
@@ -109,7 +106,7 @@ def apply_filter(spec: FilterSpec, adj: NormalizedAdjacency, signal) -> np.ndarr
     for k in range(1, spec.k + 1):
         power = csr_dense_product(adj.csr, power)
         out += spec.coefficients[k] * power
-    return out[:, 0] if squeeze else out
+    return out
 
 
 def check_finite_rows(filt: np.ndarray):

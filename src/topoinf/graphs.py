@@ -350,13 +350,9 @@ class LabelData:
     def n(self) -> int:
         return self.labels.shape[0]
 
-    @property
-    def all_labeled(self) -> bool:
-        return bool(self.mask.all())
-
     def one_hot(self) -> np.ndarray:
         """Dense n x c one-hot view of the hard labels (exactly one 1 per row)."""
-        if not self.all_labeled:
+        if not self.mask.all():
             missing = np.flatnonzero(~self.mask)
             raise ValueError(
                 f"{missing.size} nodes are unlabeled (first: {missing[:5].tolist()}); "
@@ -383,14 +379,30 @@ def _iter_lines(text: str, comments: bool = False):
 
 
 def _parse_header(ln: int, line: str, key: str):
-    # comment header of the form "# key=value"
+    """N of a "# key=N" comment header, which must be at least 1; None for
+    any other comment."""
     body = line.lstrip("#").strip()
-    if body.startswith(key + "="):
-        try:
-            return int(body[len(key) + 1:])
-        except ValueError:
-            raise GraphFormatError(f"line {ln}: bad {key} header: {line!r}") from None
-    return None
+    if not body.startswith(key + "="):
+        return None
+    try:
+        got = int(body[len(key) + 1:])
+    except ValueError:
+        raise GraphFormatError(f"line {ln}: bad {key} header: {line!r}") from None
+    if got < 1:
+        raise GraphFormatError(f"line {ln}: {key}={got} must be at least 1")
+    return got
+
+
+def _parse_pair(ln: int, line: str, fields: str, noun: str):
+    """The two integers of a "{fields}" record line; `noun` names its fields
+    in the error for a non-integer one."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise GraphFormatError(f"line {ln}: expected {fields!r}, got {line!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphFormatError(f"line {ln}: non-integer {noun} in {line!r}") from None
 
 
 def load_edge_list(text: str) -> Graph:
@@ -404,21 +416,13 @@ def load_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             got = _parse_header(ln, line, "nodes")
             if got is not None:
-                if got < 1:
-                    raise GraphFormatError(f"line {ln}: nodes={got} must be at least 1")
                 if got > MAX_NODES:
                     raise GraphFormatError(
                         f"line {ln}: nodes={got} exceeds the limit of {MAX_NODES} nodes")
                 declared_n = got
                 saw_content = True
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {ln}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {ln}: non-integer node id in {line!r}") from None
+        u, v = _parse_pair(ln, line, "u v", "node id")
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {ln}: negative node id in {line!r}")
         if u == v:
@@ -448,19 +452,9 @@ def load_labels(text: str, n: int) -> LabelData:
     seen = np.zeros(n, dtype=bool)
     for ln, line in _iter_lines(text, comments=True):
         if line.startswith("#"):
-            got = _parse_header(ln, line, "classes")
-            if got is not None:
-                if got < 1:
-                    raise GraphFormatError(f"line {ln}: classes={got} must be at least 1")
-                declared_c = got
+            declared_c = _parse_header(ln, line, "classes") or declared_c
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {ln}: expected 'node class', got {line!r}")
-        try:
-            node, cls = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {ln}: non-integer field in {line!r}") from None
+        node, cls = _parse_pair(ln, line, "node class", "field")
         if not 0 <= node < n:
             raise GraphFormatError(f"line {ln}: node {node} outside [0, {n})")
         if cls < 0:
@@ -495,9 +489,10 @@ def load_target(text: str, n: int) -> np.ndarray:
     return node_set(ids, n)
 
 
-def write_edge_list(g: Graph, edge_ids=None) -> str:
-    """Edge-list text in the ingestion format (with a node-count header)."""
-    rows = g.edges if edge_ids is None else g.edges[np.asarray(edge_ids, dtype=np.int64)]
+def write_edge_list(g: Graph, *, drop=()) -> str:
+    """Edge-list text in the ingestion format (with a node-count header) of
+    `g` less the edge ids in `drop`."""
+    rows = np.delete(g.edges, np.asarray(drop, dtype=np.int64), axis=0)
     lines = [f"# nodes={g.n}"]
     lines.extend(map("{} {}".format, rows[:, 0].tolist(), rows[:, 1].tolist()))
     return "\n".join(lines) + "\n"

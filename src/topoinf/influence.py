@@ -151,9 +151,8 @@ def _with_regularizer(totals, lam: float, degrees: np.ndarray, target_mask: np.n
 
 def topoinf_oracle(g: Graph, spec, labels: LabelData, target=None, lam: float = 0.0,
                    e: int = 0) -> TopoInfScore:
-    """Full-recompute score of removing edge `e`."""
-    if not 0 <= e < g.edge_count:
-        raise IndexError(f"edge index {e} out of range [0, {g.edge_count})")
+    """Full-recompute score of removing edge `e`; IndexError for an `e`
+    outside [0, |E|)."""
     base = compatibility(g, spec, labels, target, lam)
     return removal_step(g, spec, labels, base, e)[0]
 

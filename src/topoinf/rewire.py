@@ -2,33 +2,30 @@
 
 Removal strategies pick a subset of edges: score-ordered (within the positive
 or negative partition, by absolute score), uniformly random, or the
-label-agreement baseline that partitions edges by whether their endpoints
-share a label. The dropping sampler turns scores into a softmax distribution
-P_e proportional to exp(score_e / tau) and draws without replacement with
-Efraimidis-Spirakis keys: each edge gets the key U_e^(1 / P_e) for a uniform
-U_e, and the edges with the largest keys are dropped. That set has the same
-law as sequential draws renormalized after each pick (Efraimidis & Spirakis,
-"Weighted random sampling with a reservoir", IPL 2006), so inclusion
-probabilities are not exactly proportional to the weights; this is the
-standard caveat of that scheme.
+label-agreement baseline that draws from the edges whose labeled endpoints
+disagree, or agree. The dropping sampler turns scores into a softmax
+distribution P_e proportional to exp(score_e / tau) and draws without
+replacement with Efraimidis-Spirakis keys: each edge gets the key
+U_e^(1 / P_e) for a uniform U_e, and the edges with the largest keys are
+dropped. That set has the same law as sequential draws renormalized after
+each pick (Efraimidis & Spirakis, "Weighted random sampling with a
+reservoir", IPL 2006), so inclusion probabilities are not exactly
+proportional to the weights; this is the standard caveat of that scheme.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph, LabelData
 
 __all__ = [
-    "EdgePartition",
     "remove_by_topoinf",
     "remove_random",
     "remove_adaedge",
-    "adaedge_partition",
     "check_tau",
     "check_drop_fraction",
     "dropedge_weights",
@@ -75,32 +72,15 @@ def remove_adaedge(g: Graph, labels: LabelData, ratio: float, which: str,
                    seed: int) -> np.ndarray:
     """Uniform sample, without replacement, of floor(ratio * |E|) edge ids
     from the cross-label edges ("positive": their removal helps) or the
-    same-label edges ("negative"), truncated to that pool; sorted."""
+    same-label edges ("negative"), truncated to that pool; sorted. Edges with
+    an unlabeled endpoint are in neither pool."""
     _check_removal(ratio, which)
-    part = adaedge_partition(g, labels)
-    pool = part.diff_label if which == "positive" else part.same_label
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    agree = labels.labels[u] == labels.labels[v]
+    pool = np.flatnonzero(labels.mask[u] & labels.mask[v]
+                          & (~agree if which == "positive" else agree))
     count = min(int(ratio * g.edge_count), pool.size)
     return np.sort(np.random.default_rng(seed).choice(pool, size=count, replace=False))
-
-
-@dataclass
-class EdgePartition:
-    same_label: np.ndarray
-    diff_label: np.ndarray
-    unassigned: np.ndarray      # edges with an unlabeled endpoint
-
-
-def adaedge_partition(g: Graph, labels: LabelData) -> EdgePartition:
-    """Split edges by endpoint-label equality; unlabeled endpoints are reported."""
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    known = labels.mask[u] & labels.mask[v]
-    same = known & (labels.labels[u] == labels.labels[v])
-    diff = known & (labels.labels[u] != labels.labels[v])
-    return EdgePartition(
-        same_label=np.flatnonzero(same).astype(np.int64),
-        diff_label=np.flatnonzero(diff).astype(np.int64),
-        unassigned=np.flatnonzero(~known).astype(np.int64),
-    )
 
 
 def check_tau(tau: float):

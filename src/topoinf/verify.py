@@ -202,23 +202,19 @@ def run_gradient_suite(quick: bool = False) -> SuiteResult:
 
 
 def _fd_relative_error(weights, bias, feats, y, l2, grad_w, grad_b, h: float = 1e-6):
-    def loss_of(w, b):
-        val, _, _ = loss_and_gradients(w.copy(), b.copy(), feats, y, l2)
-        return val
+    """Worst relative error of the analytic gradient against central
+    differences, over every entry of the weights and the bias."""
+    def loss_moved(which, idx, step):
+        params = [weights.copy(), bias.copy()]
+        params[which][idx] += step
+        return loss_and_gradients(*params, feats, y, l2)[0]
 
     worst = 0.0
-    for idx in np.ndindex(weights.shape):
-        wp = weights.copy(); wp[idx] += h
-        wm = weights.copy(); wm[idx] -= h
-        fd = (loss_of(wp, bias) - loss_of(wm, bias)) / (2 * h)
-        denom = max(abs(fd), abs(grad_w[idx]), 1e-8)
-        worst = max(worst, abs(fd - grad_w[idx]) / denom)
-    for k in range(bias.shape[0]):
-        bp = bias.copy(); bp[k] += h
-        bm = bias.copy(); bm[k] -= h
-        fd = (loss_of(weights, bp) - loss_of(weights, bm)) / (2 * h)
-        denom = max(abs(fd), abs(grad_b[k]), 1e-8)
-        worst = max(worst, abs(fd - grad_b[k]) / denom)
+    for which, grad in enumerate((grad_w, grad_b)):
+        for idx in np.ndindex(grad.shape):
+            fd = (loss_moved(which, idx, h) - loss_moved(which, idx, -h)) / (2 * h)
+            denom = max(abs(fd), abs(grad[idx]), 1e-8)
+            worst = max(worst, abs(fd - grad[idx]) / denom)
     return worst
 
 

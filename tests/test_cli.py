@@ -611,6 +611,10 @@ BAD_RATIO = [
                    id=f"empty-path{flag}-{argv[0]}")
       for argv in (ANALYZE, SCORE, DROPEDGE, PSEUDO)
       for flag in ("--labels", "--target") if argv is not PSEUDO or flag == "--labels"),
+    pytest.param(TRIANGLE, FEATURES, REWIRE + ["--strategy", "adaedge", "--trace", ""],
+                 "error: .: is a directory", id="empty-path--trace-rewire"),
+    pytest.param(TRIANGLE, FEATURES, ANALYZE + ["--gamma", ""],
+                 "error: --gamma : expected comma-separated finite numbers", id="empty-gamma"),
     *(pytest.param(TRIANGLE, FEATURES, argv + ["--seed", "-1"],
                    "--seed -1: must be a non-negative integer", id=f"negative-seed-{argv[0]}")
       for argv in (GEN, DROPEDGE, REWIRE + ["--strategy", "random"], PSEUDO, SCORE)),

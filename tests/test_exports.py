@@ -24,7 +24,8 @@ def test_all_names_resolve(name):
 @pytest.mark.parametrize("name", ["node_influence", "node_regularizer", "soft_labels",
                                   "PolynomialFilter", "expand_preset", "as_filter",
                                   "PseudoLabels", "DropEdgeDistribution",
-                                  "SoftLabelMatrix", "RemovalStep"])
+                                  "SoftLabelMatrix", "RemovalStep", "EdgePartition",
+                                  "adaedge_partition"])
 def test_removed_names_not_exported(name):
     assert not hasattr(topoinf, name)
     assert name not in topoinf.__all__

@@ -50,15 +50,19 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError):
             load_edge_list("# nodes=2\n0 5")
 
-    @pytest.mark.parametrize("text, line", [
-        pytest.param("# nodes=0\n", 1, id="zero"),
-        pytest.param("0 1\n# nodes=-3\n1 2\n", 2, id="negative"),
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("# nodes=0\n", "line 1: nodes=0 must be at least 1", id="zero"),
+        pytest.param("0 1\n# nodes=-3\n1 2\n", "line 2: nodes=-3 must be at least 1",
+                     id="negative"),
     ])
-    def test_node_header_below_one(self, text, line):
-        with pytest.raises(GraphFormatError, match=f"^line {line}: nodes="):
+    def test_node_header_below_one(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
             load_edge_list(text)
 
     @pytest.mark.parametrize("text, message", [
+        pytest.param("0 1\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'$",
+                     id="three-fields"),
+        pytest.param("a b\n", "line 1: non-integer node id in 'a b'$", id="non-integer-id"),
         pytest.param("0 1\n-1 2\n", "line 2: negative node id", id="negative-id"),
         pytest.param("# nodes=x\n0 1\n", "line 1: bad nodes header", id="non-integer-header"),
     ])
@@ -101,13 +105,15 @@ class TestLoadLabels:
         with pytest.raises(GraphFormatError):
             load_labels("# classes=2\n0 5", n=3)
 
-    @pytest.mark.parametrize("text, line", [
-        pytest.param("# classes=0\n", 1, id="zero"),
-        pytest.param("# classes=-2\n0 0\n", 1, id="negative"),
-        pytest.param("0 0\n# classes=-1\n", 2, id="after-labels"),
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("# classes=0\n", "line 1: classes=0 must be at least 1", id="zero"),
+        pytest.param("# classes=-2\n0 0\n", "line 1: classes=-2 must be at least 1",
+                     id="negative"),
+        pytest.param("0 0\n# classes=-1\n", "line 2: classes=-1 must be at least 1",
+                     id="after-labels"),
     ])
-    def test_class_header_below_one(self, text, line):
-        with pytest.raises(GraphFormatError, match=f"^line {line}: classes="):
+    def test_class_header_below_one(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
             load_labels(text, n=3)
 
     @pytest.mark.parametrize("text, message", [
@@ -286,8 +292,11 @@ def test_writers_match_per_element_format():
     g = Graph.from_edges(9, [(0, 5), (8, 1), (2, 3), (3, 7), (1, 2)])
     assert write_edge_list(g) == edges_text(g, g.edges)
     ids = np.array([4, 0, 2])
-    assert write_edge_list(g, ids) == edges_text(g, g.edges[ids])
-    assert write_edge_list(g, []) == "# nodes=9\n"
+    assert write_edge_list(g, drop=ids) == edges_text(g, g.edges[[1, 3]])
+    assert write_edge_list(g, drop=[]) == write_edge_list(g)
+    assert write_edge_list(g, drop=np.arange(5)) == "# nodes=9\n"
+    with pytest.raises(TypeError):
+        write_edge_list(g, ids)   # `drop` is keyword-only: ids to keep cannot pass for it
     empty = Graph.from_edges(4, [])
     assert write_edge_list(empty) == edges_text(empty, empty.edges) == "# nodes=4\n"
 
@@ -364,8 +373,6 @@ class TestLabelData:
     def test_mask_follows_known_labels(self):
         lab = LabelData(3, [2, -1, 0, -1])
         assert lab.mask.tolist() == [True, False, True, False]
-        assert not lab.all_labeled
-        assert LabelData(3, [2, 1, 0]).all_labeled
 
 
 def _plain(parsed):

@@ -7,7 +7,6 @@ from topoinf import (
     FilterSpec,
     Graph,
     LabelData,
-    adaedge_partition,
     dropedge_weights,
     remove_adaedge,
     remove_by_topoinf,
@@ -101,33 +100,51 @@ class TestRemoveRandom:
         assert np.all(np.abs(freq - 0.3) <= 0.02)
 
 
+def adaedge_pool(g, labels, which):
+    """Reference pool of `remove_adaedge`, edge by edge: both endpoints
+    labeled, their labels different ("positive") or equal ("negative")."""
+    pool = []
+    for e, (u, v) in enumerate(g.edges.tolist()):
+        a, b = labels.labels[u], labels.labels[v]
+        if a >= 0 and b >= 0 and (a != b) == (which == "positive"):
+            pool.append(e)
+    return np.array(pool, dtype=np.int64)
+
+
 class TestAdaEdge:
     def test_triangle_partition(self, triangle, triangle_labels):
-        part = adaedge_partition(triangle, triangle_labels)
-        assert part.same_label.tolist() == [0]
-        assert part.diff_label.tolist() == [1, 2]
-        assert part.unassigned.size == 0
+        assert remove_adaedge(triangle, triangle_labels, 1.0, "negative", seed=0).tolist() \
+            == [0]
+        assert remove_adaedge(triangle, triangle_labels, 1.0, "positive", seed=0).tolist() \
+            == [1, 2]
 
     def test_all_same_labels(self, triangle):
-        part = adaedge_partition(triangle, LabelData(2, [0, 0, 0]))
-        assert part.diff_label.size == 0
-        assert part.same_label.size == 3
+        same = LabelData(2, [0, 0, 0])
+        assert remove_adaedge(triangle, same, 1.0, "positive", seed=0).size == 0
+        assert remove_adaedge(triangle, same, 1.0, "negative", seed=0).tolist() == [0, 1, 2]
 
-    def test_unlabeled_endpoints_reported(self, triangle):
-        part = adaedge_partition(triangle, LabelData(2, [-1, -1, -1]))
-        assert part.unassigned.tolist() == [0, 1, 2]
-        assert part.same_label.size == 0 and part.diff_label.size == 0
+    def test_unlabeled_endpoints_never_drawn(self, triangle):
+        unknown = LabelData(2, [-1, -1, -1])
+        for which in ("positive", "negative"):
+            assert remove_adaedge(triangle, unknown, 1.0, which, seed=0).size == 0
+        g, labels = random_labeled_graph(60, 6, 3, seed=8)
+        hidden = labels.labels.copy()
+        hidden[np.random.default_rng(0).permutation(g.n)[:g.n // 3]] = -1
+        labels = LabelData(3, hidden)
+        for which in ("positive", "negative"):
+            drawn = remove_adaedge(g, labels, 1.0, which, seed=0)
+            assert drawn.size > 0 and labels.mask[g.edges[drawn]].all()
+            assert drawn.tolist() == adaedge_pool(g, labels, which).tolist()
 
 
 class TestRemoveAdaEdge:
     def test_sets_draw_from_their_partition(self):
         g, labels = random_labeled_graph(40, 5, 3, seed=5)
-        part = adaedge_partition(g, labels)
         pos = remove_adaedge(g, labels, 0.2, "positive", seed=1)
         neg = remove_adaedge(g, labels, 0.2, "negative", seed=1)
         assert pos.size == neg.size == int(0.2 * g.edge_count)
-        assert set(pos.tolist()) <= set(part.diff_label.tolist())
-        assert set(neg.tolist()) <= set(part.same_label.tolist())
+        assert set(pos.tolist()) <= set(adaedge_pool(g, labels, "positive").tolist())
+        assert set(neg.tolist()) <= set(adaedge_pool(g, labels, "negative").tolist())
 
     def test_truncates_to_pool(self, triangle, triangle_labels):
         assert remove_adaedge(triangle, triangle_labels, 1.0, "positive", seed=0).tolist() \
@@ -148,8 +165,7 @@ class TestRemoveAdaEdge:
         # the draw `rewire --strategy adaedge` made before it moved here
         g, labels = random_labeled_graph(60, 6, 3, seed=7)
         for which in ("positive", "negative"):
-            part = adaedge_partition(g, labels)
-            pool = part.diff_label if which == "positive" else part.same_label
+            pool = adaedge_pool(g, labels, which)
             count = min(int(0.15 * g.edge_count), pool.size)
             rng = np.random.default_rng(seed)
             inline = np.sort(rng.choice(pool, size=count, replace=False))
