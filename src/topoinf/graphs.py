@@ -378,12 +378,15 @@ def _iter_lines(text: str, comments: bool = False):
             yield ln, line
 
 
-def _parse_header(ln: int, line: str, key: str):
-    """N of a "# key=N" comment header, which must be at least 1; None for
-    any other comment."""
+def _parse_header(ln: int, line: str, key: str, declared):
+    """N of a "# key=N" comment header, which must be at least 1 and the
+    first such header (`declared` is the N of an earlier one, else None);
+    None for any other comment."""
     body = line.lstrip("#").strip()
     if not body.startswith(key + "="):
         return None
+    if declared is not None:
+        raise GraphFormatError(f"line {ln}: repeated {key} header")
     try:
         got = int(body[len(key) + 1:])
     except ValueError:
@@ -407,14 +410,14 @@ def _parse_pair(ln: int, line: str, fields: str, noun: str):
 
 def load_edge_list(text: str) -> Graph:
     """Parse "u v" pairs, one per line. '#' comments allowed; an optional
-    "# nodes=N" header fixes the node count (otherwise max id + 1). Either
-    count must not exceed MAX_NODES."""
+    "# nodes=N" header, given at most once, fixes the node count (otherwise
+    max id + 1). Either count must not exceed MAX_NODES."""
     edges = []
     declared_n = None
     saw_content = False
     for ln, line in _iter_lines(text, comments=True):
         if line.startswith("#"):
-            got = _parse_header(ln, line, "nodes")
+            got = _parse_header(ln, line, "nodes", declared_n)
             if got is not None:
                 if got > MAX_NODES:
                     raise GraphFormatError(
@@ -444,15 +447,16 @@ def load_edge_list(text: str) -> Graph:
 def load_labels(text: str, n: int) -> LabelData:
     """Parse "node class" lines; unlisted nodes get label -1 (unknown).
 
-    An optional "# classes=c" header declares the class count; without it, c
-    is inferred as max class + 1 (so at least one labeled node is required).
+    An optional "# classes=c" header, given at most once, declares the class
+    count; without it, c is inferred as max class + 1 (so at least one labeled
+    node is required).
     """
     declared_c = None
     labels = np.full(n, -1, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     for ln, line in _iter_lines(text, comments=True):
         if line.startswith("#"):
-            declared_c = _parse_header(ln, line, "classes") or declared_c
+            declared_c = _parse_header(ln, line, "classes", declared_c) or declared_c
             continue
         node, cls = _parse_pair(ln, line, "node class", "field")
         if not 0 <= node < n:

@@ -28,7 +28,13 @@ Two independent routes compute the same number:
 
 Edges are scored in batches; one product per level serves the distinct
 endpoints of a batch. While the balls are small the levels are sparse
-columns (sparse x sparse products), so a batch stores only its balls; once
+columns (sparse x sparse products), so a batch stores only its balls. A
+sparse batch keeps every level in the key order of level K, whose support
+holds each lower level's, as A_hat has a positive diagonal and no negative
+entries. Each batch checks that, since an entry that underflows to 0 is
+dropped, and takes the union of the levels' keys where it fails (see
+`_SparseLevels`). So each (column, row) pair is looked up once for every
+level, and a stable sort finds the ball pairs. Once
 a batch's level-K columns are more than DENSE_FILL full, the next batch
 propagates dense columns, and the edges left are taken in walk order
 (`_walk_order`), where consecutive edges share an endpoint, so that a batch
@@ -418,10 +424,12 @@ class DeltaWorkspace:
         if narrow.size:
             en, rn = levels.pairs(narrow)
             own = None if soft is not None else cls[rn]
+            # each endpoint's pairs are looked up once and read at every level
+            where = [levels.find(col[en, p], rn) for p in (0, 1)]
             num = sums = 0.0
             for t in range(K + 1):
                 for p in (0, 1):
-                    f, x = F[t, :, p], levels.at(t, col[en, p], rn)
+                    f, x = F[t, :, p], levels.at(t, where[p])
                     w = soft_weight(f[en].T, rn) if own is None else f[en, own]
                     num = num + x * w
                     sums = sums + x * f[en, C]
@@ -571,9 +579,13 @@ class _DenseLevels:
         """Target rows in the ball of edge `b`, ascending."""
         return np.flatnonzero(self.ball[b])
 
-    def at(self, t, cols, er):
-        """Level t of columns `cols` on target rows `er`."""
-        return self.X[cols, t, er]
+    def find(self, cols, er):
+        """Where `at` reads columns `cols` on target rows `er`."""
+        return cols, er
+
+    def at(self, t, where):
+        """Level t at the positions `find` gave."""
+        return self.X[where[0], t, where[1]]
 
     def columns(self, cols):
         """Dense levels holding `cols`, and each column's index into them."""
@@ -584,7 +596,18 @@ class _SparseLevels:
     """The same levels as sparse columns, one sparse product per level: each
     column stores only its K-hop ball. Every level is non-negative and
     `csr_matmat` sums a row's terms in the order `csr_matvecs` does, so the
-    stored values are bitwise the dense ones."""
+    stored values are bitwise the dense ones.
+
+    Every level is stored in one key order, (column, row) ascending as
+    col * n + row: level t as an array of |order| + 1 values, zero where it
+    has no entry and in the last slot, which a missed lookup reads. A_hat has
+    a positive diagonal and no negative entries, so level t's support lies
+    inside level K's, and the order is level K's keys. That is checked, not
+    assumed: `csr_matmat` drops an entry that sums to exactly 0, so a level-K
+    entry that underflows while a lower level keeps it would leave that key
+    out; the order is then the union of every level's keys. `find` looks a
+    (column, row) pair up once in the order, and `at` gathers any level
+    there."""
 
     def __init__(self, ws, ends, nodes, col):
         n, K, nt = ws.g.n, ws.spec.k, ws.target.size
@@ -594,20 +617,29 @@ class _SparseLevels:
         indptr = np.zeros(n + 1, dtype=np.int64)
         indptr[nodes + 1] = 1
         cur = (np.cumsum(indptr), np.arange(nc), np.ones(nc), (n, nc))
-        self.keys, self.vals = [], []   # per level: col * n + row, ascending
+        keys, vals = [], []   # per level: col * n + row, ascending, and the values
         for t in range(K + 1):
             if t:
                 cur = csr_sparse_product(ws.adj.csr, cur)
-            starts, rows, vals, _ = csr_to_csc(cur)   # rows ascending within each column
+            starts, rows, v, _ = csr_to_csc(cur)   # rows ascending within each column
             owner = np.repeat(np.arange(nc), np.diff(starts))
-            self.keys.append(owner * n + rows)
-            self.vals.append(vals)
-        self.H = np.stack([self._get(t, col[:, None, :], ends[:, :, None])
-                           for t in range(K + 1)])
+            keys.append(owner * n + rows)
+            vals.append(v)
+        # each level's positions in the key order: level K's own are 0, 1, ...
+        self.order = keys[K]
+        pos = [np.searchsorted(self.order, k) for k in keys[:K]] + [np.arange(self.order.size)]
+        if not all(np.array_equal(self.order.take(p, mode="clip"), k) for p, k in zip(pos, keys)):
+            self.order = np.unique(np.concatenate(keys))
+            pos = [np.searchsorted(self.order, k) for k in keys]
+        self.V = np.zeros((K + 1, self.order.size + 1))
+        for t in range(K + 1):
+            self.V[t, pos[t]] = vals[t]
+        self.H = self.V[:, self._find(col[:, None, :], ends[:, :, None])]
         self.fill = rows.size / (n * nc)
 
-        # ball pairs: the union of both endpoints' level-K target rows,
-        # edge by edge in ascending row order
+        # ball pairs: the union of both endpoints' level-K target rows, edge
+        # by edge in ascending row order; each edge's keys are two ascending
+        # runs, which a stable sort merges, and a repeat equals its neighbour
         keep = ws.target_mask[rows]
         owner, trow = owner[keep], ws.target_pos[rows[keep]]
         count = np.bincount(owner, minlength=nc)
@@ -615,13 +647,15 @@ class _SparseLevels:
         lens = count[seg]
         shift = np.repeat(np.cumsum(count)[seg] - count[seg] - np.cumsum(lens) + lens, lens)
         edge = np.repeat(np.arange(seg.size) // 2, lens)
-        pairs = np.unique(edge * nt + trow[np.arange(lens.sum()) + shift])
+        pairs = np.sort(edge * nt + trow[np.arange(lens.sum()) + shift], kind="stable")
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
         self.eb, self.er = np.divmod(pairs, nt)
         self.size = np.bincount(self.eb, minlength=nb)
         self.start = np.cumsum(self.size) - self.size
         # per entry: its key and value, and the sparse copies of its level;
-        # per pair: its edge, row and the sort that found it
-        self.stored = 6 * sum(k.size for k in self.keys) + 4 * pairs.size
+        # per level: its values in the key order; per pair: its edge, row and
+        # the sort that found it
+        self.stored = 6 * sum(k.size for k in keys) + self.V.size + 4 * pairs.size
 
     def pairs(self, edges):
         keep = np.isin(self.eb, edges)
@@ -631,14 +665,18 @@ class _SparseLevels:
         start = self.start[b]
         return self.er[start:start + self.size[b]]
 
-    def _get(self, t, cols, rows):
-        keys = self.keys[t]
+    def _find(self, cols, rows):
+        """Positions of the (cols, rows) pairs in the key order; the last
+        slot for a pair no level holds."""
         q = cols * self.ws.g.n + rows
-        pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
-        return np.where(keys[pos] == q, self.vals[t][pos], 0.0)
+        pos = np.minimum(np.searchsorted(self.order, q), self.order.size - 1)
+        return np.where(self.order[pos] == q, pos, self.order.size)
 
-    def at(self, t, cols, er):
-        return self._get(t, cols, self.ws.target[er])
+    def find(self, cols, er):
+        return self._find(cols, self.ws.target[er])
+
+    def at(self, t, where):
+        return self.V[t, where]
 
     def columns(self, cols):
         ws, K, nt = self.ws, self.ws.spec.k, self.ws.target.size
@@ -646,10 +684,9 @@ class _SparseLevels:
         slot = np.full(self.nc, -1)
         slot[need] = np.arange(need.size)
         X = np.zeros((need.size, K + 1, nt))
-        for t in range(K + 1):
-            c, r = np.divmod(self.keys[t], ws.g.n)
-            keep = (slot[c] >= 0) & ws.target_mask[r]
-            X[slot[c[keep]], t, ws.target_pos[r[keep]]] = self.vals[t][keep]
+        c, r = np.divmod(self.order, ws.g.n)
+        keep = (slot[c] >= 0) & ws.target_mask[r]
+        X[slot[c[keep]], :, ws.target_pos[r[keep]]] = self.V[:, :-1][:, keep].T
         self.stored += X.size    # the batch stores this dense copy too
         return X, idx.reshape(cols.shape)
 

@@ -676,6 +676,26 @@ def test_input_file_errors_name_flag_and_file(tmp_path, capsys, flag, case):
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("flag, text, line", [
+    pytest.param("--graph", "# nodes=3\n0 1\n# nodes=4\n1 2\n",
+                 "line 3: repeated nodes header", id="graph"),
+    pytest.param("--labels", "# classes=2\n0 0\n# classes=3\n",
+                 "line 3: repeated classes header", id="labels"),
+])
+def test_repeated_header_names_flag_and_file(tmp_path, capsys, flag, text, line):
+    """A second `# nodes=`/`# classes=` header exits 2, naming the flag, the
+    file and the line, and writes nothing."""
+    (tmp_path / "g.edges").write_text(TRIANGLE)
+    (tmp_path / "g.labels").write_text(TRIANGLE_LABELS)
+    path = tmp_path / "in"
+    path.write_text(text)
+    files = {"--graph": tmp_path / "g.edges", "--labels": tmp_path / "g.labels", flag: path}
+    assert run(["analyze", *(a for pair in files.items() for a in pair),
+                "--output", tmp_path / "out.json"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} {path}: {line}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 class TestValidationBeforeWrite:
     def test_no_partial_artifacts(self, tmp_path):
         graph = tmp_path / "bad.edges"

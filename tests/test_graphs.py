@@ -70,6 +70,16 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match=f"^{message}"):
             load_edge_list(text)
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("# nodes=9\n0 1\n# nodes=3\n1 2\n", "line 3: repeated nodes header",
+                     id="different"),
+        pytest.param("# nodes=3\n# nodes=3\n0 1\n", "line 2: repeated nodes header",
+                     id="same"),
+    ])
+    def test_repeated_header_rejected(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            load_edge_list(text)
+
     def test_crlf(self):
         g = load_edge_list("0 1\r\n1 2\r\n")
         assert g.edge_count == 2
@@ -135,6 +145,16 @@ class TestLoadLabels:
     def test_duplicate_rejected(self):
         with pytest.raises(GraphFormatError, match="duplicate"):
             load_labels("0 0\n0 1", n=2)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("# classes=5\n0 4\n# classes=2\n", "line 3: repeated classes header",
+                     id="different"),
+        pytest.param("# classes=2\n0 0\n# classes=2\n", "line 3: repeated classes header",
+                     id="same"),
+    ])
+    def test_repeated_header_rejected(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            load_labels(text, n=3)
 
 
 class TestGraph:

@@ -301,6 +301,47 @@ class TestBatchIndependence:
             got[dense] = self._bits(*ws.score_edges(edges))
         assert got[False] == got[True]
 
+    def test_level_k_missing_a_lower_level_key(self, monkeypatch):
+        """`csr_matmat` drops an entry that sums to exactly 0, so level K can
+        lack a key a lower level holds; H and `at` still read every level's
+        stored value there. The wrapped product drops the level-K entry of
+        the first endpoint's own row; the wide-edge columns keep it too."""
+        ws = self._workspace("sgc2_hundreds")
+        K, n = ws.spec.k, ws.g.n
+        ends = ws.g.edges[:8]
+        nodes, col = np.unique(ends, return_inverse=True)
+        col = col.reshape(-1, 2)
+        v, c = int(ends[0, 0]), int(col[0, 0])
+        product, calls = influence.csr_sparse_product, []
+
+        def dropping(a, b):
+            indptr, indices, data, shape = product(a, b)
+            calls.append(shape)
+            if len(calls) == K:
+                e = indptr[v] + np.flatnonzero(indices[indptr[v]:indptr[v + 1]] == c)[0]
+                indices, data = np.delete(indices[:indptr[-1]], e), np.delete(data[:indptr[-1]], e)
+                indptr = indptr.copy()
+                indptr[v + 1:] -= 1
+            return indptr, indices, data, shape
+
+        monkeypatch.setattr(influence, "csr_sparse_product", dropping)
+        sparse = influence._SparseLevels(ws, ends, nodes, col)
+        dense = influence._DenseLevels(ws, ends, nodes, col)
+        assert len(calls) == K and dense.X[c, K, v] > 0
+        # the dropped entry reads 0 at level K and the true value below it
+        want_H = dense.H.copy()
+        want_H[K][(ends[:, :, None] == v) & (ends[:, None, :] == v)] = 0.0
+        assert sparse.H.tobytes() == want_H.tobytes()
+        cols, er = (a.ravel() for a in np.meshgrid(np.arange(nodes.size), np.arange(n),
+                                                   indexing="ij"))
+        want_X = dense.X.copy()
+        want_X[c, K, v] = 0.0
+        for t in range(K + 1):
+            assert sparse.at(t, sparse.find(cols, er)).tobytes() == \
+                want_X[cols, t, er].tobytes()
+        X, xc = sparse.columns(col)
+        assert X[xc].tobytes() == want_X[col].tobytes()
+
     @pytest.mark.parametrize("case", CASES)
     def test_shuffled_repeats_keep_the_given_order(self, case):
         ws = self._workspace(case)

@@ -62,6 +62,8 @@ def input_commands(bench: Path, inputs: Path) -> list:
         ("score-target-json", ["score", *io_flags, "--target", target, "--lambda", "0.1",
                                "--json", "{out}/s.json", "--output", "{out}/s.tsv"]),
         ("analyze-appnp10", ["analyze", *io_flags, "--model", "appnp", "--k", "10"]),
+        ("score-sgc3", ["score", *io_flags, "--model", "sgc", "--k", "3",
+                        "--output", "{out}/s.tsv"]),
     ]
 
 
