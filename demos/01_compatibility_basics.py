@@ -6,15 +6,19 @@ neighbors', so the lone class-1 node keeps only a third of its own label
 mass while the class-0 pair keeps two thirds each.
 """
 
+import numpy as np
+
 from topoinf import FilterSpec, Graph, LabelData, compatibility, normalized_adjacency
 
 g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 labels = LabelData(2, [0, 0, 1])
 walk = FilterSpec("sgc", 1)  # f = A_hat
 
-adj = normalized_adjacency(g)
+indptr, indices, data, shape = normalized_adjacency(g).csr
+dense = np.zeros(shape)
+dense[np.repeat(np.arange(shape[0]), np.diff(indptr)), indices] = data
 print("normalized adjacency (every entry 1/3 on a triangle):")
-print(adj.matrix.toarray())
+print(dense)
 
 report = compatibility(g, walk, labels, lam=0.0)
 print("\nfiltered label distributions:")

@@ -294,6 +294,8 @@ def cmd_rewire(args) -> int:
               ("--lambda", "--target", "--model", "--k", "--alpha", "--gamma")),
             ("--labels", args.strategy != "random", "--strategy topoinf and adaedge read")):
         _reject_unread(args, flag, read, readers)
+    if args.rescore_every < 1:
+        raise ValueError(f"--rescore-every {args.rescore_every}: must be at least 1")
     spec = _filter_spec(args)
     g, labels, target = _load_inputs(args)
 
@@ -368,6 +370,15 @@ def cmd_gen_csbm(args) -> int:
                 raise ValueError(f"{flag} is required without --preset")
         if args.n > MAX_SBM_NODES:
             raise ValueError(f"--n {args.n}: at most {MAX_SBM_NODES} nodes")
+        if not 2 <= args.classes <= args.n:
+            raise ValueError(f"--classes {args.classes}: must lie in [2, --n {args.n}]")
+        if args.dim < 1:
+            raise ValueError(f"--dim {args.dim}: must be positive")
+        if args.mu_scheme == "orthogonal_scaled" and args.dim < args.classes:
+            raise ValueError(f"--dim {args.dim}: --mu-scheme orthogonal_scaled needs "
+                             f"--dim >= --classes {args.classes}")
+        if not math.isfinite(args.mu_scale):
+            raise ValueError(f"--mu-scale {args.mu_scale}: must be finite")
         if args.n * args.dim > MAX_FEATURE_VALUES:
             raise ValueError(f"--dim {args.dim}: n * d = {args.n * args.dim} exceeds "
                              f"{MAX_FEATURE_VALUES} feature values")
@@ -394,6 +405,10 @@ def cmd_gen_csbm(args) -> int:
 
 
 def cmd_pseudo(args) -> int:
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise ValueError(f"--lr {args.lr}: must be finite and positive")
+    if not (math.isfinite(args.l2) and args.l2 >= 0):
+        raise ValueError(f"--l2 {args.l2}: must be finite and non-negative")
     spec = _filter_spec(args)
     g, labels, _ = _load_inputs(args)
     features = _read("--features", args.features, _features, g.n)

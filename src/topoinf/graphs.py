@@ -135,20 +135,11 @@ class Graph:
         return self.edges.shape[0]
 
     def degree(self, v: int) -> int:
+        """`degrees[v]` as an int; the benchmark's own tests read it."""
         return int(self.degrees[v])
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Canonical edge index of (u, v); KeyError if absent."""
-        a, b = (u, v) if u < v else (v, u)
-        # the rows of `a` form one block of the sorted edges; find `b` in it
-        start, stop = np.searchsorted(self.edges[:, 0], [a, a + 1])
-        pos = int(start + np.searchsorted(self.edges[start:stop, 1], b))
-        if pos == stop or self.edges[pos, 1] != b:
-            raise KeyError(f"no edge ({u}, {v})")
-        return pos
 
     def remove_edge(self, e: int) -> "Graph":
         """New graph without edge `e`; this graph is unchanged."""
@@ -208,7 +199,8 @@ class NormalizedAdjacency:
     u == v and for every edge {u, v}. The value of a stored entry is computed
     from the same expression in both directions, so the operator is symmetric
     to bit equality. Pattern: adjacency plus full diagonal, all entries > 0.
-    `csr` holds its frozen CSR arrays (indptr, indices, data, shape).
+    `csr` holds its frozen CSR arrays (indptr, indices, data, shape), the only
+    form the operator takes: the CSR products below read them as they are.
     """
 
     __slots__ = ("n", "csr", "inv_sqrt_deg")
@@ -218,14 +210,6 @@ class NormalizedAdjacency:
         self.csr = csr
         self.inv_sqrt_deg = inv_sqrt_deg
         _freeze(*csr[:3], inv_sqrt_deg)
-
-    @property
-    def matrix(self):
-        """The operator as a scipy.sparse.csr_matrix over `csr`, built on each
-        read; this imports scipy.sparse, and no scoring path reads it."""
-        import scipy.sparse
-        indptr, indices, data, shape = self.csr
-        return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
@@ -350,8 +334,12 @@ class LabelData:
     def n(self) -> int:
         return self.labels.shape[0]
 
-    def one_hot(self) -> np.ndarray:
-        """Dense n x c one-hot view of the hard labels (exactly one 1 per row)."""
+    def dense_rows(self) -> np.ndarray:
+        """Row-stochastic n x c label matrix to propagate: a copy of the soft
+        labels when present, else the one-hot hard labels (exactly one 1 per
+        row), which needs every node labeled."""
+        if self.soft is not None:
+            return np.array(self.soft)
         if not self.mask.all():
             missing = np.flatnonzero(~self.mask)
             raise ValueError(
@@ -361,11 +349,6 @@ class LabelData:
         out = np.zeros((self.n, self.c), dtype=np.float64)
         out[np.arange(self.n), self.labels] = 1.0
         return out
-
-    def dense_rows(self) -> np.ndarray:
-        """Row-stochastic label matrix to propagate: the soft labels when
-        present, else the one-hot hard labels."""
-        return self.one_hot() if self.soft is None else np.array(self.soft)
 
 
 def _iter_lines(text: str, comments: bool = False):

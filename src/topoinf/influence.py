@@ -4,9 +4,10 @@ Two independent routes compute the same number:
 
 * `topoinf_oracle` (and `removal_step`, which it calls) removes the edge and
   recomputes `compatibility()` from scratch on the modified graph.
-* `DeltaWorkspace` propagates only what the removal changes. Removing edge
-  (i, j) drops both self-loop degrees by one, so D = A_hat' - A_hat is
-  nonzero only on rows and columns i and j, and it has rank at most four:
+* `DeltaWorkspace.score` propagates only what each removal changes, for a
+  list of edges at a time. Removing edge (i, j) drops both self-loop
+  degrees by one, so D = A_hat' - A_hat is nonzero only on rows and columns
+  i and j, and it has rank at most four:
 
       D = Z S Z^T,   Z = [e_i, e_j, r_i, r_j],
 
@@ -120,7 +121,8 @@ AFFECTED_TOL = 64 * np.finfo(np.float64).eps
 
 
 class TopoInfScore(NamedTuple):
-    """Score of a single edge removal.
+    """Score of a single edge removal by full recompute (`topoinf_oracle`,
+    `removal_step`).
 
     value is C(A') - C(A); -inf marks an excluded edge (removing it would
     isolate a target node while lambda > 0). affected_nodes counts target
@@ -181,8 +183,8 @@ def _mask_of(target: np.ndarray, n: int) -> np.ndarray:
 
 # Budget of one scoring batch on the values it stores, in bytes: its endpoint
 # levels (the stored entries of sparse columns, or dense columns at full
-# height), its recurrence arrays and its assembly temporaries. `score_edges`
-# sizes each batch from what the previous one stored per endpoint column, the
+# height), its recurrence arrays and its assembly temporaries. `score` sizes
+# each batch from what the previous one stored per endpoint column, the
 # first as a sparse batch whose balls hold every node.
 BATCH_BYTES = 4 << 20
 # A batch whose level-K endpoint columns were filled above this fraction is
@@ -197,9 +199,9 @@ class DeltaWorkspace:
 
     Holds P_k = A_hat^k [L | 1] for k <= K and, on the target rows, the
     filtered baseline's row sums, label mass and per-node influences.
-    `score_edges` scores edges in batches sized by BATCH_BYTES and `score(e)`
-    is a batch of one; a score is bitwise the same whichever batch, and
-    whichever level format, computes it.
+    `score` scores any list of edges in batches sized by BATCH_BYTES; a score
+    is bitwise the same whichever batch, and whichever level format, computes
+    it, so a list of one edge scores it as a longer list does.
     """
 
     __slots__ = ("g", "adj", "spec", "labels", "lam", "target", "target_mask",
@@ -248,11 +250,7 @@ class DeltaWorkspace:
         check_finite_rows(U)
         return cls(g, adj, spec, labels, lam, target, P, U)
 
-    def score(self, e: int) -> TopoInfScore:
-        """Exact score of removing edge `e`."""
-        return TopoInfScore(*(a.item() for a in self.score_edges([e])))
-
-    def score_edges(self, edges) -> tuple[np.ndarray, np.ndarray]:
+    def score(self, edges) -> tuple[np.ndarray, np.ndarray]:
         """Exact scores of removing each of `edges` alone, in the given order:
         the values (float64, -inf for an excluded edge) and the counts of
         target nodes whose influence term changed (int64).
@@ -724,7 +722,7 @@ def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float =
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "incremental":
         ws = DeltaWorkspace.build(g, spec, labels, target, lam)
-        values, affected = ws.score_edges(np.arange(g.edge_count))
+        values, affected = ws.score(np.arange(g.edge_count))
     else:
         base = compatibility(g, spec, labels, target, lam)
         steps = [removal_step(g, spec, labels, base, e)[0] for e in range(g.edge_count)]
@@ -778,7 +776,7 @@ def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
         ws = DeltaWorkspace.build(current, spec, labels, target_arr, lam)
         stale = np.arange(current.edge_count) if start is None else \
             _stale_edges(current, g.edges[removed[start:]].ravel(), target_mask, spec.k)
-        fresh = ws.score_edges(stale)[0]
+        fresh = ws.score(stale)[0]
         values[alive[stale]] = fresh
         positive = signs(fresh) == "positive"
         for x, e in zip(fresh[positive].tolist(), alive[stale[positive]].tolist()):
@@ -789,7 +787,7 @@ def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
             # skip an edge removed or rescored since this entry was pushed, and
             # one that would now isolate a target node (its true score is -inf)
             if values[e] != -neg or lam > 0 and any(
-                    target_mask[x] and current.degree(x) == 1 for x in g.edges[e].tolist()):
+                    target_mask[x] and current.degrees[x] == 1 for x in g.edges[e].tolist()):
                 continue
             pos = int(np.searchsorted(alive, e))
             current = current.remove_edge(pos)

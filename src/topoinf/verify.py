@@ -4,7 +4,7 @@ These are the runnable counterparts of the library's correctness claims, in
 a form both the command line (`topoinf verify`) and the test suite execute:
 
 * oracle: on seeded random labeled graphs, the score of every edge from the
-  batched rank-4 delta engine (`DeltaWorkspace.score_edges`) must match the
+  batched rank-4 delta engine (`DeltaWorkspace.score`) must match the
   full-recompute score to 1e-10, and all influence changes must stay inside
   the K-hop neighborhood of the removed edge's endpoints.
 * theorem2: on seeded block-model samples, the row-normalized low-pass
@@ -81,7 +81,7 @@ def check_edge_scores(g: Graph, labels: LabelData, spec, lam: float = 0.0,
     ws = DeltaWorkspace.build(g, spec, labels, target, lam)
     base = compatibility(g, spec, labels, ws.target, lam)
     out = EdgeCheck(edges=g.edge_count)
-    for e, value in enumerate(ws.score_edges(np.arange(g.edge_count))[0].tolist()):
+    for e, value in enumerate(ws.score(np.arange(g.edge_count))[0].tolist()):
         oracle, new = removal_step(g, spec, labels, base, e)
         # equal values (both -inf for an excluded edge) differ by 0, -inf
         # against a finite value by inf

@@ -39,6 +39,14 @@ def make_labels(c, hard):
     return LabelData(c, np.asarray(hard, dtype=np.int64))
 
 
+def edge_id(g, u, v) -> int:
+    """Row of the edge {u, v} in `g.edges`; KeyError if `g` has no such edge."""
+    hit = np.flatnonzero((g.edges == sorted((u, v))).all(axis=1))
+    if not hit.size:
+        raise KeyError(f"no edge ({u}, {v})")
+    return int(hit[0])
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process behind, running or unreaped."""

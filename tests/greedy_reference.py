@@ -9,6 +9,8 @@ import numpy as np
 
 from topoinf import compatibility, score_all_edges
 
+from conftest import edge_id
+
 
 def reference_greedy(g, spec, labels, target=None, lam=0.0, max_removals=1,
                      rescore_every=1):
@@ -28,7 +30,7 @@ def reference_greedy(g, spec, labels, target=None, lam=0.0, max_removals=1,
         while pending:
             cand = pending.pop(0)
             # a candidate that would now isolate a target node scores -inf
-            if lam > 0 and any(mask[x] and current.degree(x) == 1 for x in cand[:2]):
+            if lam > 0 and any(mask[x] and current.degrees[x] == 1 for x in cand[:2]):
                 continue
             step = cand
             break
@@ -38,7 +40,7 @@ def reference_greedy(g, spec, labels, target=None, lam=0.0, max_removals=1,
             since = rescore_every
             continue
         u, v, value = step
-        current = current.remove_edge(current.edge_id(u, v))
+        current = current.remove_edge(edge_id(current, u, v))
         c_after = compatibility(current, spec, labels, target, lam).C
         trace.append((u, v, value, c_after))
         since += 1

@@ -29,7 +29,7 @@ from topoinf.verify import (
     run_theorem2_suite,
 )
 
-from conftest import TRIANGLE_EDGES, TRIANGLE_LABELS
+from conftest import TRIANGLE_EDGES, TRIANGLE_LABELS, edge_id
 from dense_oracle import dense_compat, dense_topoinf
 
 
@@ -71,7 +71,7 @@ def test_criterion_3_triangle_fixture():
     assert want_gain == pytest.approx(0.528792564828473, abs=1e-12)
 
     c = compatibility(g, spec, labels, lam=0.0).C
-    e = g.edge_id(0, 2)
+    e = edge_id(g, 0, 2)
     gain = topoinf_oracle(g, spec, labels, lam=0.0, e=e).value
     gain_reg = topoinf_oracle(g, spec, labels, lam=0.1, e=e).value
     ok = (abs(c - 5 / 3) <= 1e-9

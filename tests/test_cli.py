@@ -13,6 +13,8 @@ from topoinf.filters import MAX_ORDER
 from topoinf.graphs import MAX_NODES
 from topoinf.verify import random_labeled_graph
 
+from conftest import edge_id
+
 TRIANGLE = "# nodes=3\n0 1\n0 2\n1 2\n"
 TRIANGLE_LABELS = "# classes=2\n0 0\n1 0\n2 1\n"
 TRIANGLE_SOFT = "0 0.8 0.2\n1 0.6 0.4\n2 0.1 0.9\n"
@@ -223,7 +225,7 @@ def test_rewire_writes_input_minus_trace(tmp_path, mode):
                                          for x, c in zip(scores, c_after)]
     elif mode == "topoinf":
         values = score_all_edges(g, spec, labels, lam=0.1).values
-        assert [r[2:] for r in rows] == [[f"{values[g.edge_id(u, v)]:.12g}", ""]
+        assert [r[2:] for r in rows] == [[f"{values[edge_id(g, u, v)]:.12g}", ""]
                                          for u, v in gone]
     else:
         assert all(r[2:] == ["", ""] for r in rows)
@@ -584,8 +586,17 @@ BAD_RATIO = [
     pytest.param(TRIANGLE, FEATURES, SCORE + ["--k", str(MAX_ORDER + 1)], "--k",
                  id="oversized-order"),
     pytest.param(TRIANGLE, FEATURES, GEN + ["--sigma", "nan"], "sigma", id="nan-sigma"),
-    pytest.param(TRIANGLE, FEATURES, GEN + ["--mu-scale", "inf"], "mu_scale",
+    # each bad value fails naming its flag, before the library's own check
+    pytest.param(TRIANGLE, FEATURES, GEN + ["--mu-scale", "inf"], "--mu-scale inf",
                  id="inf-mu-scale"),
+    *(pytest.param(TRIANGLE, FEATURES, argv + extra, name, id=argv[0] + "".join(extra))
+      for argv, extra, name in (
+          (PSEUDO, ["--lr", "-1"], "--lr -1.0"),
+          (PSEUDO, ["--l2", "nan"], "--l2 nan"),
+          (GEN, ["--classes", "1"], "--classes 1"),
+          (GEN, ["--dim", "0"], "--dim 0"),
+          (GEN, ["--classes", "3"], "--dim 2: --mu-scheme orthogonal_scaled"),
+          (TOPOINF, ["--greedy", "--rescore-every", "0"], "--rescore-every 0"))),
     pytest.param(TRIANGLE, "", ["analyze", "--target", "{tmp}/g.input", "--output",
                                 "{tmp}/out.json"], "--target", id="empty-target"),
     pytest.param(TRIANGLE, FEATURES, DROPEDGE + ["--emit-epochs", "-1"], "--emit-epochs",
@@ -636,7 +647,7 @@ def test_input_failures_exit_two(tmp_path, capsys, graph_text, input_text, argv,
     code = run([argv[0], *io, *argv[1:]])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and name in err
+    assert err.startswith("error:") and name in err and err.count("\n") == 1
     assert not list(tmp_path.glob("out*"))
 
 

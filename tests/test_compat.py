@@ -156,7 +156,7 @@ class TestCompatibility:
                                                            walk_filter):
         # soft rows equal to the one-hot truth: both modes propagate the same
         # matrix and pick the same entries, so C agrees bitwise
-        lab2 = LabelData(2, triangle_labels.labels, soft=triangle_labels.one_hot())
+        lab2 = LabelData(2, triangle_labels.labels, soft=triangle_labels.dense_rows())
         hard = compatibility(triangle, walk_filter, triangle_labels, lam=0.0).C
         soft = compatibility(triangle, walk_filter, lab2, lam=0.0).C
         assert soft == hard

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import topoinf
+from topoinf import DeltaWorkspace, Graph, LabelData, NormalizedAdjacency
 
 MODULES = [info.name for info in pkgutil.iter_modules(topoinf.__path__)]
 
@@ -31,6 +32,13 @@ def test_removed_names_not_exported(name):
     assert name not in topoinf.__all__
 
 
+@pytest.mark.parametrize("owner, name", [(Graph, "edge_id"), (NormalizedAdjacency, "matrix"),
+                                         (LabelData, "one_hot"),
+                                         (DeltaWorkspace, "score_edges")])
+def test_removed_methods_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
 COLD_PATH = """
 import sys
 import topoinf, topoinf.cli
@@ -47,10 +55,8 @@ compatibility(g, FilterSpec("appnp", 10), labels)
 score_all_edges(g, FilterSpec("appnp", 10), labels)   # dense batches
 score_all_edges(g, FilterSpec("sgc", 2), labels)      # sparse batches first
 greedy_refine(g, FilterSpec("sgc", 2), labels, lam=0.1, max_removals=2)
-adj = normalized_adjacency(g)
+normalized_adjacency(g)
 print("scipy" in sys.modules, "scipy.sparse" in sys.modules)
-adj.matrix
-print("scipy.sparse" in sys.modules)
 """
 
 
@@ -58,11 +64,10 @@ def test_seeded_data_path_leaves_scipy_unloaded():
     """Importing topoinf, drawing a block model and writing it never load
     scipy, and neither do building Â, a compatibility report, scoring every
     edge in dense and in sparse batches, and greedy rewiring: they load only
-    scipy's compiled kernels. Reading `NormalizedAdjacency.matrix` loads
-    scipy.sparse."""
+    scipy's compiled kernels, and scipy.sparse stays unloaded to the end."""
     src = Path(topoinf.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", COLD_PATH], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "False", "True"]
+    assert proc.stdout.split() == ["False", "False", "False"]

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from topoinf import (
     Graph,
@@ -17,6 +16,7 @@ from topoinf.cli import _features
 from topoinf.graphs import LabelData, load_target
 from topoinf.pseudo import load_soft_tsv
 
+from conftest import edge_id
 from dense_oracle import dense_norm_adj
 
 
@@ -161,7 +161,7 @@ class TestGraph:
     def test_from_edges_dedup_and_canonical(self):
         g = Graph.from_edges(4, [(2, 1), (1, 2), (3, 0)])
         assert g.edges.tolist() == [[0, 3], [1, 2]]
-        assert g.edge_id(2, 1) == 1
+        assert edge_id(g, 2, 1) == 1
 
     def test_degree_sum_is_twice_edges(self):
         rng = np.random.default_rng(0)
@@ -190,20 +190,12 @@ class TestGraph:
         with pytest.raises(ValueError, match=message):
             Graph.from_edges(n, edges)
 
-    # (2, 3) sorts after every edge, (0, 2) between two
-    @pytest.mark.parametrize("u, v", [(0, 2), (2, 0), (2, 3)])
-    def test_edge_id_of_missing_edge(self, u, v):
-        g = Graph.from_edges(4, [(0, 1), (1, 2)])
-        with pytest.raises(KeyError, match=f"no edge \\({u}, {v}\\)"):
-            g.edge_id(u, v)
-        assert g.edge_id(2, 1) == 1
-
     def test_neighbors_sorted(self):
         g = Graph.from_edges(5, [(4, 0), (0, 2), (0, 1)])
         assert g.neighbors(0).tolist() == [1, 2, 4]
 
     def test_remove_edge_makes_path(self, triangle):
-        g = triangle.remove_edge(triangle.edge_id(0, 2))
+        g = triangle.remove_edge(edge_id(triangle, 0, 2))
         assert g.edges.tolist() == [[0, 1], [1, 2]]
         assert g.degrees.tolist() == [1, 2, 1]
         # original untouched
@@ -240,20 +232,27 @@ class TestGraph:
             assert fast.indices.tolist() == slow.indices.tolist()
 
 
+def _dense(adj):
+    """Â as a dense array, from its CSR arrays."""
+    indptr, indices, data, shape = adj.csr
+    out = np.zeros(shape)
+    out[np.repeat(np.arange(shape[0]), np.diff(indptr)), indices] = data
+    return out
+
+
 class TestNormalizedAdjacency:
     def test_single_isolated_node(self):
-        g = Graph.from_edges(2, [(0, 1)])  # placeholder to build a 1-node case below
         one = Graph.from_edges(1, np.empty((0, 2), dtype=np.int64))
         adj = normalized_adjacency(one)
-        assert adj.matrix.toarray().tolist() == [[1.0]]
+        assert _dense(adj).tolist() == [[1.0]]
 
     def test_two_nodes(self):
         adj = normalized_adjacency(Graph.from_edges(2, [(0, 1)]))
-        assert np.allclose(adj.matrix.toarray(), 0.5)  # 1/sqrt(2*2)
+        assert np.allclose(_dense(adj), 0.5)  # 1/sqrt(2*2)
 
     def test_triangle_all_one_third(self, triangle):
         adj = normalized_adjacency(triangle)
-        assert np.allclose(adj.matrix.toarray(), 1.0 / 3.0)
+        assert np.allclose(_dense(adj), 1.0 / 3.0)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
@@ -262,20 +261,20 @@ class TestNormalizedAdjacency:
         g = Graph.from_edges(15, pairs)
         adj = normalized_adjacency(g)
         ref = dense_norm_adj(15, g.edges.tolist())
-        assert np.allclose(adj.matrix.toarray(), ref, atol=1e-15)
+        assert np.allclose(_dense(adj), ref, atol=1e-15)
 
     def test_bitwise_symmetric(self):
         rng = np.random.default_rng(11)
         pairs = rng.integers(0, 40, size=(150, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         g = Graph.from_edges(40, pairs)
-        dense = normalized_adjacency(g).matrix.toarray()
+        dense = _dense(normalized_adjacency(g))
         assert np.array_equal(dense, dense.T)
 
     def test_entries_positive_pattern(self, triangle):
-        adj = normalized_adjacency(triangle)
-        assert (adj.matrix.data > 0).all()
-        assert adj.matrix.nnz == 2 * triangle.edge_count + triangle.n
+        indptr, _, data, _ = normalized_adjacency(triangle).csr
+        assert (data > 0).all()
+        assert indptr[-1] == data.size == 2 * triangle.edge_count + triangle.n
 
 
 def _insert_self_loops(g):
@@ -288,7 +287,7 @@ def _insert_self_loops(g):
     indices = np.insert(g.indices, g.indptr[:-1] + below, diag)
     indptr = g.indptr + np.arange(g.n + 1, dtype=np.int64)
     vals = s[np.repeat(diag, g.degrees + 1)] * s[indices]
-    return sp.csr_matrix((vals, indices, indptr), shape=(g.n, g.n))
+    return indptr, indices, vals
 
 
 @pytest.mark.parametrize("n, m, seed", [
@@ -299,9 +298,9 @@ def test_normalized_adjacency_matches_insert(n, m, seed):
     with isolated nodes (30 nodes and 20 drawn pairs leave several) and n = 1."""
     pairs = np.random.default_rng(seed).integers(0, n, size=(m, 2))
     g = Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
-    got, want = normalized_adjacency(g).matrix, _insert_self_loops(g)
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
+    got, want = normalized_adjacency(g).csr, _insert_self_loops(g)
+    assert got[3] == (n, n)
+    for name, a, b in zip(("indptr", "indices", "data"), got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
@@ -356,14 +355,14 @@ class TestKhop:
 class TestLabelData:
     def test_one_hot_exactly_one_per_row(self):
         lab = LabelData(3, [0, 2, 1])
-        oh = lab.one_hot()
+        oh = lab.dense_rows()
         assert (oh.sum(axis=1) == 1.0).all()
         assert oh[1, 2] == 1.0
 
     def test_one_hot_requires_all_labeled(self):
         lab = LabelData(2, [0, -1])
         with pytest.raises(ValueError, match="pseudo"):
-            lab.one_hot()
+            lab.dense_rows()
 
     def test_soft_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from topoinf import (
 from topoinf import influence
 from topoinf.verify import check_edge_scores, random_labeled_graph, run_oracle_suite
 
+from conftest import edge_id
 from dense_oracle import dense_rownorm_filter, dense_topoinf, dense_topoinf_rows
 from greedy_reference import reference_greedy
 
@@ -42,7 +43,7 @@ K22_GAIN = 0.387891283987039               # any edge of K_{2,2}, classes = side
 class TestOracle:
     def test_triangle_remove_cross_edge(self, triangle, triangle_labels, walk_filter):
         s = topoinf_oracle(triangle, walk_filter, triangle_labels, lam=0.0,
-                           e=triangle.edge_id(0, 2))
+                           e=edge_id(triangle, 0, 2))
         assert s.value == pytest.approx(TRIANGLE_GAIN_02, abs=1e-12)
         assert _sign(s.value) == "positive"
         assert s.affected_nodes == 3
@@ -54,7 +55,7 @@ class TestOracle:
 
     def test_triangle_with_regularizer(self, triangle, triangle_labels, walk_filter):
         s = topoinf_oracle(triangle, walk_filter, triangle_labels, lam=0.1,
-                           e=triangle.edge_id(0, 2))
+                           e=edge_id(triangle, 0, 2))
         assert s.value == pytest.approx(TRIANGLE_GAIN_02_LAM01, abs=1e-12)
 
     def test_identity_filter_scores_zero(self, triangle, triangle_labels, identity_filter):
@@ -82,25 +83,25 @@ class TestIncremental:
     def test_matches_oracle_on_triangle(self, triangle, triangle_labels, walk_filter):
         ws = DeltaWorkspace.build(triangle, walk_filter, triangle_labels, lam=0.0)
         for e in range(3):
-            inc = ws.score(e)
+            (value,), (affected,) = ws.score([e])
             orc = topoinf_oracle(triangle, walk_filter, triangle_labels, lam=0.0, e=e)
-            assert inc.value == pytest.approx(orc.value, abs=1e-12)
-            assert inc.affected_nodes == orc.affected_nodes == 3
+            assert value == pytest.approx(orc.value, abs=1e-12)
+            assert affected == orc.affected_nodes == 3
 
     @pytest.mark.parametrize("edges", [[0, 3], [-1], [[0, 1], [2, 7]]])
     def test_out_of_range_edge_rejected(self, triangle, triangle_labels, walk_filter, edges):
         ws = DeltaWorkspace.build(triangle, walk_filter, triangle_labels)
         with pytest.raises(IndexError, match=r"edge index (3|-1|7) out of range \[0, 3\)"):
-            ws.score_edges(edges)
+            ws.score(edges)
 
     def test_disjoint_component_scores_exact_zero(self, walk_filter):
         # two triangles; target confined to the second component
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
         labels = LabelData(2, [0, 0, 1, 0, 0, 1])
         ws = DeltaWorkspace.build(g, walk_filter, labels, target=[3, 4, 5], lam=0.0)
-        s = ws.score(g.edge_id(0, 1))
-        assert s.value == 0.0
-        assert s.affected_nodes == 0
+        (value,), (affected,) = ws.score([edge_id(g, 0, 1)])
+        assert value == 0.0
+        assert affected == 0
 
     def test_rounding_is_not_a_change(self):
         """A uniform soft label's term cannot change. Rounding leaves it a few
@@ -112,7 +113,7 @@ class TestIncremental:
         labels = LabelData(2, np.zeros(5, dtype=np.int64), soft=soft)
         spec = FilterSpec("sgc", 1)
         whole, part, rest = (
-            DeltaWorkspace.build(g, spec, labels, target=t).score_edges(range(3))[1].tolist()
+            DeltaWorkspace.build(g, spec, labels, target=t).score(range(3))[1].tolist()
             for t in (range(5), range(4), [4]))
         assert part == [0, 0, 0]
         assert whole == rest == [1, 1, 1]
@@ -171,17 +172,17 @@ class TestIncremental:
         target = np.arange(0, 40, 3)
         ws = DeltaWorkspace.build(g, walk_filter, labels, target=target, lam=0.0)
         for e in range(0, g.edge_count, 5):
-            inc = ws.score(e)
+            (value,), _ = ws.score([e])
             orc = topoinf_oracle(g, walk_filter, labels, target=target, lam=0.0, e=e)
-            assert inc.value == pytest.approx(orc.value, abs=1e-10)
+            assert value == pytest.approx(orc.value, abs=1e-10)
 
     def test_locality_of_affected_nodes(self, walk_filter):
         g, labels = random_labeled_graph(60, 4, 3, seed=7)
         ws = DeltaWorkspace.build(g, walk_filter, labels, lam=0.0)
         for e in range(0, g.edge_count, 4):
-            s = ws.score(e)
+            _, (affected,) = ws.score([e])
             hood = set(khop_set(g, g.edges[e], 1).tolist())
-            assert s.affected_nodes <= len(hood)
+            assert affected <= len(hood)
 
     def test_non_normalizable_rows_rejected(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -196,9 +197,9 @@ class TestIncremental:
         spec = FilterSpec("sgc", 2)
         ws = DeltaWorkspace.build(g, spec, lab2)
         for e in range(0, g.edge_count, 3):
-            inc = ws.score(e)
+            (value,), _ = ws.score([e])
             orc = topoinf_oracle(g, spec, lab2, e=e)
-            assert inc.value == pytest.approx(orc.value, abs=1e-10)
+            assert value == pytest.approx(orc.value, abs=1e-10)
 
     def test_large_graph_completes_and_spot_checks(self):
         # ~10k edges: incremental pass completes; sampled edges match recompute
@@ -233,7 +234,7 @@ class TestBatchIndependence:
             target = np.arange(0, g.n, 3)
             ws = DeltaWorkspace.build(g, FilterSpec("sgc", 2), labels, target=target,
                                       lam=0.3)
-            assert "excluded" in influence.signs(ws.score_edges(range(g.edge_count))[0])
+            assert "excluded" in influence.signs(ws.score(range(g.edge_count))[0])
             return ws
         if case == "sgc2_hundreds":
             g, labels = random_labeled_graph(1000, 3, 4, seed=22)
@@ -269,20 +270,20 @@ class TestBatchIndependence:
             return batch(ws_, edges, dense)
 
         monkeypatch.setattr(DeltaWorkspace, "_score_batch", recording)
-        default = self._bits(*ws.score_edges(np.arange(m)))
+        default = self._bits(*ws.score(np.arange(m)))
         default_size = sizes[0]
         assert default_size > 4
         if case == "sgc2_hundreds":
             assert max(sizes) >= 200
         if case == "block_and_tail":
             assert any(len({self._is_wide(ws, e) for e in b}) == 2 for b in batches)
-        singles = self._bits(*zip(*[ws.score(e) for e in range(m)]))
+        singles = self._bits(*map(np.concatenate, zip(*[ws.score([e]) for e in range(m)])))
         perm = np.random.default_rng(3).permutation(m)
         back = np.argsort(perm)
-        unshuffled = self._bits(*(a[back] for a in ws.score_edges(perm)))
+        unshuffled = self._bits(*(a[back] for a in ws.score(perm)))
         sizes.clear()
         monkeypatch.setattr(influence, "BATCH_BYTES", influence.BATCH_BYTES // 3)
-        smaller = self._bits(*ws.score_edges(np.arange(m)))
+        smaller = self._bits(*ws.score(np.arange(m)))
         assert 1 < sizes[0] < default_size
         assert singles == default
         assert unshuffled == default
@@ -298,7 +299,7 @@ class TestBatchIndependence:
         for dense in (False, True):
             monkeypatch.setattr(DeltaWorkspace, "_score_batch",
                                 lambda ws_, e, _, dense=dense: batch(ws_, e, dense))
-            got[dense] = self._bits(*ws.score_edges(edges))
+            got[dense] = self._bits(*ws.score(edges))
         assert got[False] == got[True]
 
     def test_level_k_missing_a_lower_level_key(self, monkeypatch):
@@ -349,10 +350,11 @@ class TestBatchIndependence:
         rng = np.random.default_rng(5)
         some = rng.choice(m, size=min(m, 150), replace=False)
         edges = rng.permutation(np.concatenate([some, some[:40], some[:10]]))
-        got = ws.score_edges(edges)
+        got = ws.score(edges)
         assert got[0].shape == got[1].shape == edges.shape
-        single = {e: ws.score(e) for e in some.tolist()}
-        assert self._bits(*got) == self._bits(*zip(*[single[e] for e in edges.tolist()]))
+        single = {e: ws.score([e]) for e in some.tolist()}
+        assert self._bits(*got) == \
+            self._bits(*map(np.concatenate, zip(*[single[e] for e in edges.tolist()])))
 
 
 def _scores_in_pool_worker(case):
@@ -401,9 +403,9 @@ class TestShares:
         ws = self._workspace(case)
         edges = np.arange(ws.g.edge_count)
         monkeypatch.setattr(influence, "_workers", lambda: 1)
-        serial = TestBatchIndependence._bits(*ws.score_edges(edges))
+        serial = TestBatchIndependence._bits(*ws.score(edges))
         shares = self._split(monkeypatch, workers)
-        assert TestBatchIndependence._bits(*ws.score_edges(edges)) == serial
+        assert TestBatchIndependence._bits(*ws.score(edges)) == serial
         assert [len(parts) for parts in shares] == [workers]
 
     def test_child_error_reaches_caller(self, monkeypatch):
@@ -416,11 +418,11 @@ class TestShares:
         edges = np.arange(g.edge_count)
         monkeypatch.setattr(influence, "_workers", lambda: 1)
         with pytest.raises(ValueError) as serial:
-            ws.score_edges(edges)
+            ws.score(edges)
         shares = self._split(monkeypatch, 2)
         with pytest.raises(ValueError) as split:
-            ws.score_edges(edges)
-        assert g.edge_id(401, 402) in shares[0][1]    # the child's share
+            ws.score(edges)
+        assert edge_id(g, 401, 402) in shares[0][1]    # the child's share
         assert type(split.value) is type(serial.value)
         assert str(split.value) == str(serial.value)
         assert "non-normalizable for nodes [401]" in str(split.value)
@@ -430,7 +432,7 @@ class TestShares:
         ws = self._workspace("appnp10")
         edges = np.arange(ws.g.edge_count)
         monkeypatch.setattr(influence, "_workers", lambda: 1)
-        serial = TestBatchIndependence._bits(*ws.score_edges(edges))
+        serial = TestBatchIndependence._bits(*ws.score(edges))
         shares = self._split(monkeypatch, 2)
         parent, run = os.getpid(), DeltaWorkspace._score_run
 
@@ -446,7 +448,7 @@ class TestShares:
             monkeypatch.setattr(os, "fork", fork)
         else:
             monkeypatch.setattr(DeltaWorkspace, "_score_run", dying)
-        assert TestBatchIndependence._bits(*ws.score_edges(edges)) == serial
+        assert TestBatchIndependence._bits(*ws.score(edges)) == serial
         assert [len(parts) for parts in shares] == [2]
 
     def test_inside_a_pool_worker(self, monkeypatch):
@@ -496,7 +498,7 @@ class TestWalkOrder:
         monkeypatch.setattr(influence, "_workers", lambda: 1)   # every batch in this process
         tracemalloc.start()
         try:
-            ws.score_edges(np.arange(ws.g.edge_count))
+            ws.score(np.arange(ws.g.edge_count))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -666,11 +668,25 @@ class TestGreedyRefine:
         spec, target, lam, every = FilterSpec("sgc", 1), np.arange(1, 9, 2), 0.1, 3
         want, want_trace = reference_greedy(g, spec, labels, target, lam,
                                             max_removals=g.edge_count, rescore_every=every)
-        # greedy_refine reads a degree only to test a candidate's target endpoints
+        # greedy_refine reads one node's degree, `degrees[x]` with an int x, only
+        # to test a candidate's target endpoints; record those reads
         seen = []
-        degree = Graph.degree
-        monkeypatch.setattr(Graph, "degree",
-                            lambda self, v: seen.append(degree(self, v)) or seen[-1])
+
+        class Reads(np.ndarray):
+            def __getitem__(self, key):
+                out = super().__getitem__(key)
+                if isinstance(key, int):
+                    seen.append(int(out))
+                return out
+
+        remove_edge = Graph.remove_edge
+
+        def recording(self, e):
+            out = remove_edge(self, e)
+            out.degrees = out.degrees.view(Reads)
+            return out
+
+        monkeypatch.setattr(Graph, "remove_edge", recording)
         removed, scores, c_after = greedy_refine(g, spec, labels, target, lam,
                                                  max_removals=g.edge_count,
                                                  rescore_every=every)
@@ -700,7 +716,7 @@ def _path_values(path, g, spec, labels):
         return [topoinf_oracle(g, spec, labels, e=e).value for e in range(g.edge_count)]
     if path == "DeltaWorkspace":
         ws = DeltaWorkspace.build(g, spec, labels)
-        return ws.score_edges(np.arange(g.edge_count))[0].tolist()
+        return ws.score(np.arange(g.edge_count))[0].tolist()
     if path == "greedy_refine":
         _, scores, c_after = greedy_refine(g, spec, labels, max_removals=1)
         return [scores[0], c_after[0]]
@@ -736,7 +752,7 @@ def test_soft_labels_decide_the_influence(path):
     spec = FilterSpec("appnp", 2, alpha=0.2)
     gamma = spec.coefficients
     want_soft = _dense_values(path, g, soft, gamma)
-    want_hard = _dense_values(path, g, hard.one_hot(), gamma)
+    want_hard = _dense_values(path, g, hard.dense_rows(), gamma)
     assert not np.allclose(want_soft, want_hard, atol=1e-6)
     got_soft = _path_values(path, g, spec, LabelData(3, hard.labels, soft=soft))
     got_hard = _path_values(path, g, spec, LabelData(3, hard.labels))

@@ -84,7 +84,7 @@ def test_engine_matches_dense_oracle(case):
     data = LabelData(c, hard, soft=soft)
     rows = soft if soft is not None else np.eye(c)[hard]
     ws = DeltaWorkspace.build(g, spec, data, target, lam)
-    values, affected = ws.score_edges(np.arange(g.edge_count))
+    values, affected = ws.score(np.arange(g.edge_count))
     for edge, value, sign, count in zip(g.edges.tolist(), values.tolist(),
                                         signs(values).tolist(), affected.tolist()):
         want = dense_topoinf_rows(n, edges, rows, gamma, lam, tuple(edge), target)
@@ -120,7 +120,7 @@ def test_scores_add_over_disjoint_targets(case, split):
 
     def scores(part):
         ws = DeltaWorkspace.build(g, spec, label_data, part, lam)
-        return ws.score_edges(np.arange(g.edge_count))
+        return ws.score(np.arange(g.edge_count))
 
     (whole, whole_count), (one, one_count), (two, two_count) = \
         scores(target), scores(first), scores(second)
@@ -194,7 +194,7 @@ def test_removals_leave_unlisted_scores_unchanged(case, data):
 
     def scores(graph):
         ws = DeltaWorkspace.build(graph, spec, labels, target, lam)
-        values, affected = ws.score_edges(np.arange(graph.edge_count))
+        values, affected = ws.score(np.arange(graph.edge_count))
         return {(u, v): (x, a) for (u, v), x, a in
                 zip(graph.edges.tolist(), values.tolist(), affected.tolist())}
 

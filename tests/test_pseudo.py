@@ -127,7 +127,7 @@ class TestPredictions:
         pseudo = predict_pseudo(model, g, IDENTITY, feats, labels)
         assert (pseudo.labels == labels.labels).all()
         # every node is known, so every soft row is its one-hot truth
-        assert np.array_equal(pseudo.soft, labels.one_hot())
+        assert np.array_equal(pseudo.soft, labels.dense_rows())
 
     def test_soft_rows_sum_to_one(self):
         g, feats, labels = two_blob_instance(seed=7)

@@ -4,11 +4,13 @@
 
 REV's `src/`, `bench/` and `demos/` are extracted with `git archive` into a
 temporary directory, and REV's `bench/make_inputs.py` writes the benchmark
-inputs of seeds 0 and 1 there. Each command of `FIXED_COMMANDS` and
-`input_commands` then runs twice in one output directory, once on REV's
-`src` and once on the working tree's, and the two runs are compared on every
-file written, stdout, stderr and the exit code. The "timestamp" of a run manifest (a `.manifest.json` file, or a JSON
-line on stderr) is removed first; nothing else is. Each demo runs from its
+inputs of seeds 0 and 1 there; REV's `src` also writes the block model and
+pseudo labels of `csbm_commands`. Each command of `FIXED_COMMANDS`,
+`csbm_commands` and `input_commands` then runs twice in one output
+directory, once on REV's `src` and once on the working tree's, and the two
+runs are compared on every file written, stdout, stderr and the exit code.
+The "timestamp" of a run manifest (a `.manifest.json` file, or a JSON line
+on stderr) is removed first; nothing else is. Each demo runs from its
 own tree. One line is printed per difference; the exit code is 1 on any
 difference and 0 when there is none. Standard library only; everything is
 written under the temporary directory, which is removed at exit.
@@ -64,6 +66,38 @@ def input_commands(bench: Path, inputs: Path) -> list:
         ("analyze-appnp10", ["analyze", *io_flags, "--model", "appnp", "--k", "10"]),
         ("score-sgc3", ["score", *io_flags, "--model", "sgc", "--k", "3",
                         "--output", "{out}/s.tsv"]),
+    ]
+
+
+def csbm_commands(src: Path, inputs: Path) -> list:
+    """(name, topoinf argv) of the soft-label, pseudo-label and exact-mode
+    commands. Their inputs are written first with `src`: a 300-node block
+    model, a labels file that keeps every fifth node, and that file's pseudo
+    labels (hard and soft)."""
+    def topoinf(*argv):
+        subprocess.run([sys.executable, "-m", "topoinf.cli", *argv], check=True,
+                       env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True)
+
+    graph, labels, few, features, pseudo, soft = (
+        str(inputs / f) for f in ("g.edges", "g.labels", "few.labels", "g.features",
+                                  "p.labels", "p.soft.tsv"))
+    inputs.mkdir(parents=True)
+    topoinf("gen-csbm", "--n", "300", "--classes", "3", "--p", "0.03", "--q", "0.005",
+            "--dim", "8", "--seed", "2", "--output-prefix", str(inputs / "g"))
+    lines = Path(labels).read_text().splitlines()
+    Path(few).write_text("\n".join(lines[:1] + lines[1::5]) + "\n")
+    train = ["--graph", graph, "--labels", few, "--features", features]
+    topoinf("pseudo", *train, "--output-prefix", str(inputs / "p"))
+    with_soft = ["--graph", graph, "--labels", pseudo, "--soft-labels", soft]
+    exact = ["score", "--mode", "exact", "--output", "{out}/s.tsv"]
+    return [
+        ("pseudo", ["pseudo", *train, "--output-prefix", "{out}/p"]),
+        ("score-soft", ["score", *with_soft, "--output", "{out}/s.tsv"]),
+        ("score-soft-appnp10", ["score", *with_soft, "--model", "appnp", "--k", "10",
+                                "--output", "{out}/s.tsv"]),
+        ("analyze-soft", ["analyze", *with_soft]),
+        ("score-exact", [*exact, "--graph", graph, "--labels", labels]),
+        ("score-exact-soft", [*exact, *with_soft]),
     ]
 
 
@@ -127,7 +161,7 @@ def main(argv=None) -> int:
         rev = tmp / "rev"
         extract(args.rev, rev)
         src_old, src_new = rev / "src", ROOT / "src"
-        commands = list(FIXED_COMMANDS)
+        commands = FIXED_COMMANDS + csbm_commands(src_old, tmp / "inputs" / "csbm")
         for seed in SEEDS:
             inputs = tmp / "inputs" / f"seed{seed}"
             subprocess.run([sys.executable, str(rev / "bench" / "make_inputs.py"),
