@@ -354,6 +354,8 @@ def cmd_dropedge(args) -> int:
 
 def cmd_gen_csbm(args) -> int:
     _reject_unread(args, "--mix", args.preset is not None, "--preset reads")
+    if not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise ValueError(f"--sigma {args.sigma}: must be finite and non-negative")
     sizes = ("--n", "--classes", "--p", "--q", "--dim")
     if args.preset == "cora-like":
         for flag in (*sizes, "--mu-scheme", "--mu-scale"):
@@ -368,6 +370,9 @@ def cmd_gen_csbm(args) -> int:
         for flag in sizes:
             if flag not in args.given:
                 raise ValueError(f"{flag} is required without --preset")
+        for flag, x in (("--p", args.p), ("--q", args.q)):
+            if not 0 <= x <= 1:
+                raise ValueError(f"{flag} {x}: must lie in [0, 1]")
         if args.n > MAX_SBM_NODES:
             raise ValueError(f"--n {args.n}: at most {MAX_SBM_NODES} nodes")
         if not 2 <= args.classes <= args.n:
@@ -405,6 +410,8 @@ def cmd_gen_csbm(args) -> int:
 
 
 def cmd_pseudo(args) -> int:
+    if args.epochs < 1:
+        raise ValueError(f"--epochs {args.epochs}: must be at least 1")
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise ValueError(f"--lr {args.lr}: must be finite and positive")
     if not (math.isfinite(args.l2) and args.l2 >= 0):

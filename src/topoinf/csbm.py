@@ -5,7 +5,9 @@ seeded shuffle). Each unordered pair is an edge independently with
 probability p inside a community and q across communities (q > p, the
 heterophilic regime, is allowed). Features are X = F + N where row v of F is
 its community's center vector, mu[labels[v]], and N is i.i.d. Gaussian noise
-with standard deviation sigma.
+with standard deviation sigma. The noise is the generator's last draw, so it
+is drawn on the first read of `CsbmSample.X`: a caller that reads only the
+topology and labels never pays for the n x d matrix.
 
 The two runnable checks cover what a nonnegative, sum-one filter does to
 such data after row normalization: the largest distance from a node to any
@@ -16,7 +18,8 @@ never grows (equivalently ||RowNorm(f)||_F^2 <= n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +47,10 @@ MU_SCHEMES = ("orthogonal_scaled", "gaussian_random")
 MAX_SBM_NODES = 100_000
 # Most node pairs `sbm_edges` draws at once: 8 MiB of uniforms.
 SBM_BLOCK_PAIRS = 2 ** 20
-# Largest n * d `CsbmParams` accepts. `generate_csbm` forms the n x d float64
-# X = F + sigma * noise in place in the noise, 256 MiB at this bound, with the
-# gathered centers F a temporary of the same size, and `write_features`
+# Largest n * d `CsbmParams` accepts. The first read of `CsbmSample.X` forms
+# the n x d float64 X = F + sigma * noise in place in the noise, 256 MiB at
+# this bound, with the gathered centers F a temporary of the same size;
+# `generate_csbm` itself allocates nothing n x d. `write_features`
 # formats every value as text, one row at a time. The cora-like preset uses
 # 2708 x 1433, about 3.9 million values.
 MAX_FEATURE_VALUES = 2 ** 25
@@ -90,10 +94,26 @@ class CsbmParams:
 
 @dataclass
 class CsbmSample:
+    """A drawn block model. The features `X` = mu[communities] + sigma * noise
+    are formed on first read and cached, from the drawn communities and the
+    generator state recorded after the centers, so they are bitwise the
+    eager draw; a `dataclasses.replace` copy forms the same `X` again."""
+
     graph: Graph
     labels: LabelData
     mu: np.ndarray        # c x d community centers
-    X: np.ndarray         # mu[labels] + noise
+    _params: CsbmParams = field(repr=False)
+    _communities: np.ndarray = field(repr=False)
+    _noise_state: dict = field(repr=False)   # where the noise draw begins
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        rng = np.random.default_rng(self._params.seed)
+        rng.bit_generator.state = self._noise_state
+        X = rng.normal(size=(self._params.n, self._params.d))   # rounds as F + sigma * noise
+        X *= self._params.sigma
+        X += self.mu[self._communities]
+        return X
 
 
 def _community_centers(params: CsbmParams, rng) -> np.ndarray:
@@ -128,7 +148,9 @@ def sbm_edges(rng, communities: np.ndarray, p: float, q: float) -> np.ndarray:
 
 def generate_csbm(params: CsbmParams) -> CsbmSample:
     """Fully seeded draw. RNG consumption order is fixed (communities, edges
-    row by row, centers, noise), so samples are bit-reproducible."""
+    row by row, centers, noise), so samples are bit-reproducible. The noise
+    comes last and is drawn on the first read of `X`, from the generator
+    state recorded here."""
     rng = np.random.default_rng(params.seed)
     n, c = params.n, params.c
 
@@ -138,12 +160,8 @@ def generate_csbm(params: CsbmParams) -> CsbmSample:
     graph = Graph.from_edges(n, sbm_edges(rng, communities, params.p, params.q))
 
     mu = _community_centers(params, rng)
-    X = rng.normal(size=(n, params.d))   # the noise; rounds as F + sigma * noise
-    X *= params.sigma
-    X += mu[communities]
-
-    labels = LabelData(c, communities)
-    return CsbmSample(graph=graph, labels=labels, mu=mu, X=X)
+    return CsbmSample(graph=graph, labels=LabelData(c, communities), mu=mu, _params=params,
+                      _communities=communities, _noise_state=rng.bit_generator.state)
 
 
 def cora_like_params(mix=(0.9, 0.1), sigma: float = 1.0, seed: int = 0) -> CsbmParams:

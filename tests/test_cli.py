@@ -593,6 +593,12 @@ BAD_RATIO = [
       for argv, extra, name in (
           (PSEUDO, ["--lr", "-1"], "--lr -1.0"),
           (PSEUDO, ["--l2", "nan"], "--l2 nan"),
+          (PSEUDO, ["--epochs", "0"], "error: --epochs 0: must be at least 1"),
+          (GEN, ["--p", "2.0"], "error: --p 2.0: must lie in [0, 1]"),
+          (GEN, ["--q", "-0.5"], "error: --q -0.5: must lie in [0, 1]"),
+          (GEN, ["--q", "nan"], "error: --q nan: must lie in [0, 1]"),
+          (GEN, ["--sigma", "-1"], "error: --sigma -1.0: must be finite and non-negative"),
+          (PRESET, ["--sigma", "inf"], "error: --sigma inf: must be finite and non-negative"),
           (GEN, ["--classes", "1"], "--classes 1"),
           (GEN, ["--dim", "0"], "--dim 0"),
           (GEN, ["--classes", "3"], "--dim 2: --mu-scheme orthogonal_scaled"),
@@ -649,6 +655,14 @@ def test_input_failures_exit_two(tmp_path, capsys, graph_text, input_text, argv,
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err and err.count("\n") == 1
     assert not list(tmp_path.glob("out*"))
+
+
+def test_epochs_checked_before_any_file_is_read(tmp_path, capsys):
+    """`pseudo --epochs 0` names the flag even though no input file exists."""
+    missing = [str(tmp_path / name) for name in ("g.edges", "g.labels", "g.features")]
+    assert run(["pseudo", "--graph", missing[0], "--labels", missing[1], "--features",
+                missing[2], "--epochs", "0", "--output-prefix", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "error: --epochs 0: must be at least 1\n"
 
 
 # each input-file flag, a command that reads `{f}` as that file, and a file

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from topoinf import (
     CsbmParams,
     FilterSpec,
+    LabelData,
     check_distance_contraction,
     check_variance_reduction,
     cora_like_params,
@@ -13,9 +15,11 @@ from topoinf import (
     score_all_edges,
 )
 from topoinf import csbm
-from topoinf.csbm import MAX_FEATURE_VALUES, MAX_SBM_NODES, CsbmSample, sbm_edges, write_features
+from topoinf.csbm import (MAX_FEATURE_VALUES, MAX_SBM_NODES, MU_SCHEMES, sbm_edges,
+                          write_features)
 from topoinf.verify import random_labeled_graph
 
+from csbm_reference import reference_csbm
 from dense_oracle import expected_edge_count
 from sbm_reference import reference_sbm_edges
 
@@ -56,6 +60,39 @@ class TestGeneration:
         assert a.graph.edges.tolist() == b.graph.edges.tolist()
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.labels.labels, b.labels.labels)
+
+    @pytest.mark.parametrize("mu_scheme", MU_SCHEMES)
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    def test_features_match_eager_reference(self, mu_scheme, sigma):
+        """`X` is drawn on first read, yet bitwise the eager draw of
+        `reference_csbm`: read once or twice, and in a `dataclasses.replace`
+        copy made before or after the read. Reading it leaves the graph,
+        labels and centers as they were."""
+        params = CsbmParams(n=40, c=3, p=0.3, q=0.05, d=5, sigma=sigma,
+                            mu_scheme=mu_scheme, mu_scale=1.5, seed=12)
+        communities, edges, mu, X = reference_csbm(params)
+        sample = generate_csbm(params)
+        relabeled = LabelData(3, np.zeros(40, dtype=np.int64))
+        before = dataclasses.replace(sample, labels=relabeled)
+        assert "X" not in vars(sample) and "X" not in vars(before)
+
+        def unchanged():
+            assert sample.graph.edges.tobytes() == edges.tobytes()
+            assert sample.labels.labels.tobytes() == communities.tobytes()
+            assert sample.mu.tobytes() == mu.tobytes()
+
+        unchanged()
+        for x in (sample.X, sample.X, before.X,
+                  dataclasses.replace(sample, labels=relabeled).X):
+            assert x.dtype == X.dtype and x.shape == X.shape
+            assert x.tobytes() == X.tobytes()
+        assert "X" in vars(sample)
+        unchanged()
+
+    def test_cora_like_features_match_eager_reference(self):
+        params = cora_like_params(seed=0)
+        X = reference_csbm(params)[3]
+        assert generate_csbm(params).X.tobytes() == X.tobytes()
 
     def test_orthogonal_centers(self):
         params = CsbmParams(n=9, c=3, p=0.3, q=0.1, d=5, sigma=1.0,
@@ -153,11 +190,8 @@ class TestDistanceContraction:
 
     def test_single_community_is_vacuous(self):
         params = CsbmParams(n=6, c=2, p=0.5, q=0.1, d=4, sigma=0.0, seed=0)
-        base = generate_csbm(params)
-        from topoinf import LabelData
-        mono = CsbmSample(graph=base.graph,
-                          labels=LabelData(2, np.zeros(6, dtype=np.int64)),
-                          mu=base.mu, X=base.X)
+        mono = dataclasses.replace(generate_csbm(params),
+                                   labels=LabelData(2, np.zeros(6, dtype=np.int64)))
         rep = check_distance_contraction(mono, FilterSpec("sgc", 2))
         assert rep.vacuous and rep.violations.size == 0
 

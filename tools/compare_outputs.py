@@ -10,8 +10,9 @@ pseudo labels of `csbm_commands`. Each command of `FIXED_COMMANDS`,
 directory, once on REV's `src` and once on the working tree's, and the two
 runs are compared on every file written, stdout, stderr and the exit code.
 The "timestamp" of a run manifest (a `.manifest.json` file, or a JSON line
-on stderr) is removed first; nothing else is. Each demo runs from its
-own tree. One line is printed per difference; the exit code is 1 on any
+on stderr) is removed first; nothing else is. Each demo, and each tree's
+`bench/make_inputs.py` for every seed of SEEDS, runs from its own tree on
+its own `src`. One line is printed per difference; the exit code is 1 on any
 difference and 0 when there is none. Standard library only; everything is
 written under the temporary directory, which is removed at exit.
 """
@@ -106,6 +107,10 @@ FIXED_COMMANDS = [
                   "--dim", "5", "--seed", "4", "--output-prefix", "{out}/g"]),
     ("gen-csbm-cora-like", ["gen-csbm", "--preset", "cora-like", "--seed", "1",
                             "--output-prefix", "{out}/g"]),
+    # centers drawn between the edges and the noise
+    ("gen-csbm-gaussian", ["gen-csbm", "--n", "120", "--classes", "3", "--p", "0.1",
+                           "--q", "0.02", "--dim", "6", "--mu-scheme", "gaussian_random",
+                           "--sigma", "0.5", "--seed", "5", "--output-prefix", "{out}/g"]),
     ("verify-quick", ["verify", "--quick"]),
 ]
 
@@ -171,6 +176,10 @@ def main(argv=None) -> int:
                          for name, a in input_commands(rev / "bench", inputs)]
         cases = [(name, ["-m", "topoinf.cli", *a], ["-m", "topoinf.cli", *a])
                  for name, a in commands]
+        cases += [(f"make_inputs@seed{seed}",
+                   *([str(tree / "bench" / "make_inputs.py"), "--seed", str(seed),
+                      "--out", "{out}/inputs"] for tree in (rev, ROOT)))
+                  for seed in SEEDS]
         demos = sorted({p.name for tree in (rev, ROOT) for p in (tree / "demos").glob("*.py")})
         cases += [(f"demo {d}", [str(rev / "demos" / d)], [str(ROOT / "demos" / d)])
                   for d in demos]
