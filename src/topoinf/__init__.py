@@ -28,6 +28,7 @@ from .graphs import (
     GraphFormatError,
     LabelData,
     NormalizedAdjacency,
+    ParameterError,
     khop_set,
     load_edge_list,
     load_labels,

@@ -6,7 +6,9 @@ computes its outputs fully before writing any file, and writes all of them or
 none, so no partial artifacts are left behind. Data outputs are deterministic
 for a fixed seed; the run manifest (which carries a wall-clock timestamp) goes
 to a `.manifest.json` sidecar, or to stderr when the primary output goes to
-stdout. No output may name an input file of the run.
+stdout. No output may name an input file of the run. A bad flag value fails
+as one line, `error: <flag> <value>: <rule>`; a rule on a library parameter is
+stated there alone, and `FLAGS` maps the names whose flag is not `--<name>`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import math
 import os
 import sys
 import warnings
@@ -28,9 +29,10 @@ from . import __version__
 from .compat import compatibility, json_number
 from .csbm import (MAX_FEATURE_VALUES, MAX_SBM_NODES, CsbmParams, cora_like_params,
                    generate_csbm, write_features)
-from .filters import MAX_ORDER, PRESETS, FilterSpec
+from .filters import PRESETS, FilterSpec
 from .graphs import (
     LabelData,
+    ParameterError,
     load_edge_list,
     load_labels,
     load_target,
@@ -48,6 +50,7 @@ from .pseudo import (
 )
 from .rewire import (
     check_drop_fraction,
+    check_ratio,
     check_tau,
     dropedge_weights,
     epoch_seed,
@@ -67,6 +70,9 @@ MAX_EPOCHS = 1000
 # the argument names of the input files a run may read, in manifest order
 INPUTS = ("graph", "labels", "soft_labels", "target", "features")
 
+FLAGS = {"c": "--classes", "d": "--dim", "learning_rate": "--lr", "l2_penalty": "--l2",
+         "drop_fraction": "--drop-rate"}
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -76,15 +82,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _floats(flag: str, text: str) -> tuple:
-    """The comma-separated finite numbers given to `flag`."""
+def _floats(name: str, text: str) -> tuple:
+    """The comma-separated numbers given to the flag of parameter `name`."""
     try:
-        values = tuple(float(x) for x in text.split(","))
-        if all(math.isfinite(x) for x in values):
-            return values
+        return tuple(float(x) for x in text.split(","))
     except ValueError:
-        pass
-    raise ValueError(f"{flag} {text}: expected comma-separated finite numbers")
+        raise ParameterError(name, text, "expected comma-separated numbers") from None
 
 
 class _Given(argparse.Action):
@@ -103,12 +106,17 @@ def _reject_unread(args, flag: str, read: bool, readers: str):
         raise ValueError(f"{flag}: only {readers} it; drop the flag")
 
 
+def _require_lambda(args):
+    if "--lambda" not in args.given:
+        raise ValueError("--lambda is required for score-based rewiring")
+
+
 def _filter_spec(args) -> FilterSpec:
-    if not 1 <= args.k <= MAX_ORDER:
-        raise ValueError(f"--k {args.k}: the filter order must lie in [1, {MAX_ORDER}]")
+    if args.k < 1:   # the library also takes K = 0 with supplied coefficients
+        raise ParameterError("k", args.k, "must be at least 1")
     _reject_unread(args, "--alpha", args.model in ("s2gc", "appnp", "gcnii"),
                    "--model s2gc, appnp and gcnii read")
-    gamma = None if args.gamma is None else _floats("--gamma", args.gamma)
+    gamma = None if args.gamma is None else _floats("gamma", args.gamma)
     return FilterSpec(args.model, args.k, alpha=args.alpha, gamma=gamma)
 
 
@@ -277,14 +285,13 @@ def cmd_score(args) -> int:
 
 def cmd_rewire(args) -> int:
     topoinf = args.strategy == "topoinf"
-    if not 0 <= args.ratio <= 1:
-        raise ValueError(f"--ratio {args.ratio}: must lie in [0, 1]")
+    check_ratio(args.ratio)
     if args.greedy and not topoinf:
         raise ValueError("--greedy applies only to --strategy topoinf")
     if args.strategy != "random" and args.labels is None:
         raise ValueError(f"--strategy {args.strategy} requires --labels")
-    if topoinf and "--lambda" not in args.given:
-        raise ValueError("--lambda is required for score-based rewiring")
+    if topoinf:
+        _require_lambda(args)
     for flag, read, readers in (
             ("--seed", not topoinf, "--strategy random and adaedge read"),
             ("--set", args.strategy == "adaedge" or topoinf and not args.greedy,
@@ -294,8 +301,6 @@ def cmd_rewire(args) -> int:
               ("--lambda", "--target", "--model", "--k", "--alpha", "--gamma")),
             ("--labels", args.strategy != "random", "--strategy topoinf and adaedge read")):
         _reject_unread(args, flag, read, readers)
-    if args.rescore_every < 1:
-        raise ValueError(f"--rescore-every {args.rescore_every}: must be at least 1")
     spec = _filter_spec(args)
     g, labels, target = _load_inputs(args)
 
@@ -325,12 +330,11 @@ def cmd_rewire(args) -> int:
 
 
 def cmd_dropedge(args) -> int:
-    if "--lambda" not in args.given:
-        raise ValueError("--lambda is required for score-based rewiring")
+    _require_lambda(args)
     check_tau(args.tau)
     check_drop_fraction(args.drop_rate)
     if not 0 <= args.emit_epochs <= MAX_EPOCHS:
-        raise ValueError(f"--emit-epochs {args.emit_epochs}: must lie in [0, {MAX_EPOCHS}]")
+        raise ParameterError("emit_epochs", args.emit_epochs, f"must lie in [0, {MAX_EPOCHS}]")
     spec = _filter_spec(args)
     g, labels, target = _load_inputs(args)
     report = score_all_edges(g, spec, labels, target, args.lam)
@@ -354,39 +358,20 @@ def cmd_dropedge(args) -> int:
 
 def cmd_gen_csbm(args) -> int:
     _reject_unread(args, "--mix", args.preset is not None, "--preset reads")
-    if not (math.isfinite(args.sigma) and args.sigma >= 0):
-        raise ValueError(f"--sigma {args.sigma}: must be finite and non-negative")
     sizes = ("--n", "--classes", "--p", "--q", "--dim")
     if args.preset == "cora-like":
         for flag in (*sizes, "--mu-scheme", "--mu-scale"):
             if flag in args.given:
                 raise ValueError(f"{flag}: --preset cora-like fixes it; "
                                  "drop the flag or the preset")
-        mix = _floats("--mix", args.mix)
+        mix = _floats("mix", args.mix)
         if len(mix) != 2:
-            raise ValueError("--mix must be 'intra,inter'")
+            raise ParameterError("mix", mix, "expected two numbers, intra,inter")
         params = cora_like_params(mix=mix, sigma=args.sigma, seed=args.seed)
     else:
         for flag in sizes:
             if flag not in args.given:
                 raise ValueError(f"{flag} is required without --preset")
-        for flag, x in (("--p", args.p), ("--q", args.q)):
-            if not 0 <= x <= 1:
-                raise ValueError(f"{flag} {x}: must lie in [0, 1]")
-        if args.n > MAX_SBM_NODES:
-            raise ValueError(f"--n {args.n}: at most {MAX_SBM_NODES} nodes")
-        if not 2 <= args.classes <= args.n:
-            raise ValueError(f"--classes {args.classes}: must lie in [2, --n {args.n}]")
-        if args.dim < 1:
-            raise ValueError(f"--dim {args.dim}: must be positive")
-        if args.mu_scheme == "orthogonal_scaled" and args.dim < args.classes:
-            raise ValueError(f"--dim {args.dim}: --mu-scheme orthogonal_scaled needs "
-                             f"--dim >= --classes {args.classes}")
-        if not math.isfinite(args.mu_scale):
-            raise ValueError(f"--mu-scale {args.mu_scale}: must be finite")
-        if args.n * args.dim > MAX_FEATURE_VALUES:
-            raise ValueError(f"--dim {args.dim}: n * d = {args.n * args.dim} exceeds "
-                             f"{MAX_FEATURE_VALUES} feature values")
         params = CsbmParams(n=args.n, c=args.classes, p=args.p, q=args.q, d=args.dim,
                             sigma=args.sigma, seed=args.seed, mu_scheme=args.mu_scheme,
                             mu_scale=args.mu_scale)
@@ -410,21 +395,15 @@ def cmd_gen_csbm(args) -> int:
 
 
 def cmd_pseudo(args) -> int:
-    if args.epochs < 1:
-        raise ValueError(f"--epochs {args.epochs}: must be at least 1")
-    if not (math.isfinite(args.lr) and args.lr > 0):
-        raise ValueError(f"--lr {args.lr}: must be finite and positive")
-    if not (math.isfinite(args.l2) and args.l2 >= 0):
-        raise ValueError(f"--l2 {args.l2}: must be finite and non-negative")
+    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
+                      l2_penalty=args.l2, seed=args.seed)
     spec = _filter_spec(args)
     g, labels, _ = _load_inputs(args)
     features = _read("--features", args.features, _features, g.n)
-    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                      l2_penalty=args.l2, seed=args.seed)
     try:
         model = train_linear_sgc(g, spec, features, labels, cfg)
     except TrainingDiverged as exc:
-        raise ValueError(f"--lr {args.lr}: {exc}") from None
+        raise ParameterError("learning_rate", args.lr, str(exc)) from None
     pseudo = predict_pseudo(model, g, spec, features, labels)
     outputs = [
         (args.output_prefix + ".labels", write_labels(pseudo)),
@@ -554,9 +533,11 @@ def main(argv=None) -> int:
         return 2
     try:
         if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"--seed {args.seed}: must be a non-negative integer")
+            raise ParameterError("seed", args.seed, "must be a non-negative integer")
         return args.handler(args)
     except (ValueError, KeyError, OSError) as exc:
+        if isinstance(exc, ParameterError):   # named by its flag
+            exc = f"{FLAGS.get(exc.name, '--' + exc.name.replace('_', '-'))} {exc.detail}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failures

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import FilterSpec, row_normalized_filter
-from .graphs import Graph, LabelData, node_set, normalized_adjacency
+from .graphs import Graph, LabelData, ParameterError, node_set, normalized_adjacency
 
 __all__ = ["CompatReport", "compatibility", "check_scoring_inputs"]
 
@@ -35,7 +35,7 @@ def check_scoring_inputs(g: Graph, labels: LabelData, target, lam: float) -> np.
     without soft labels, a target node without a hard label.
     """
     if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
+        raise ParameterError("lambda", lam, "must be finite and non-negative")
     target = np.arange(g.n, dtype=np.int64) if target is None else node_set(target, g.n)
     if labels.soft is None and not labels.mask[target].all():
         missing = target[~labels.mask[target]]
@@ -80,7 +80,7 @@ def compatibility(g: Graph, spec: FilterSpec, labels: LabelData, target=None,
     filtered distribution: the hard-label entry for one-hot rows, or soft
     influence (an extension) when `labels` carry soft labels.
 
-    Raises ValueError when C overflows float64 (a lambda near its maximum);
+    Raises ParameterError when C overflows float64 (a lambda near its maximum);
     incremental scores never form C and stay finite there.
     """
     target = check_scoring_inputs(g, labels, target, lam)
@@ -106,6 +106,6 @@ def compatibility(g: Graph, spec: FilterSpec, labels: LabelData, target=None,
         try:
             c = math.fsum(per_i - lam * per_r)
         except OverflowError:
-            raise ValueError(f"lambda {lam}: C overflows float64") from None
+            raise ParameterError("lambda", lam, "C overflows float64") from None
     return CompatReport(lam=lam, target=target, per_node_I=per_i, per_node_R=per_r,
                         C=c, lbar=lbar, isolated=isolated)

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .filters import row_normalized_filter
-from .graphs import Graph, LabelData, normalized_adjacency
+from .graphs import Graph, LabelData, ParameterError, normalized_adjacency
 
 __all__ = [
     "MAX_SBM_NODES",
@@ -69,27 +69,26 @@ class CsbmParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c < 2 or self.n < self.c:
-            raise ValueError("need n >= c >= 2")
+        if not 2 <= self.c <= self.n:
+            raise ParameterError("c", self.c, f"must lie in [2, n = {self.n}]")
         if self.n > MAX_SBM_NODES:
-            raise ValueError(f"n = {self.n} exceeds {MAX_SBM_NODES} nodes")
+            raise ParameterError("n", self.n, f"at most {MAX_SBM_NODES} nodes")
         for name in ("p", "q"):
-            x = getattr(self, name)
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ParameterError(name, getattr(self, name), "must lie in [0, 1]")
         if self.d < 1:
-            raise ValueError("feature dimension must be positive")
+            raise ParameterError("d", self.d, "must be positive")
         if int(self.n) * int(self.d) > MAX_FEATURE_VALUES:
-            raise ValueError(f"n * d = {int(self.n) * int(self.d)} exceeds "
-                             f"{MAX_FEATURE_VALUES} feature values")
+            raise ParameterError("d", self.d, f"n * d = {int(self.n) * int(self.d)} exceeds "
+                                 f"{MAX_FEATURE_VALUES} feature values")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
+            raise ParameterError("sigma", self.sigma, "must be finite and non-negative")
         if not math.isfinite(self.mu_scale):
-            raise ValueError(f"mu_scale must be finite, got {self.mu_scale}")
+            raise ParameterError("mu_scale", self.mu_scale, "must be finite")
         if self.mu_scheme not in MU_SCHEMES:
-            raise ValueError(f"mu_scheme must be one of {MU_SCHEMES}")
+            raise ParameterError("mu_scheme", self.mu_scheme, f"must be one of {MU_SCHEMES}")
         if self.mu_scheme == "orthogonal_scaled" and self.d < self.c:
-            raise ValueError("orthogonal_scaled centers need d >= c")
+            raise ParameterError("d", self.d, f"orthogonal_scaled centers need d >= c = {self.c}")
 
 
 @dataclass
@@ -111,8 +110,12 @@ class CsbmSample:
         rng = np.random.default_rng(self._params.seed)
         rng.bit_generator.state = self._noise_state
         X = rng.normal(size=(self._params.n, self._params.d))   # rounds as F + sigma * noise
-        X *= self._params.sigma
-        X += self.mu[self._communities]
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            X *= self._params.sigma
+            X += self.mu[self._communities]
+        if not np.isfinite(X).all():   # sigma * noise, or a drawn center, overflowed
+            name = "sigma" if np.isfinite(self.mu).all() else "mu_scale"
+            raise ParameterError(name, getattr(self._params, name), "features overflow float64")
         return X
 
 
@@ -121,7 +124,8 @@ def _community_centers(params: CsbmParams, rng) -> np.ndarray:
         mu = np.zeros((params.c, params.d))
         mu[np.arange(params.c), np.arange(params.c)] = params.mu_scale
         return mu
-    return params.mu_scale * rng.normal(size=(params.c, params.d))
+    with np.errstate(over="ignore"):   # an overflowing center fails on the read of X
+        return params.mu_scale * rng.normal(size=(params.c, params.d))
 
 
 def sbm_edges(rng, communities: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -171,10 +175,8 @@ def cora_like_params(mix=(0.9, 0.1), sigma: float = 1.0, seed: int = 0) -> CsbmP
     count hits the target."""
     n, c, d, m_target = 2708, 7, 1433, 5278
     a, b = float(mix[0]), float(mix[1])
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"mix ({a}, {b}) must be finite")
-    if a <= 0 or b < 0:
-        raise ValueError("mix must be positive (intra) and non-negative (inter)")
+    if not (0 < a < math.inf and 0 <= b < math.inf):
+        raise ParameterError("mix", (a, b), "must be finite, with intra > 0 and inter >= 0")
     sizes = np.full(c, n // c, dtype=np.int64)
     sizes[: n % c] += 1
     intra_pairs = int((sizes * (sizes - 1) // 2).sum())
@@ -256,7 +258,7 @@ def check_variance_reduction(params: CsbmParams, spec, trials: int) -> VarianceR
     the raw energy (up to 3/sqrt(trials) Monte Carlo slack)."""
     _require_low_pass(spec)
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ParameterError("trials", trials, "must be at least 1")
     sample = generate_csbm(params)
     adj = normalized_adjacency(sample.graph)
     n = params.n

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import NormalizedAdjacency, csr_dense_product
+from .graphs import NormalizedAdjacency, ParameterError, csr_dense_product
 
 __all__ = [
     "PRESETS",
@@ -62,27 +62,27 @@ class FilterSpec:
         preset = self.preset.lower()
         object.__setattr__(self, "preset", preset)
         if preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
+            raise ParameterError("preset", self.preset, f"must be one of {PRESETS}")
         k, a = self.k, self.alpha
         low = 0 if preset in _NEEDS_GAMMA else 1
         if not low <= k <= MAX_ORDER:
-            raise ValueError(f"filter order K must lie in [{low}, {MAX_ORDER}], got {k}")
+            raise ParameterError("k", k, f"must lie in [{low}, {MAX_ORDER}]")
         if not 0.0 <= a <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise ParameterError("alpha", a, "must lie in [0, 1]")
         if preset in _NEEDS_GAMMA:
             if self.gamma is None:
                 raise ValueError(f"preset {preset!r} requires explicit gamma coefficients")
             gamma = tuple(float(x) for x in self.gamma)
             if not all(math.isfinite(x) for x in gamma):
-                raise ValueError(f"gamma coefficients must be finite, got {gamma}")
+                raise ParameterError("gamma", gamma, "must be finite")
             if len(gamma) != k + 1:
-                raise ValueError(f"gamma must have K+1 = {k + 1} entries, got {len(gamma)}")
+                raise ParameterError("gamma", gamma, f"must have K+1 = {k + 1} entries")
             if all(x == 0.0 for x in gamma):
-                raise ValueError("filter needs at least one nonzero coefficient")
+                raise ParameterError("gamma", gamma, "needs at least one nonzero coefficient")
             object.__setattr__(self, "gamma", gamma)
             coefficients = gamma
         elif self.gamma is not None:
-            raise ValueError(f"preset {preset!r} does not take gamma coefficients")
+            raise ParameterError("gamma", tuple(self.gamma), f"preset {preset} takes none")
         elif preset in ("sgc", "gcn"):
             coefficients = [0.0] * k + [1.0]
         elif preset == "s2gc":

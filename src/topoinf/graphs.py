@@ -22,6 +22,7 @@ __all__ = [
     "NormalizedAdjacency",
     "LabelData",
     "GraphFormatError",
+    "ParameterError",
     "node_set",
     "load_edge_list",
     "load_labels",
@@ -43,6 +44,15 @@ MAX_NODES = 10_000_000
 
 class GraphFormatError(ValueError):
     """Malformed graph or label text; the message names the offending line."""
+
+
+class ParameterError(ValueError):
+    """`<name> <value>: <rule>`, split as `name` and `detail`: a value that breaks its rule."""
+
+    def __init__(self, name: str, value, rule: str):
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        self.name, self.detail = name, f"{text}: {rule}"
+        super().__init__(f"{name} {self.detail}")
 
 
 def node_set(ids, n: int) -> np.ndarray:
@@ -176,7 +186,7 @@ def _neighbors_of_many(g: Graph, nodes: np.ndarray) -> np.ndarray:
 def khop_set(g: Graph, seeds, k: int) -> np.ndarray:
     """All nodes at shortest-path distance <= k from any seed, seeds included."""
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise ParameterError("k", k, "must be non-negative")
     seeds = node_set(seeds, g.n)
     reached = np.zeros(g.n, dtype=bool)
     reached[seeds] = True

@@ -93,6 +93,7 @@ from .filters import ROW_SUM_TOL, check_finite_rows
 from .graphs import (
     Graph,
     LabelData,
+    ParameterError,
     csr_dense_product,
     csr_sparse_product,
     csr_to_csc,
@@ -719,7 +720,7 @@ def score_all_edges(g: Graph, spec, labels: LabelData, target=None, lam: float =
     "exact" does a full recompute per edge. The two agree to <= 1e-10.
     """
     if mode not in ("incremental", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ParameterError("mode", mode, "must be 'incremental' or 'exact'")
     if mode == "incremental":
         ws = DeltaWorkspace.build(g, spec, labels, target, lam)
         values, affected = ws.score(np.arange(g.edge_count))
@@ -761,9 +762,9 @@ def greedy_refine(g: Graph, spec, labels: LabelData, target=None, lam: float = 0
     (-value, id in `g`), the order of a full ranking, as ids follow (u, v).
     """
     if max_removals < 0:
-        raise ValueError("max_removals must be >= 0")
+        raise ParameterError("max_removals", max_removals, "must be at least 0")
     if rescore_every < 1:
-        raise ValueError("rescore_every must be >= 1")
+        raise ParameterError("rescore_every", rescore_every, "must be at least 1")
     target_arr = None if target is None else node_set(target, g.n)
     target_mask = _mask_of(np.arange(g.n) if target is None else target_arr, g.n)
     current = g

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import apply_filter
-from .graphs import Graph, LabelData, _iter_lines, normalized_adjacency
+from .graphs import Graph, LabelData, ParameterError, _iter_lines, normalized_adjacency
 
 __all__ = [
     "TrainConfig",
@@ -41,13 +41,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}")
+            raise ParameterError("learning_rate", self.learning_rate,
+                                 "must be finite and positive")
         if self.epochs < 1:
-            raise ValueError("epochs must be a positive integer")
+            raise ParameterError("epochs", self.epochs, "must be at least 1")
         if not (math.isfinite(self.l2_penalty) and self.l2_penalty >= 0):
-            raise ValueError(
-                f"l2_penalty must be finite and non-negative, got {self.l2_penalty}")
+            raise ParameterError("l2_penalty", self.l2_penalty, "must be finite and non-negative")
 
 
 class TrainingDiverged(RuntimeError):

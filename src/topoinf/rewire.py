@@ -20,12 +20,13 @@ import warnings
 
 import numpy as np
 
-from .graphs import Graph, LabelData
+from .graphs import Graph, LabelData, ParameterError
 
 __all__ = [
     "remove_by_topoinf",
     "remove_random",
     "remove_adaedge",
+    "check_ratio",
     "check_tau",
     "check_drop_fraction",
     "dropedge_weights",
@@ -34,11 +35,16 @@ __all__ = [
 ]
 
 
-def _check_removal(ratio: float, which: str):
+def check_ratio(ratio: float):
+    """Reject a removal ratio outside [0, 1], NaN included."""
     if not 0.0 <= ratio <= 1.0:
-        raise ValueError("ratio must lie in [0, 1]")
+        raise ParameterError("ratio", ratio, "must lie in [0, 1]")
+
+
+def _check_removal(ratio: float, which: str):
+    check_ratio(ratio)
     if which not in ("positive", "negative"):
-        raise ValueError("set must be 'positive' or 'negative'")
+        raise ParameterError("set", which, "must be 'positive' or 'negative'")
 
 
 def remove_by_topoinf(report, ratio: float, which: str) -> np.ndarray:
@@ -60,8 +66,7 @@ def remove_by_topoinf(report, ratio: float, which: str) -> np.ndarray:
 
 def remove_random(g: Graph, ratio: float, seed: int) -> np.ndarray:
     """Uniform sample of floor(ratio * |E|) edge ids, without replacement."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("ratio must lie in [0, 1]")
+    check_ratio(ratio)
     count = int(ratio * g.edge_count)
     rng = np.random.default_rng(seed)
     chosen = rng.choice(g.edge_count, size=count, replace=False)
@@ -86,13 +91,13 @@ def remove_adaedge(g: Graph, labels: LabelData, ratio: float, which: str,
 def check_tau(tau: float):
     """Reject a softmax temperature that is not finite and positive."""
     if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau}")
+        raise ParameterError("tau", tau, "must be finite and positive")
 
 
 def check_drop_fraction(drop_fraction: float):
     """Reject a drop rate outside [0, 1], NaN included."""
     if not 0.0 <= drop_fraction <= 1.0:
-        raise ValueError(f"drop rate must lie in [0, 1], got {drop_fraction}")
+        raise ParameterError("drop_fraction", drop_fraction, "must lie in [0, 1]")
 
 
 def dropedge_weights(values, tau: float) -> np.ndarray:

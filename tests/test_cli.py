@@ -401,9 +401,12 @@ class TestLambdaRequiredForRewiring:
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["score", "--lambda", "nan"], "lambda"),
-    (["dropedge", "--lambda", "0", "--tau", "nan", "--output-prefix", "{tmp}/d"], "tau"),
-    (["analyze", "--model", "custom", "--k", "1", "--gamma", "nan,1"], "gamma"),
+    pytest.param(["score", "--lambda", "nan"],
+                 "error: --lambda nan: must be finite and non-negative", id="argv0-lambda"),
+    pytest.param(["dropedge", "--lambda", "0", "--tau", "nan", "--output-prefix", "{tmp}/d"],
+                 "error: --tau nan: must be finite and positive", id="argv1-tau"),
+    pytest.param(["analyze", "--model", "custom", "--k", "1", "--gamma", "nan,1"],
+                 "error: --gamma nan,1.0: must be finite", id="argv2-gamma"),
 ])
 def test_non_finite_parameter_rejected(fixture_files, capsys, argv, name):
     graph, labels, tmp = fixture_files
@@ -441,7 +444,7 @@ def test_lambda_overflowing_c(tmp_path, capsys, argv, code):
                 "--target", tmp_path / "t.txt", "--lambda", "1.7e308", *argv[1:]]) == code
     err = capsys.readouterr().err
     if code == 2:
-        assert err == "error: lambda 1.7e+308: C overflows float64\n"
+        assert err == "error: --lambda 1.7e+308: C overflows float64\n"
         assert not list(tmp_path.glob("out*"))
     else:   # the score TSV and the dist TSV both hold the score in column 3
         out = tmp_path / ("out.tsv" if argv[0] == "score" else "out.dist.tsv")
@@ -450,12 +453,12 @@ def test_lambda_overflowing_c(tmp_path, capsys, argv, code):
 
 
 @pytest.mark.parametrize("flags, name", [
-    (["--tau", "nan"], "tau"),
-    (["--tau", "0"], "tau"),
-    (["--tau", "inf"], "tau"),
-    (["--tau", "1", "--drop-rate", "nan"], "drop rate"),
-    (["--tau", "1", "--drop-rate", "1.5"], "drop rate"),
-    (["--tau", "1", "--drop-rate", "-0.1"], "drop rate"),
+    pytest.param(["--tau", x], f"--tau {shown}: must be finite and positive", id=f"flags{i}-tau")
+    for i, (x, shown) in enumerate((("nan", "nan"), ("0", "0.0"), ("inf", "inf")))
+] + [
+    pytest.param(["--tau", "1", "--drop-rate", x], f"--drop-rate {x}: must lie in [0, 1]",
+                 id=f"flags{i}-drop rate")
+    for i, x in enumerate(("nan", "1.5", "-0.1"), start=3)
 ])
 def test_dropedge_parameters_checked_before_scoring(fixture_files, capsys, monkeypatch,
                                                     flags, name):
@@ -555,7 +558,8 @@ BAD_RATIO = [
     *(pytest.param(TRIANGLE, text, PSEUDO, "g.input: 0 rows, graph has 3 nodes", id=name,
                    marks=pytest.mark.filterwarnings("error::UserWarning"))
       for name, text in (("empty-features", ""), ("comment-only-features", "# none\n"))),
-    pytest.param(TRIANGLE, FEATURES, PRESET + ["--mix", "1,2,3"], "--mix must be",
+    pytest.param(TRIANGLE, FEATURES, PRESET + ["--mix", "1,2,3"],
+                 "error: --mix 1.0,2.0,3.0: expected two numbers, intra,inter",
                  id="three-value-mix"),
     pytest.param(TRIANGLE, FEATURES, [a for a in GEN if a not in ("--n", "10")],
                  "--n is required", id="gen-without-n"),
@@ -586,7 +590,14 @@ BAD_RATIO = [
     pytest.param(TRIANGLE, FEATURES, SCORE + ["--k", str(MAX_ORDER + 1)], "--k",
                  id="oversized-order"),
     pytest.param(TRIANGLE, FEATURES, GEN + ["--sigma", "nan"], "sigma", id="nan-sigma"),
-    # each bad value fails naming its flag, before the library's own check
+    # noise or centers that overflow float64 fail naming their flag, without a warning
+    *(pytest.param(TRIANGLE, FEATURES, GEN + extra, name, id=f"overflowing{extra[-2]}",
+                   marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+      for extra, name in (
+          (["--sigma", "1e308"], "error: --sigma 1e+308: features overflow float64"),
+          (["--mu-scheme", "gaussian_random", "--dim", "100", "--mu-scale", "1e308"],
+           "error: --mu-scale 1e+308: features overflow float64"))),
+    # each bad value fails naming its flag and the value
     pytest.param(TRIANGLE, FEATURES, GEN + ["--mu-scale", "inf"], "--mu-scale inf",
                  id="inf-mu-scale"),
     *(pytest.param(TRIANGLE, FEATURES, argv + extra, name, id=argv[0] + "".join(extra))
@@ -601,7 +612,7 @@ BAD_RATIO = [
           (PRESET, ["--sigma", "inf"], "error: --sigma inf: must be finite and non-negative"),
           (GEN, ["--classes", "1"], "--classes 1"),
           (GEN, ["--dim", "0"], "--dim 0"),
-          (GEN, ["--classes", "3"], "--dim 2: --mu-scheme orthogonal_scaled"),
+          (GEN, ["--classes", "3"], "--dim 2: orthogonal_scaled centers need d >= c = 3"),
           (TOPOINF, ["--greedy", "--rescore-every", "0"], "--rescore-every 0"))),
     pytest.param(TRIANGLE, "", ["analyze", "--target", "{tmp}/g.input", "--output",
                                 "{tmp}/out.json"], "--target", id="empty-target"),
@@ -631,7 +642,7 @@ BAD_RATIO = [
     pytest.param(TRIANGLE, FEATURES, REWIRE + ["--strategy", "adaedge", "--trace", ""],
                  "error: .: is a directory", id="empty-path--trace-rewire"),
     pytest.param(TRIANGLE, FEATURES, ANALYZE + ["--gamma", ""],
-                 "error: --gamma : expected comma-separated finite numbers", id="empty-gamma"),
+                 "error: --gamma : expected comma-separated numbers", id="empty-gamma"),
     *(pytest.param(TRIANGLE, FEATURES, argv + ["--seed", "-1"],
                    "--seed -1: must be a non-negative integer", id=f"negative-seed-{argv[0]}")
       for argv in (GEN, DROPEDGE, REWIRE + ["--strategy", "random"], PSEUDO, SCORE)),
@@ -663,6 +674,51 @@ def test_epochs_checked_before_any_file_is_read(tmp_path, capsys):
     assert run(["pseudo", "--graph", missing[0], "--labels", missing[1], "--features",
                 missing[2], "--epochs", "0", "--output-prefix", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == "error: --epochs 0: must be at least 1\n"
+
+
+# a value each numeric flag's rule rejects, then the flags its command needs to
+# read it; the command is BASE's, or BASE_FOR's where the flag needs another mode
+REJECTED = {
+    "--lambda": ["-1"], "--k": ["0"], "--alpha": ["2", "--model", "appnp"],
+    "--gamma": ["0,0", "--model", "custom", "--k", "1"], "--seed": ["-1"],
+    "--ratio": ["7"], "--rescore-every": ["0", "--greedy"], "--tau": ["0"],
+    "--drop-rate": ["1.5"], "--emit-epochs": ["-1"], "--n": [str(MAX_SBM_NODES + 1)],
+    "--classes": ["1"], "--p": ["2"], "--q": ["-0.5"], "--dim": ["0"], "--sigma": ["-1"],
+    "--mu-scale": ["inf"], "--mix": ["0,0.1"], "--lr": ["-1"], "--epochs": ["0"],
+    "--l2": ["nan"],
+}
+BASE = {"analyze": ANALYZE, "score": SCORE, "rewire": TOPOINF, "dropedge": DROPEDGE,
+        "gen-csbm": GEN, "pseudo": PSEUDO}
+BASE_FOR = {("rewire", "--seed"): REWIRE + ["--strategy", "random"],
+            ("gen-csbm", "--mix"): PRESET}
+
+
+def _numeric_flags():
+    """(command, flag) of every int or float flag of every subcommand, and of
+    --gamma and --mix, which take comma-separated numbers."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return [(cmd, action.option_strings[0])
+            for cmd, parser in commands.choices.items() for action in parser._actions
+            if action.type in (int, float) or action.dest in ("gamma", "mix")]
+
+
+@pytest.mark.parametrize("cmd, flag", _numeric_flags())
+def test_every_numeric_flag_fails_naming_itself(tmp_path, capsys, cmd, flag):
+    """A value its rule rejects exits 2 with one stderr line that starts
+    `error: <flag> ` and writes nothing. A flag without a REJECTED entry
+    fails here, so each new numeric flag gets one."""
+    value, *extra = REJECTED[flag]
+    inputs = {"g.edges": TRIANGLE, "g.labels": TRIANGLE_LABELS, "g.input": FEATURES}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(tmp=tmp_path) for a in BASE_FOR.get((cmd, flag), BASE[cmd])]
+    io = [] if cmd == "gen-csbm" else \
+        ["--graph", tmp_path / "g.edges", "--labels", tmp_path / "g.labels"]
+    assert run([cmd, *io, *argv[1:], *extra, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
 # each input-file flag, a command that reads `{f}` as that file, and a file

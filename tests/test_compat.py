@@ -11,6 +11,8 @@ from topoinf import (
     compatibility,
 )
 
+from topoinf.graphs import ParameterError
+
 from dense_oracle import dense_compat
 
 INF = float("inf")
@@ -148,7 +150,8 @@ class TestCompatibility:
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_lambda_rejected(self, triangle, triangle_labels, walk_filter,
                                         lam):
-        with pytest.raises(ValueError, match="lambda"):
+        with pytest.raises(ParameterError,
+                           match=f"^lambda {lam}: must be finite and non-negative$"):
             compatibility(triangle, walk_filter, triangle_labels, lam=lam)
 
     def test_soft_influence_with_one_hot_soft_matches_hard(self, triangle,

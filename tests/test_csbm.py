@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from topoinf import (
 from topoinf import csbm
 from topoinf.csbm import (MAX_FEATURE_VALUES, MAX_SBM_NODES, MU_SCHEMES, sbm_edges,
                           write_features)
+from topoinf.graphs import ParameterError
 from topoinf.verify import random_labeled_graph
 
 from csbm_reference import reference_csbm
@@ -102,41 +104,64 @@ class TestGeneration:
         assert np.allclose(gram, 2.5 ** 2 * np.eye(3))
 
     def test_orthogonal_needs_enough_dims(self):
-        with pytest.raises(ValueError, match="d >= c"):
+        with pytest.raises(ParameterError,
+                           match=r"^d 2: orthogonal_scaled centers need d >= c = 3$"):
             CsbmParams(n=9, c=3, p=0.3, q=0.1, d=2, sigma=1.0)
 
     def test_node_count_bounded(self):
         CsbmParams(n=MAX_SBM_NODES, c=3, p=0.3, q=0.1, d=3, sigma=1.0)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ParameterError,
+                           match=rf"^n {MAX_SBM_NODES + 1}: at most {MAX_SBM_NODES} nodes$"):
             CsbmParams(n=MAX_SBM_NODES + 1, c=3, p=0.3, q=0.1, d=3, sigma=1.0)
 
     def test_feature_count_bounded(self):
         # only the parameters are built: nothing n x d is allocated
         limit = MAX_FEATURE_VALUES // 10
         CsbmParams(n=10, c=3, p=0.3, q=0.1, d=limit, sigma=1.0)
-        with pytest.raises(ValueError, match="feature values"):
+        with pytest.raises(ParameterError, match=rf"^d {limit + 1}: n \* d = {10 * (limit + 1)} "
+                                                 rf"exceeds {MAX_FEATURE_VALUES} feature values$"):
             CsbmParams(n=10, c=3, p=0.3, q=0.1, d=limit + 1, sigma=1.0)
 
     @pytest.mark.parametrize("changes, message", [
-        pytest.param({"c": 1}, "n >= c >= 2", id="one-class"),
-        pytest.param({"n": 2}, "n >= c >= 2", id="fewer-nodes-than-classes"),
-        pytest.param({"p": 1.5}, r"p must lie in \[0, 1\]", id="p-above-one"),
-        pytest.param({"q": -0.1}, r"q must lie in \[0, 1\]", id="negative-q"),
-        pytest.param({"q": float("nan")}, r"q must lie in \[0, 1\]", id="nan-q"),
-        pytest.param({"d": 0}, "feature dimension", id="zero-dim"),
-        pytest.param({"sigma": -1.0}, "sigma", id="negative-sigma"),
-        pytest.param({"mu_scale": float("nan")}, "mu_scale", id="nan-mu-scale"),
-        pytest.param({"mu_scheme": "uniform"}, "mu_scheme", id="unknown-mu-scheme"),
+        pytest.param({"c": 1}, r"c 1: must lie in \[2, n = 9\]", id="one-class"),
+        pytest.param({"n": 2}, r"c 3: must lie in \[2, n = 2\]", id="fewer-nodes-than-classes"),
+        pytest.param({"p": 1.5}, r"p 1.5: must lie in \[0, 1\]", id="p-above-one"),
+        pytest.param({"q": -0.1}, r"q -0.1: must lie in \[0, 1\]", id="negative-q"),
+        pytest.param({"q": float("nan")}, r"q nan: must lie in \[0, 1\]", id="nan-q"),
+        pytest.param({"d": 0}, "d 0: must be positive", id="zero-dim"),
+        pytest.param({"sigma": -1.0}, "sigma -1.0: must be finite and non-negative",
+                     id="negative-sigma"),
+        pytest.param({"mu_scale": float("nan")}, "mu_scale nan: must be finite",
+                     id="nan-mu-scale"),
+        pytest.param({"mu_scheme": "uniform"},
+                     r"mu_scheme uniform: must be one of \('orthogonal_scaled', "
+                     r"'gaussian_random'\)", id="unknown-mu-scheme"),
     ])
     def test_params_checked(self, changes, message):
         params = {"n": 9, "c": 3, "p": 0.3, "q": 0.1, "d": 3, "sigma": 1.0, **changes}
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
             CsbmParams(**params)
 
     def test_gaussian_centers_allowed_in_low_dim(self):
         params = CsbmParams(n=9, c=3, p=0.3, q=0.1, d=2, sigma=1.0,
                             mu_scheme="gaussian_random", seed=0)
         assert generate_csbm(params).mu.shape == (3, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("changes, name", [
+        pytest.param({"sigma": 1e308}, "sigma 1e+308", id="sigma"),
+        pytest.param({"mu_scheme": "gaussian_random", "mu_scale": 1e308}, "mu_scale 1e+308",
+                     id="gaussian-centers"),
+    ])
+    def test_overflowing_features_rejected(self, changes, name):
+        """A non-finite X fails on every read, without a numpy warning, naming
+        sigma, or mu_scale when a drawn center overflowed."""
+        params = {"n": 10, "c": 2, "p": 0.5, "q": 0.1, "d": 100, "sigma": 1.0, **changes}
+        sample = generate_csbm(CsbmParams(**params))
+        for _ in range(2):
+            with pytest.raises(ParameterError, match=f"^{re.escape(name)}: features overflow "
+                                                     "float64$"):
+                sample.X
 
     def test_heterophilic_allowed(self):
         params = CsbmParams(n=20, c=2, p=0.05, q=0.6, d=2, sigma=1.0, seed=4)
@@ -165,12 +190,14 @@ class TestCoraLike:
     @pytest.mark.parametrize("mix", [(1.0, float("nan")), (float("nan"), 0.1),
                                      (1.0, float("inf")), (float("-inf"), 0.1)])
     def test_non_finite_mix_rejected(self, mix):
-        with pytest.raises(ValueError, match=r"^mix \(.*(nan|inf).*\) must be finite"):
+        with pytest.raises(ParameterError, match=f"^mix {mix[0]},{mix[1]}: must be finite, "
+                                                 "with intra > 0 and inter >= 0$"):
             cora_like_params(mix=mix)
 
     @pytest.mark.parametrize("mix", [(0.0, 0.1), (-0.5, 0.1), (0.9, -0.1)])
     def test_mix_sign_checked(self, mix):
-        with pytest.raises(ValueError, match="mix must be positive"):
+        with pytest.raises(ParameterError, match=f"^mix {mix[0]},{mix[1]}: must be finite, "
+                                                 "with intra > 0 and inter >= 0$"):
             cora_like_params(mix=mix)
 
 
@@ -219,7 +246,7 @@ class TestVarianceReduction:
 
     def test_needs_a_trial(self):
         params = CsbmParams(n=6, c=2, p=0.5, q=0.1, d=2, sigma=1.0)
-        with pytest.raises(ValueError, match="at least one trial"):
+        with pytest.raises(ParameterError, match="^trials 0: must be at least 1$"):
             check_variance_reduction(params, FilterSpec("sgc", 1), trials=0)
 
     def test_csbm_empirical(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from topoinf import (
     normalized_adjacency,
 )
 
-from topoinf.filters import MAX_ORDER, row_normalized_filter
+from topoinf.filters import MAX_ORDER, PRESETS, row_normalized_filter
+from topoinf.graphs import ParameterError
 
 from dense_oracle import dense_rownorm_filter, dense_soft_labels
 
@@ -45,7 +47,7 @@ class TestExpandPreset:
     def test_supplied_coefficients_allow_order_zero(self):
         assert FilterSpec("custom", 0, gamma=(1.0,)).coefficients == (1.0,)
         assert FilterSpec("gprgnn", 0, gamma=(2.0,)).coefficients == (2.0,)
-        with pytest.raises(ValueError, match=r"filter order K must lie in \[1, "):
+        with pytest.raises(ParameterError, match=rf"^k 0: must lie in \[1, {MAX_ORDER}\]$"):
             FilterSpec("appnp", 0)
 
     def test_coefficients_are_derived(self):
@@ -77,13 +79,14 @@ class TestExpandPreset:
         assert abs(math.fsum(gamma) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("preset, alpha, message", [
-        pytest.param("gat", 0.1, "unknown preset", id="unknown-preset"),
-        pytest.param("appnp", -0.1, "alpha", id="negative-alpha"),
-        pytest.param("s2gc", 1.5, "alpha", id="alpha-above-one"),
-        pytest.param("gcnii", float("nan"), "alpha", id="nan-alpha"),
+        pytest.param("gat", 0.1, re.escape(f"preset gat: must be one of {PRESETS}"),
+                     id="unknown-preset"),
+        pytest.param("appnp", -0.1, r"alpha -0.1: must lie in \[0, 1\]", id="negative-alpha"),
+        pytest.param("s2gc", 1.5, r"alpha 1.5: must lie in \[0, 1\]", id="alpha-above-one"),
+        pytest.param("gcnii", float("nan"), r"alpha nan: must lie in \[0, 1\]", id="nan-alpha"),
     ])
     def test_preset_and_alpha_checked(self, preset, alpha, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
             FilterSpec(preset, 2, alpha=alpha)
 
     def test_k_must_be_positive(self):
@@ -94,9 +97,11 @@ class TestExpandPreset:
         gamma = FilterSpec("sgc", MAX_ORDER).coefficients
         assert len(gamma) == MAX_ORDER + 1
         assert gamma[-1] == 1.0
-        with pytest.raises(ValueError, match="filter order"):
+        with pytest.raises(ParameterError,
+                           match=rf"^k {MAX_ORDER + 1}: must lie in \[1, {MAX_ORDER}\]$"):
             FilterSpec("sgc", MAX_ORDER + 1)
-        with pytest.raises(ValueError, match="filter order"):
+        with pytest.raises(ParameterError,
+                           match=rf"^k {MAX_ORDER + 1}: must lie in \[0, {MAX_ORDER}\]$"):
             FilterSpec("custom", MAX_ORDER + 1, gamma=(0.0,) * (MAX_ORDER + 1) + (1.0,))
 
     def test_all_zero_coefficients_rejected(self):
@@ -105,9 +110,9 @@ class TestExpandPreset:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_coefficients_rejected(self, bad):
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(ParameterError, match=f"^gamma {bad},1.0: must be finite$"):
             FilterSpec("gprgnn", 1, gamma=(bad, 1.0))
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(ParameterError, match=f"^gamma {bad},1.0: must be finite$"):
             FilterSpec("custom", 1, gamma=(bad, 1.0))
 
 

@@ -21,6 +21,7 @@ from topoinf import (
     topoinf_oracle,
 )
 from topoinf import influence
+from topoinf.graphs import ParameterError
 from topoinf.verify import check_edge_scores, random_labeled_graph, run_oracle_suite
 
 from conftest import edge_id
@@ -553,10 +554,10 @@ class TestScoreAllEdges:
 
     @pytest.mark.parametrize("mode", ["incremental", "exact"])
     def test_nan_lambda_rejected(self, triangle, triangle_labels, walk_filter, mode):
-        with pytest.raises(ValueError, match="lambda"):
+        with pytest.raises(ParameterError, match="^lambda nan: must be finite and non-negative$"):
             score_all_edges(triangle, walk_filter, triangle_labels,
                             lam=float("nan"), mode=mode)
-        with pytest.raises(ValueError, match="lambda"):
+        with pytest.raises(ParameterError, match="^lambda nan: must be finite and non-negative$"):
             DeltaWorkspace.build(triangle, walk_filter, triangle_labels,
                                  lam=float("nan"))
 
@@ -703,7 +704,7 @@ class TestGreedyRefine:
     @pytest.mark.parametrize("every", [0, -2])
     def test_rescore_interval_below_one_rejected(self, triangle, triangle_labels,
                                                  walk_filter, every):
-        with pytest.raises(ValueError, match="rescore_every"):
+        with pytest.raises(ParameterError, match=f"^rescore_every {every}: must be at least 1$"):
             greedy_refine(triangle, walk_filter, triangle_labels, rescore_every=every)
 
 

@@ -12,6 +12,7 @@ from topoinf import (
     score_all_edges,
     train_linear_sgc,
 )
+from topoinf.graphs import ParameterError
 from topoinf.pseudo import load_soft_tsv, loss_and_gradients, write_soft_tsv
 
 IDENTITY = FilterSpec("custom", 0, gamma=(1.0,))
@@ -62,15 +63,20 @@ class TestTraining:
             train_linear_sgc(g, IDENTITY, feats, labels, cfg)
 
     @pytest.mark.parametrize("changes, message", [
-        pytest.param({"learning_rate": 0.0}, "learning_rate", id="zero-lr"),
-        pytest.param({"learning_rate": float("nan")}, "learning_rate", id="nan-lr"),
-        pytest.param({"learning_rate": float("inf")}, "learning_rate", id="inf-lr"),
-        pytest.param({"epochs": 0}, "epochs", id="zero-epochs"),
-        pytest.param({"l2_penalty": -1e-4}, "l2_penalty", id="negative-l2"),
-        pytest.param({"l2_penalty": float("nan")}, "l2_penalty", id="nan-l2"),
+        pytest.param({"learning_rate": 0.0}, "learning_rate 0.0: must be finite and positive",
+                     id="zero-lr"),
+        pytest.param({"learning_rate": float("nan")},
+                     "learning_rate nan: must be finite and positive", id="nan-lr"),
+        pytest.param({"learning_rate": float("inf")},
+                     "learning_rate inf: must be finite and positive", id="inf-lr"),
+        pytest.param({"epochs": 0}, "epochs 0: must be at least 1", id="zero-epochs"),
+        pytest.param({"l2_penalty": -1e-4}, "l2_penalty -0.0001: must be finite and non-negative",
+                     id="negative-l2"),
+        pytest.param({"l2_penalty": float("nan")},
+                     "l2_penalty nan: must be finite and non-negative", id="nan-l2"),
     ])
     def test_config_checked(self, changes, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
             TrainConfig(**changes)
 
     def test_empty_mask_rejected(self):

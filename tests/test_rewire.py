@@ -14,6 +14,7 @@ from topoinf import (
     sample_dropedge,
     score_all_edges,
 )
+from topoinf.graphs import ParameterError
 from topoinf.rewire import epoch_seed
 from topoinf.verify import random_labeled_graph
 
@@ -213,7 +214,7 @@ class TestDropEdgeWeights:
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_tau_finite(self, triangle_scores, tau):
-        with pytest.raises(ValueError, match="tau"):
+        with pytest.raises(ParameterError, match=f"^tau {tau}: must be finite and positive$"):
             dropedge_weights(triangle_scores.values, tau=tau)
 
     def test_probabilities_sum_to_one(self, triangle_scores):
@@ -310,12 +311,12 @@ def test_removal_plan_validation(triangle, triangle_labels, triangle_scores):
     for remove in (lambda ratio, which: remove_by_topoinf(triangle_scores, ratio, which),
                    lambda ratio, which: remove_adaedge(triangle, triangle_labels,
                                                        ratio, which, seed=0)):
-        with pytest.raises(ValueError, match="ratio"):
+        with pytest.raises(ParameterError, match=r"^ratio 1.5: must lie in \[0, 1\]$"):
             remove(1.5, "positive")
-        with pytest.raises(ValueError, match="set"):
+        with pytest.raises(ParameterError, match="^set both: must be 'positive' or 'negative'$"):
             remove(0.5, "both")
     for ratio in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="ratio"):
+        with pytest.raises(ParameterError, match=rf"^ratio {ratio}: must lie in \[0, 1\]$"):
             remove_random(triangle, ratio, seed=0)
     g, labels = random_labeled_graph(30, 4, 3, seed=1)
     rep = score_all_edges(g, FilterSpec("sgc", 2), labels)
