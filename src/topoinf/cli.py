@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import hashlib
 import json
 import os
 import sys
@@ -40,14 +39,6 @@ from .graphs import (
     write_labels,
 )
 from .influence import greedy_refine, score_all_edges
-from .pseudo import (
-    TrainConfig,
-    TrainingDiverged,
-    load_soft_tsv,
-    predict_pseudo,
-    train_linear_sgc,
-    write_soft_tsv,
-)
 from .rewire import (
     check_drop_fraction,
     check_ratio,
@@ -59,7 +50,6 @@ from .rewire import (
     remove_random,
     sample_dropedge,
 )
-from .verify import SUITES
 
 
 # Most epoch files one `dropedge` run may emit. Every epoch's edge list is
@@ -70,6 +60,10 @@ MAX_EPOCHS = 1000
 # the argument names of the input files a run may read, in manifest order
 INPUTS = ("graph", "labels", "soft_labels", "target", "features")
 
+# the suites of `verify.SUITES`, named here so that a run of another command
+# never imports the verify module
+VERIFY_SUITES = ("oracle", "theorem2", "gradients")
+
 FLAGS = {"c": "--classes", "d": "--dim", "learning_rate": "--lr", "l2_penalty": "--l2",
          "drop_fraction": "--drop-rate"}
 
@@ -78,8 +72,10 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    # hashlib maps OpenSSL's libcrypto (about 3.5 MiB), so it loads only here, after scoring
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
 
 
 def _floats(name: str, text: str) -> tuple:
@@ -141,6 +137,7 @@ def _read(flag: str, path: str, parse, *args):
 
 
 def _with_soft(text: str, labels: LabelData) -> LabelData:
+    from .pseudo import load_soft_tsv
     return LabelData(labels.c, labels.labels, soft=load_soft_tsv(text, labels.n, labels.c))
 
 
@@ -177,7 +174,7 @@ def _manifest(args) -> dict:
     return {
         "command": args.subcommand,
         "flags": flags,
-        "inputs": {name: _sha256(Path(getattr(args, name))) for name in INPUTS
+        "inputs": {name: _sha256(Path(getattr(args, name)).read_bytes()) for name in INPUTS
                    if getattr(args, name, None) is not None},
         "seed": getattr(args, "seed", None),
         "version": __version__,
@@ -253,7 +250,7 @@ def cmd_analyze(args) -> int:
 
 def _target_hash(target, n) -> str:
     arr = np.arange(n, dtype=np.int64) if target is None else target
-    return hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+    return _sha256(arr.tobytes())[:16]
 
 
 def cmd_score(args) -> int:
@@ -395,6 +392,8 @@ def cmd_gen_csbm(args) -> int:
 
 
 def cmd_pseudo(args) -> int:
+    from .pseudo import (TrainConfig, TrainingDiverged, predict_pseudo, train_linear_sgc,
+                         write_soft_tsv)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                       l2_penalty=args.l2, seed=args.seed)
     spec = _filter_spec(args)
@@ -416,6 +415,7 @@ def cmd_pseudo(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES
     names = SUITES if args.suite == "all" else [args.suite]
     results = [SUITES[name](quick=args.quick) for name in names]
     for res in results:
@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_flags(p)
 
     p = command("verify", "run self-check suites", cmd_verify)
-    p.add_argument("--suite", choices=(*SUITES, "all"), default="all",
+    p.add_argument("--suite", choices=(*VERIFY_SUITES, "all"), default="all",
                    help="default %(default)s")
     p.add_argument("--quick", action="store_true")
 

@@ -182,6 +182,8 @@ def cora_like_params(mix=(0.9, 0.1), sigma: float = 1.0, seed: int = 0) -> CsbmP
     intra_pairs = int((sizes * (sizes - 1) // 2).sum())
     inter_pairs = n * (n - 1) // 2 - intra_pairs
     t = m_target / (a * intra_pairs + b * inter_pairs)
+    if not (math.isfinite(t * a) and math.isfinite(t * b)):   # t overflows for a tiny mix
+        raise ParameterError("mix", (a, b), "scales to a non-finite edge probability")
     return CsbmParams(n=n, c=c, p=t * a, q=t * b, d=d, sigma=sigma, seed=seed)
 
 

@@ -14,6 +14,7 @@ shape) arrays, bitwise as scipy.sparse calls them, without importing it.
 from __future__ import annotations
 
 import functools
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -59,10 +60,13 @@ def node_set(ids, n: int) -> np.ndarray:
     """Canonicalize a node set: sorted, unique int64 ids, all in [0, n).
 
     Ids that are already strictly ascending are returned as they are (a
-    view of an int64 input), after one O(len) check instead of a sort."""
+    view of an int64 input), after one O(len) check instead of a sort; others
+    are sorted and each repeat dropped (as `np.unique`, which would import
+    numpy.ma)."""
     arr = np.asarray(ids, dtype=np.int64).ravel()
     if not (arr[1:] > arr[:-1]).all():
-        arr = np.unique(arr)
+        arr = np.sort(arr)
+        arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         raise ValueError(f"node ids must lie in [0, {n})")
     return arr
@@ -104,7 +108,7 @@ class Graph:
         index is the edge id used everywhere else.
     """
 
-    __slots__ = ("n", "indptr", "indices", "edges", "degrees")
+    __slots__ = ("n", "indptr", "indices", "edges", "degrees", "_lines")
 
     def __init__(self, n, indptr, indices, edges):
         self.n = int(n)
@@ -112,6 +116,7 @@ class Graph:
         self.indices = indices
         self.edges = edges
         self.degrees = np.diff(indptr)
+        self._lines = None   # each edge's "u v" line, formatted by the first write
         _freeze(indptr, indices, edges, self.degrees)
 
     @classmethod
@@ -136,7 +141,11 @@ class Graph:
                 bad = int(arr[np.flatnonzero(arr[:, 0] == arr[:, 1])[0], 0])
                 raise ValueError(f"self-loop at node {bad} is not allowed")
             arr = np.sort(arr, axis=1)
-            arr = np.unique(arr, axis=0)
+            u, v = arr[:, 0], arr[:, 1]
+            if not ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] > v[:-1])).all():
+                # rows as `np.unique(arr, axis=0)` gives them, without numpy.ma
+                arr = arr[np.lexsort((v, u))]
+                arr = arr[np.concatenate(([True], (arr[1:] != arr[:-1]).any(axis=1)))]
         indptr, indices = _build_csr(n, arr)
         return cls(n, indptr, indices, arr)
 
@@ -371,70 +380,107 @@ def _iter_lines(text: str, comments: bool = False):
             yield ln, line
 
 
-def _parse_header(ln: int, line: str, key: str, declared):
-    """N of a "# key=N" comment header, which must be at least 1 and the
-    first such header (`declared` is the N of an earlier one, else None);
-    None for any other comment."""
-    body = line.lstrip("#").strip()
-    if not body.startswith(key + "="):
+def _header(comments, key: str, limit=None):
+    """(N, its line number, error) of the "# key=N" header among the (line
+    number, stripped line) `comments`. N must be at least 1 (and at most
+    `limit`) and given once; `error` is the (line number, message) of the
+    first header that is not, else None. N and its line are None when no
+    valid header comes before that."""
+    got = at = None
+    for ln, line in comments:
+        body = line.lstrip("#").strip()
+        if not body.startswith(key + "="):
+            continue
+        if got is not None:
+            return got, at, (ln, f"repeated {key} header")
+        try:
+            value = int(body[len(key) + 1:])
+        except ValueError:
+            return got, at, (ln, f"bad {key} header: {line!r}")
+        if value < 1:
+            return got, at, (ln, f"{key}={value} must be at least 1")
+        if limit is not None and value > limit:
+            return got, at, (ln, f"{key}={value} exceeds the limit of {limit} {key}")
+        got, at = value, ln
+    return got, at, None
+
+
+def _int(token: str):
+    """int(token), or None where int() rejects it."""
+    try:
+        return int(token)
+    except ValueError:
         return None
-    if declared is not None:
-        raise GraphFormatError(f"line {ln}: repeated {key} header")
-    try:
-        got = int(body[len(key) + 1:])
-    except ValueError:
-        raise GraphFormatError(f"line {ln}: bad {key} header: {line!r}") from None
-    if got < 1:
-        raise GraphFormatError(f"line {ln}: {key}={got} must be at least 1")
-    return got
 
 
-def _parse_pair(ln: int, line: str, fields: str, noun: str):
-    """The two integers of a "{fields}" record line; `noun` names its fields
-    in the error for a non-integer one."""
-    parts = line.split()
-    if len(parts) != 2:
-        raise GraphFormatError(f"line {ln}: expected {fields!r}, got {line!r}")
+def _records(text: str, fields: str, noun: str):
+    """The lines of a two-integer "{fields}" format, parsed in bulk.
+
+    Returns (comments, ln, rows, fail): the (line number, stripped line) of
+    each '#' line; the line number of each record, every other non-blank
+    line; the two fields of each record as an (m, 2) array, int64 (Python
+    ints if a value does not fit), 0 0 where the line is not two integers;
+    and `fail(checks, header_error)`, which raises the GraphFormatError of
+    the first bad line: the first record that fails a check, or the (line
+    number, message) `header_error`. A record is checked for two fields, for
+    two integers (`noun` names them), then against each of `checks`, (mask,
+    message(i, stripped line)) pairs, and reports the first it fails."""
+    lines = text.splitlines()
+    count = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    comment = np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("#")), bool,
+                          len(lines))
+    comments = [(i + 1, lines[i].strip()) for i in np.flatnonzero(comment).tolist()]
+    del lines   # the lines and the tokens are not held at once
+    rec = np.flatnonzero((count > 0) & ~comment)
+    two = count[rec] == 2
+    # every line break is whitespace, so the tokens of the text are those of its lines
+    tokens, keep = text.split(), np.repeat((count == 2) & ~comment, count).tolist()
+    rows, integer = np.zeros((rec.size, 2), dtype=np.int64), two.copy()
     try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphFormatError(f"line {ln}: non-integer {noun} in {line!r}") from None
+        rows[two] = np.array([*compress(tokens, keep)], dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):   # a token int() rejects, or a value past int64
+        values = np.array([*map(_int, compress(tokens, keep))], dtype=object).reshape(-1, 2)
+        integer[two] = np.not_equal(values, None).all(axis=1)
+        rows = rows.astype(object)
+        rows[integer] = values[integer[two]]
+    del tokens, keep
+
+    def fail(checks, header_error):
+        checks = [(~two, lambda i, line: f"expected {fields!r}, got {line!r}"),
+                  (~integer, lambda i, line: f"non-integer {noun} in {line!r}"), *checks]
+        errors = [header_error] if header_error else []
+        bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+        if bad.size:
+            i = bad[0]
+            line = text.splitlines()[rec[i]].strip()
+            errors.append((rec[i] + 1, next(msg(i, line) for mask, msg in checks if mask[i])))
+        if errors:
+            ln, message = min(errors)
+            raise GraphFormatError(f"line {ln}: {message}")
+
+    return comments, rec + 1, rows, fail
 
 
 def load_edge_list(text: str) -> Graph:
     """Parse "u v" pairs, one per line. '#' comments allowed; an optional
     "# nodes=N" header, given at most once, fixes the node count (otherwise
-    max id + 1). Either count must not exceed MAX_NODES."""
-    edges = []
-    declared_n = None
-    saw_content = False
-    for ln, line in _iter_lines(text, comments=True):
-        if line.startswith("#"):
-            got = _parse_header(ln, line, "nodes", declared_n)
-            if got is not None:
-                if got > MAX_NODES:
-                    raise GraphFormatError(
-                        f"line {ln}: nodes={got} exceeds the limit of {MAX_NODES} nodes")
-                declared_n = got
-                saw_content = True
-            continue
-        u, v = _parse_pair(ln, line, "u v", "node id")
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"line {ln}: negative node id in {line!r}")
-        if u == v:
-            raise GraphFormatError(f"line {ln}: self-loop at node {u}")
-        edges.append((u, v))
-        saw_content = True
-    if not saw_content:
+    max id + 1). Either count must not exceed MAX_NODES. Lines are parsed in
+    bulk; an error names the first bad line, as a line-by-line parse would."""
+    comments, ln, rows, fail = _records(text, "u v", "node id")
+    declared_n, _, header_error = _header(comments, "nodes", MAX_NODES)
+    u, v = rows[:, 0], rows[:, 1]
+    fail([((u < 0) | (v < 0), lambda i, line: f"negative node id in {line!r}"),
+          (u == v, lambda i, line: f"self-loop at node {u[i]}")], header_error)
+    if declared_n is None and not ln.size:
         raise GraphFormatError("empty edge-list input")
-    max_id = max((max(u, v) for u, v in edges), default=-1)
+    max_id = int(rows.max()) if ln.size else -1
     n = declared_n if declared_n is not None else max_id + 1
     if declared_n is not None and max_id >= declared_n:
         raise GraphFormatError(f"node id {max_id} exceeds declared nodes={declared_n}")
     if n > MAX_NODES:
         raise GraphFormatError(
             f"node id {max_id} implies nodes={n}, over the limit of {MAX_NODES} nodes")
-    return Graph.from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    return Graph.from_edges(n, rows)
 
 
 def load_labels(text: str, n: int) -> LabelData:
@@ -442,29 +488,24 @@ def load_labels(text: str, n: int) -> LabelData:
 
     An optional "# classes=c" header, given at most once, declares the class
     count; without it, c is inferred as max class + 1 (so at least one labeled
-    node is required).
+    node is required). A class is checked against the header only on lines
+    after it. Lines are parsed in bulk, as `load_edge_list` parses them.
     """
-    declared_c = None
+    comments, ln, rows, fail = _records(text, "node class", "field")
+    declared_c, at, header_error = _header(comments, "classes")
+    nodes, classes = rows[:, 0], rows[:, 1]
+    over = (ln > at) & (classes >= declared_c) if declared_c else np.zeros(ln.size, bool)
+    order = np.argsort(nodes, kind="stable")   # a node's later lines after its first
+    again = np.zeros(ln.size, dtype=bool)
+    again[order[1:]] = nodes[order[1:]] == nodes[order[:-1]]
+    fail([((nodes < 0) | (nodes >= n), lambda i, line: f"node {nodes[i]} outside [0, {n})"),
+          (classes < 0, lambda i, line: "negative class id"),
+          (over, lambda i, line: f"class {classes[i]} outside declared classes={declared_c}"),
+          (again, lambda i, line: f"duplicate label for node {nodes[i]}")], header_error)
     labels = np.full(n, -1, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    for ln, line in _iter_lines(text, comments=True):
-        if line.startswith("#"):
-            declared_c = _parse_header(ln, line, "classes", declared_c) or declared_c
-            continue
-        node, cls = _parse_pair(ln, line, "node class", "field")
-        if not 0 <= node < n:
-            raise GraphFormatError(f"line {ln}: node {node} outside [0, {n})")
-        if cls < 0:
-            raise GraphFormatError(f"line {ln}: negative class id")
-        if declared_c is not None and cls >= declared_c:
-            raise GraphFormatError(
-                f"line {ln}: class {cls} outside declared classes={declared_c}")
-        if seen[node]:
-            raise GraphFormatError(f"line {ln}: duplicate label for node {node}")
-        seen[node] = True
-        labels[node] = cls
+    labels[nodes.astype(np.int64)] = classes
     if declared_c is None:
-        if not seen.any():
+        if not ln.size:
             raise GraphFormatError("no labels and no '# classes=c' header")
         declared_c = int(labels.max()) + 1
     return LabelData(declared_c, labels)
@@ -488,11 +529,12 @@ def load_target(text: str, n: int) -> np.ndarray:
 
 def write_edge_list(g: Graph, *, drop=()) -> str:
     """Edge-list text in the ingestion format (with a node-count header) of
-    `g` less the edge ids in `drop`."""
-    rows = np.delete(g.edges, np.asarray(drop, dtype=np.int64), axis=0)
-    lines = [f"# nodes={g.n}"]
-    lines.extend(map("{} {}".format, rows[:, 0].tolist(), rows[:, 1].tolist()))
-    return "\n".join(lines) + "\n"
+    `g` less the edge ids in `drop`. Each edge's line is formatted once per
+    graph, so writing many subsets of one graph only joins lines."""
+    if g._lines is None:
+        g._lines = np.array([*map("{} {}".format, *g.edges.T.tolist())], dtype=object)
+    kept = np.delete(g._lines, np.asarray(drop, dtype=np.int64)).tolist()
+    return "\n".join([f"# nodes={g.n}", *kept]) + "\n"
 
 
 def write_labels(labels: LabelData) -> str:

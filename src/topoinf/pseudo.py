@@ -86,7 +86,9 @@ def train_linear_sgc(g: Graph, spec, features, labels: LabelData,
 
     Features are filtered once up front. Initialization is seeded scaled
     uniform (Glorot); the run aborts on a non-finite loss and rejects runs
-    whose final loss exceeds the initial one.
+    whose final loss exceeds the initial one, raising ParameterError on
+    `l2_penalty` when the penalty drove the first step and TrainingDiverged
+    otherwise.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != g.n:
@@ -106,6 +108,17 @@ def train_linear_sgc(g: Graph, spec, features, labels: LabelData,
     weights = rng.uniform(-limit, limit, size=(d, c))
     bias = np.zeros(c)
 
+    # a divergence is the L2 weight's fault when the penalty's pull on the
+    # initial weights outweighs the data's, and the learning rate's otherwise
+    with np.errstate(over="ignore", invalid="ignore"):
+        data_pull = loss_and_gradients(weights, bias, z, y, 0.0)[1]
+    l2_led = np.abs(cfg.l2_penalty * weights).max() > np.abs(data_pull).max()
+
+    def diverged(text):
+        if l2_led:
+            return ParameterError("l2_penalty", cfg.l2_penalty, text + "; lower the L2 weight")
+        return TrainingDiverged(text + "; lower the learning rate")
+
     trace = np.empty(cfg.epochs + 1)
     # a diverging run overflows before its loss turns non-finite, which is
     # detected and raised below; keep numpy's warnings for it off stderr
@@ -113,20 +126,17 @@ def train_linear_sgc(g: Graph, spec, features, labels: LabelData,
         for epoch in range(cfg.epochs):
             loss, grad_w, grad_b = loss_and_gradients(weights, bias, z, y, cfg.l2_penalty)
             if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} "
-                    f"(lr={cfg.learning_rate}, l2={cfg.l2_penalty}); lower the learning rate")
+                raise diverged(f"non-finite loss at epoch {epoch} "
+                               f"(lr={cfg.learning_rate}, l2={cfg.l2_penalty})")
             trace[epoch] = loss
             weights = weights - cfg.learning_rate * grad_w
             bias = bias - cfg.learning_rate * grad_b
         final, _, _ = loss_and_gradients(weights, bias, z, y, cfg.l2_penalty)
         if not np.isfinite(final):
-            raise TrainingDiverged("non-finite final loss; lower the learning rate")
+            raise diverged("non-finite final loss")
     trace[cfg.epochs] = final
     if final > trace[0]:
-        raise TrainingDiverged(
-            f"training diverged: final loss {final:.6g} > initial {trace[0]:.6g}; "
-            "lower the learning rate")
+        raise diverged(f"training diverged: final loss {final:.6g} > initial {trace[0]:.6g}")
     return LinearModel(weights=weights, bias=bias, loss_trace=trace)
 
 

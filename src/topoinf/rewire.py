@@ -16,7 +16,6 @@ proportional to the weights; this is the standard caveat of that scheme.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -50,17 +49,12 @@ def _check_removal(ratio: float, which: str):
 def remove_by_topoinf(report, ratio: float, which: str) -> np.ndarray:
     """Top floor(ratio * |E|) edges of the `which` sign partition of a ScoreReport.
 
-    Ordered by absolute score descending, ties broken by ascending edge id.
-    Truncates with a warning when the partition is smaller than requested.
+    Ordered by absolute score descending, ties broken by ascending edge id;
+    truncated to the partition, as `remove_adaedge` truncates to its pool.
     """
     _check_removal(ratio, which)
     pool = np.flatnonzero(report.signs == which)
     want = int(ratio * report.values.size)
-    if want > pool.size:
-        warnings.warn(
-            f"requested {want} edges but the {which} partition has {pool.size}; "
-            "truncating", stacklevel=2)
-        want = pool.size
     return pool[np.lexsort((pool, -np.abs(report.values[pool])))][:want]
 
 

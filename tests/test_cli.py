@@ -7,11 +7,11 @@ import pytest
 
 from topoinf import FilterSpec, LabelData, compatibility, greedy_refine, load_edge_list, \
     load_labels, score_all_edges, write_edge_list, write_labels
-from topoinf.cli import MAX_EPOCHS, build_parser, main
+from topoinf.cli import MAX_EPOCHS, VERIFY_SUITES, build_parser, main
 from topoinf.csbm import MAX_FEATURE_VALUES, MAX_SBM_NODES
 from topoinf.filters import MAX_ORDER
 from topoinf.graphs import MAX_NODES
-from topoinf.verify import random_labeled_graph
+from topoinf.verify import SUITES, random_labeled_graph
 
 from conftest import edge_id
 
@@ -193,6 +193,21 @@ class TestRewire:
         assert len(kept) == 2  # one edge removed
 
 
+@pytest.mark.filterwarnings("error")
+def test_batch_topoinf_truncates_silently(tmp_path, capsys):
+    """A request past the sign partition takes the partition whole: exit 0
+    and nothing on stderr (ratio 1 on the triangle, whose positive
+    partition is empty at lambda 1, so no edge is removed)."""
+    (tmp_path / "g.edges").write_text(TRIANGLE)
+    (tmp_path / "g.labels").write_text(TRIANGLE_LABELS)
+    assert run(["rewire", "--graph", tmp_path / "g.edges", "--labels", tmp_path / "g.labels",
+                "--strategy", "topoinf", "--lambda", "1", "--ratio", "1",
+                "--output", tmp_path / "out.edges"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out.edges.trace.tsv").read_text() == "u\tv\tscore\tc_after\n"
+    assert (tmp_path / "out.edges").read_text() == TRIANGLE
+
+
 @pytest.mark.parametrize("mode", ["random", "adaedge", "topoinf", "greedy"])
 def test_rewire_writes_input_minus_trace(tmp_path, mode):
     """Every mode writes the input edges less the trace's (u, v) rows; the
@@ -360,6 +375,10 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+    def test_suite_choices_are_the_suites(self):
+        """The parser names the suites without importing topoinf.verify."""
+        assert VERIFY_SUITES == tuple(SUITES)
 
     def test_gradient_suite_passes(self, capsys):
         code = run(["verify", "--suite", "gradients", "--quick"])
@@ -566,6 +585,14 @@ BAD_RATIO = [
     pytest.param(TRIANGLE, FEATURES, PRESET + ["--mix", "1,nan"], "--mix", id="nan-mix"),
     pytest.param(TRIANGLE, FEATURES, PSEUDO + ["--lr", "1e6"], "--lr", id="diverging-lr",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    # the penalty, not the learning rate, drives the first step
+    pytest.param(TRIANGLE, FEATURES, PSEUDO + ["--l2", "1e308"],
+                 "error: --l2 1e+308: non-finite loss at epoch 1 (lr=0.5, l2=1e+308); "
+                 "lower the L2 weight", id="diverging-l2",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param(TRIANGLE, FEATURES, PRESET + ["--mix", "1e-320,0"],
+                 "error: --mix 1e-320,0.0: scales to a non-finite edge probability",
+                 id="subnormal-mix"),
     pytest.param(f"# nodes={MAX_NODES + 1}\n0 1\n", FEATURES, SCORE, "nodes=",
                  id="oversized-header"),
     pytest.param(f"0 {MAX_NODES}\n", FEATURES, SCORE, "nodes=", id="oversized-node-id"),

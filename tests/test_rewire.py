@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -61,14 +62,17 @@ class TestRemoveByTopoinf:
         assert mags == sorted(mags, reverse=True)
         assert (rep.signs[out] == "negative").all()
 
-    def test_truncation_warns(self, triangle_scores):
-        with pytest.warns(UserWarning, match="truncating"):
+    def test_truncation_is_silent(self, triangle_scores):
+        """A partition smaller than the request is taken whole, silently."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = remove_by_topoinf(triangle_scores, 1.0, "positive")
         assert out.tolist() == [1, 2]
 
     def test_all_zero_scores(self, triangle, triangle_labels, identity_filter):
         rep = score_all_edges(triangle, identity_filter, triangle_labels)
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = remove_by_topoinf(rep, 1 / 3, "positive")
         assert out.size == 0
 

@@ -5,7 +5,8 @@
 REV's `src/`, `bench/` and `demos/` are extracted with `git archive` into a
 temporary directory, and REV's `bench/make_inputs.py` writes the benchmark
 inputs of seeds 0 and 1 there; REV's `src` also writes the block model and
-pseudo labels of `csbm_commands`. Each command of `FIXED_COMMANDS`,
+pseudo labels of `csbm_commands`, and `write_messy` a hand-edited layout of
+each seed's graph and labels. Each command of `FIXED_COMMANDS`,
 `csbm_commands` and `input_commands` then runs twice in one output
 directory, once on REV's `src` and once on the working tree's, and the two
 runs are compared on every file written, stdout, stderr and the exit code.
@@ -44,13 +45,16 @@ def extract(rev: str, dest: Path):
 
 def input_commands(bench: Path, inputs: Path) -> list:
     """(name, topoinf argv) of every command run on one seed's bench inputs,
-    the bench's own commands taken from `bench`/workloads.py; "{out}" in an
-    argument stands for the output directory."""
+    the bench's own commands taken from `bench`/workloads.py, and on their
+    `write_messy` copies, written here; "{out}" in an argument stands for the
+    output directory."""
     sys.path.insert(0, str(bench))
     from workloads import GRAPH, LABELS, TARGET, WORKLOADS, command_args
     sys.path.pop(0)
     graph, labels, target = (str(inputs / f) for f in (GRAPH, LABELS, TARGET))
     io_flags = ["--graph", graph, "--labels", labels]
+    messy = ["--graph", str(inputs / "messy.edges"), "--labels", str(inputs / "messy.labels")]
+    write_messy(inputs / GRAPH, inputs / LABELS, inputs)
     rewire = ["rewire", "--graph", graph, "--ratio", "0.05", "--output", "{out}/r.edges"]
     adaedge = rewire + ["--labels", labels, "--strategy", "adaedge"]
     topoinf = rewire + ["--labels", labels, "--strategy", "topoinf", "--lambda", "0.1"]
@@ -67,7 +71,29 @@ def input_commands(bench: Path, inputs: Path) -> list:
         ("analyze-appnp10", ["analyze", *io_flags, "--model", "appnp", "--k", "10"]),
         ("score-sgc3", ["score", *io_flags, "--model", "sgc", "--k", "3",
                         "--output", "{out}/s.tsv"]),
+        ("score-messy", ["score", *messy, "--output", "{out}/s.tsv"]),
+        ("rewire-random-messy", ["rewire", *messy[:2], "--strategy", "random",
+                                 "--ratio", "0.05", "--output", "{out}/r.edges"]),
     ]
+
+
+def write_messy(graph: Path, labels: Path, dest: Path):
+    """`messy.edges` and `messy.labels` in `dest`: the graph and labels as a
+    hand-edited file may hold them, in a layout the bench never writes. The
+    edge rows come in reverse order, every fifth one followed by its reversed
+    duplicate, with comment and blank lines among them and CRLF line ends;
+    the labels keep their order, with comment lines among them."""
+    header, *rows = graph.read_text().splitlines()
+    lines = [header, "# rows in reverse order, some repeated reversed", ""]
+    for i, row in enumerate(reversed(rows)):
+        u, v = row.split()
+        lines += [f"  {row}"] + ([f"{v}\t{u}"] if i % 5 == 0 else []) + \
+            (["", "# a comment"] if i % 97 == 0 else [])
+    (dest / "messy.edges").write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    header, *rows = labels.read_text().splitlines()
+    lines = [header] + [line for i, row in enumerate(rows)
+                        for line in ([row, "# a comment"] if i % 50 == 0 else [row])]
+    (dest / "messy.labels").write_text("\n".join(lines) + "\n")
 
 
 def csbm_commands(src: Path, inputs: Path) -> list:
